@@ -1,9 +1,19 @@
 """Forward chaining with exact retraction.
 
-When a fact's truth value changes, every rule instance it feeds is
-revisited. An instance that already fired left a justification behind;
-its stale contribution is removed from the consequence with `uncombine`
-and the fresh one combined in, so evidence from other sources is never
+When a fact's truth value changes, the rule instances it feeds are
+revisited, found through two indexes the KB keeps so that the work per
+change follows what the fact touches, not the size of the KB. Rules are
+filed by the (functor, arity) of each premise conjunct, so only rules
+with a conjunct that can match the fact are consulted (a conjunct with
+a variable head puts its rule in a bucket every change consults). Live
+justifications are filed by each ground premise atom, so the instances
+remembered for the fact are read directly, even when the fact itself
+has just been dropped from the store. Instances not yet fired are
+enumerated from stored facts, seeded by the fact.
+
+An instance that already fired left a justification behind; its stale
+contribution is removed from the consequence with `uncombine` and the
+fresh one combined in, so evidence from other sources is never
 disturbed. Instances whose contribution would shift the consequence by
 less mass than the configured inference cutoff are left alone: the old
 result stands and the rule is not re-fired.
@@ -22,9 +32,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import DepthExceeded, NoValidResidual, NotCertainRemovable
-from .terms import format_bindings, is_ground, substitute, unify
+from .terms import format_bindings, is_ground, match, substitute
 from .truth import (
-    VACUOUS,
     EngineConfig,
     TruthValue,
     combine,
@@ -80,30 +89,25 @@ def _affected_bindings(kb: "KnowledgeBase", rule: "Rule", sentence) -> list:
 
     found = {}
     for core, _positive in rule.conjuncts:
-        seed = unify(core, sentence, {})
+        seed = match(core, sentence, {})
         if seed is None:
             continue
         for theta in _enumerate_instances(kb, rule, seed):
             found.setdefault(binding_key(theta), theta)
-    for j in kb.justifications_for_rule(rule.id):
-        if any(substitute(core, j.bindings) == sentence for core, _ in rule.conjuncts):
+    for j in kb.justifications_with_premise(sentence):
+        if j.rule_id == rule.id:
             found.setdefault(binding_key(j.bindings), j.bindings)
     return list(found.values())
 
 
-def _rebuild_consequence(kb: "KnowledgeBase", consequence, exclude) -> TruthValue:
-    """Base evidence plus every live contribution except ``exclude``."""
-    record = kb._facts.get(consequence)
-    tv = record.base if record else VACUOUS
-    for j in kb._justifications_for(consequence):
-        if j is not exclude:
-            tv = combine(tv, j.contribution)
-    return tv
+def _justification(rule: "Rule", bindings, ptv, contribution, consequence):
+    from .kb import Justification
+
+    premises = tuple(substitute(core, bindings) for core, _positive in rule.conjuncts)
+    return Justification(rule.id, dict(bindings), ptv, contribution, consequence, premises)
 
 
 def _apply_instance(kb, rule, bindings, config: EngineConfig, depth: int):
-    from .kb import Justification
-
     ptv = premise_value(kb, rule, bindings)
     contribution = propagate(ptv, rule.rule_tv)
     consequence = substitute(rule.consequence, bindings)
@@ -119,14 +123,12 @@ def _apply_instance(kb, rule, bindings, config: EngineConfig, depth: int):
         try:
             residual = uncombine(old_tv, existing.contribution)
         except (NotCertainRemovable, NoValidResidual):
-            residual = _rebuild_consequence(kb, consequence, exclude=existing)
+            residual = kb.pooled_value(consequence, exclude=existing)
         kb._emit(f"RETRACT rule={rule.id} bind={bind_text} contrib={existing.contribution}")
         kb.retract_justification(rule.id, bindings)
         new_tv = combine(residual, contribution)
         if not contribution.is_vacuous():
-            kb.record_justification(
-                Justification(rule.id, dict(bindings), ptv, contribution, consequence)
-            )
+            kb.record_justification(_justification(rule, bindings, ptv, contribution, consequence))
             kb._emit(f"FIRE rule={rule.id} bind={bind_text} contrib={contribution}")
         kb._set_combined(consequence, new_tv)
         if delta_mass(old_tv, new_tv) > 0.0:
@@ -140,9 +142,7 @@ def _apply_instance(kb, rule, bindings, config: EngineConfig, depth: int):
         return
     old_tv = kb.retrieve_core(consequence)
     new_tv = combine(old_tv, contribution)
-    kb.record_justification(
-        Justification(rule.id, dict(bindings), ptv, contribution, consequence)
-    )
+    kb.record_justification(_justification(rule, bindings, ptv, contribution, consequence))
     kb._emit(f"FIRE rule={rule.id} bind={bind_text} contrib={contribution}")
     kb._set_combined(consequence, new_tv)
     if delta_mass(old_tv, new_tv) > 0.0:
@@ -166,7 +166,7 @@ def propagate_change(
     config = config or kb.config
     if depth >= config.max_chain_depth:
         raise DepthExceeded(sentence, depth)
-    for rule in list(kb.rules):
+    for rule in kb.rules_touching(sentence):
         for bindings in _affected_bindings(kb, rule, sentence):
             _apply_instance(kb, rule, bindings, config, depth)
 

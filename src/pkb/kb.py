@@ -28,6 +28,7 @@ from .terms import (
     Term,
     format_bindings,
     is_ground,
+    match,
     normalize_negation,
     unify,
     variables_in,
@@ -80,15 +81,18 @@ class Justification:
     premise_tv_at_firing: TruthValue
     contribution: TruthValue
     consequence: Term
+    premises: tuple = ()  # ground premise atoms, one per conjunct
 
 
 @dataclass(frozen=True)
 class ControlEntry:
-    """Meta-level directive: goals matching ``pattern`` use ``method``."""
+    """Meta-level directive: goals matching ``pattern`` use ``method``.
+
+    Entries are tried in the order they were added.
+    """
 
     pattern: Term
     method: str
-    priority: int
 
 
 def binding_key(bindings: Bindings) -> tuple:
@@ -168,10 +172,15 @@ class KnowledgeBase:
         self._facts: dict[Term, FactRecord] = {}
         self._index: dict = {}
         self.rules: list[Rule] = []
+        # premise index key -> positions in self.rules; None holds rules
+        # with a conjunct that has a variable head
+        self._rules_by_key: dict = {}
         self.clauses: list = []
         self.control_entries: list[ControlEntry] = []
         self._ledger: dict[tuple, Justification] = {}
         self._by_consequence: dict[Term, set] = {}
+        # ground premise atom -> {ledger key: None}, in ledger order
+        self._by_premise: dict[Term, dict] = {}
         self._rule_count = 0
         self._clause_count = 0
 
@@ -223,9 +232,7 @@ class KnowledgeBase:
         core, tv = self._normalize(sentence, tv)
         record = self._facts.get(core)
         old = record.tv if record else VACUOUS
-        new = tv
-        for j in self._justifications_for(core):
-            new = combine(new, j.contribution)
+        new = self.pooled_value(core, tv)
         self._write(core, FactRecord(tv, new))
         if delta_mass(old, new) > 0.0:
             self._changed(core, old, new)
@@ -262,10 +269,19 @@ class KnowledgeBase:
 
     def match_facts(self, pattern: Term, use_base: bool = False):
         """Bindings and truth values of every stored fact unifying with
-        ``pattern`` (no tag filtering)."""
+        ``pattern`` (no tag filtering).
+
+        Stored facts are ground, so a ground pattern is one probe and an
+        open one is matched one way against each candidate.
+        """
+        if is_ground(pattern):
+            record = self._facts.get(pattern)
+            if record is None:
+                return []
+            return [({}, record.base if use_base else record.tv)]
         out = []
         for sentence in self._candidates(pattern):
-            theta = unify(pattern, sentence, {})
+            theta = match(pattern, sentence, {})
             if theta is None:
                 continue
             record = self._facts[sentence]
@@ -298,6 +314,8 @@ class KnowledgeBase:
             self._rule_count += 1
             rule_id = f"r{self._rule_count}"
         rule = make_rule(rule_id, premise, consequence, rule_tv)
+        for key in {_index_key(core) for core, _ in rule.conjuncts}:
+            self._rules_by_key.setdefault(key, []).append(len(self.rules))
         self.rules.append(rule)
         from .forward import fire_rule
 
@@ -313,7 +331,7 @@ class KnowledgeBase:
         return clause
 
     def add_control(self, pattern: Term, method: str) -> ControlEntry:
-        entry = ControlEntry(pattern, method, len(self.control_entries))
+        entry = ControlEntry(pattern, method)
         self.control_entries.append(entry)
         return entry
 
@@ -329,10 +347,22 @@ class KnowledgeBase:
 
     # -- justification ledger -------------------------------------------------
 
+    def rules_touching(self, sentence: Term) -> list[Rule]:
+        """Rules with a premise conjunct that may match the ground
+        ``sentence``, in the order they were added."""
+        key = _index_key(sentence)
+        positions = self._rules_by_key.get(key, [])
+        wildcard = self._rules_by_key.get(None)
+        if wildcard and key is not None:
+            positions = sorted(set(positions).union(wildcard))
+        return [self.rules[i] for i in positions]
+
     def record_justification(self, j: Justification):
         key = (j.rule_id, binding_key(j.bindings))
         self._ledger[key] = j
         self._by_consequence.setdefault(j.consequence, set()).add(key)
+        for atom in j.premises:
+            self._by_premise.setdefault(atom, {})[key] = None
 
     def find_justification(self, rule_id: str, bindings: Bindings) -> Justification | None:
         return self._ledger.get((rule_id, binding_key(bindings)))
@@ -348,14 +378,37 @@ class KnowledgeBase:
             refs.discard(key)
             if not refs:
                 del self._by_consequence[j.consequence]
+        for atom in j.premises:
+            refs = self._by_premise.get(atom)
+            if refs is not None:
+                refs.pop(key, None)
+                if not refs:
+                    del self._by_premise[atom]
         return j.contribution
 
     def _justifications_for(self, consequence: Term):
         keys = self._by_consequence.get(consequence, ())
         return [self._ledger[k] for k in sorted(keys, key=repr)]
 
-    def justifications_for_rule(self, rule_id: str):
-        return [j for (rid, _), j in self._ledger.items() if rid == rule_id]
+    def justifications_with_premise(self, atom: Term) -> list[Justification]:
+        """Live justifications with ``atom`` among their premise atoms,
+        in ledger order."""
+        return [self._ledger[k] for k in self._by_premise.get(atom, ())]
+
+    def pooled_value(self, core: Term, base: TruthValue | None = None, exclude=None) -> TruthValue:
+        """``base`` combined with every live contribution to ``core``
+        except ``exclude``, in one fixed order.
+
+        ``base`` defaults to the stored base evidence, which makes this
+        an exact rebuild of the entry's pooled value.
+        """
+        if base is None:
+            record = self._facts.get(core)
+            base = record.base if record else VACUOUS
+        for j in self._justifications_for(core):
+            if j is not exclude:
+                base = combine(base, j.contribution)
+        return base
 
     def why(self, sentence: Term):
         """Live justifications whose consequence matches the sentence."""

@@ -129,6 +129,29 @@ def unify(t1: Term, t2: Term, bindings: Bindings | None = None) -> Bindings | No
     return None
 
 
+def match(pattern: Term, ground: Term, bindings: Bindings) -> Bindings | None:
+    """One-way unification of ``pattern`` against a ground term.
+
+    Only the pattern's variables are bound, so no occurs check is
+    needed. For ground ``ground`` this returns what
+    ``unify(pattern, ground, bindings)`` returns.
+    """
+    pattern = walk(pattern, bindings)
+    if isinstance(pattern, Variable):
+        out = dict(bindings)
+        out[pattern] = ground
+        return out
+    if isinstance(pattern, Compound):
+        if not isinstance(ground, Compound) or len(pattern.elements) != len(ground.elements):
+            return None
+        for p, g in zip(pattern.elements, ground.elements):
+            bindings = match(p, g, bindings)
+            if bindings is None:
+                return None
+        return bindings
+    return bindings if pattern == ground else None
+
+
 def substitute(t: Term, bindings: Bindings) -> Term:
     """Replace every bound variable, following chains; unbound ones stay."""
     t = walk(t, bindings)

@@ -239,6 +239,53 @@ class TestRebuildEquivalence:
                 assert tv_close(acc, record.tv)
 
 
+class TestIndexedPropagation:
+    def test_variable_functor_premise_fires_and_retracts(self):
+        events = []
+        kb = KnowledgeBase(trace=events.append)
+        kb.add_rule(S("($p a)"), S("(seen $p)"), TruthValue(0.6, 0.0))
+        kb.stash(S("(foo a)"), TRUE)
+        kb.stash(S("(foo b)"), TRUE)
+        kb.stash(S("(bar a)"), TruthValue(0.5, 0.0))
+        assert tv_close(kb.retrieve(S("(seen foo)")), TruthValue(0.6, 0.0))
+        assert tv_close(kb.retrieve(S("(seen bar)")), TruthValue(0.3, 0.0))
+        events.clear()
+        kb.set_truth(S("(foo a)"), VACUOUS)
+        assert events == ["RETRACT rule=r1 bind={$p=foo} contrib=(0.6 . 0)"]
+        assert kb.retrieve(S("(seen foo)")) == VACUOUS
+        assert tv_close(kb.retrieve(S("(seen bar)")), TruthValue(0.3, 0.0))
+
+    def test_repeated_predicate_fires_once_per_binding(self):
+        events = []
+        kb = KnowledgeBase(trace=events.append)
+        kb.add_rule(S("(and (p $x) (p $y))"), S("(r $x $y)"), TruthValue(0.5, 0.0))
+        kb.stash(S("(p a)"), TRUE)
+        events.clear()
+        kb.stash(S("(p b)"), TRUE)
+        assert sorted(events) == [
+            "FIRE rule=r1 bind={$x=a, $y=b} contrib=(0.5 . 0)",
+            "FIRE rule=r1 bind={$x=b, $y=a} contrib=(0.5 . 0)",
+            "FIRE rule=r1 bind={$x=b, $y=b} contrib=(0.5 . 0)",
+        ]
+        for pair in ("a a", "a b", "b a", "b b"):
+            assert kb.retrieve(S(f"(r {pair})")) == TruthValue(0.5, 0.0)
+            assert len(kb.why(S(f"(r {pair})"))) == 1
+
+    def test_dropped_premise_retracts_through_premise_index(self):
+        events = []
+        kb = KnowledgeBase(trace=events.append)
+        kb.add_rule(S("(and (p $x) (q $x))"), S("(r $x)"), TruthValue(0.8, 0.0))
+        kb.stash(S("(r a)"), TruthValue(0.2, 0.0))
+        kb.stash(S("(q a)"), TRUE)
+        kb.stash(S("(p a)"), TruthValue(0.5, 0.0))
+        events.clear()
+        kb.set_truth(S("(p a)"), VACUOUS)
+        assert S("(p a)") not in dict(kb.facts())
+        assert events == ["RETRACT rule=r1 bind={$x=a} contrib=(0.4 . 0)"]
+        assert tv_close(kb.retrieve(S("(r a)")), TruthValue(0.2, 0.0))
+        assert kb.why(S("(r a)")) == []
+
+
 class TestCyclesAndDepth:
     def test_cyclic_rules_hit_depth_bound(self):
         kb = KnowledgeBase(config=EngineConfig(max_chain_depth=8))

@@ -13,6 +13,7 @@ from pkb.terms import (
     compound,
     format_bindings,
     is_ground,
+    match,
     normalize_negation,
     rename_apart,
     substitute,
@@ -75,6 +76,29 @@ class TestUnify:
     @given(t1=terms(), t2=terms())
     def test_symmetric_success(self, t1, t2):
         assert (unify(t1, t2) is None) == (unify(t2, t1) is None)
+
+
+class TestMatch:
+    @given(p=terms(), q=terms(), values=st.lists(terms(), min_size=3, max_size=3), same=st.booleans())
+    def test_agrees_with_unify_on_ground_terms(self, p, q, values, same):
+        # Ground either the pattern itself (a guaranteed instance) or an
+        # unrelated term, by substituting ground values for x, y and z.
+        leaves = {var(n): sym("a") for n in "xyz"}
+        grounding = {var(n): substitute(v, leaves) for n, v in zip("xyz", values)}
+        g = substitute(p if same else q, grounding)
+        theta = match(p, g, {})
+        unifier = unify(p, g, {})
+        assert (theta is None) == (unifier is None)
+        if same:
+            assert theta is not None
+        if theta is not None:
+            assert theta == unifier
+            assert substitute(p, theta) == substitute(p, unifier) == g
+
+    def test_repeated_variable_must_bind_consistently(self):
+        pattern = compound(sym("p"), var("x"), var("x"))
+        assert match(pattern, compound(sym("p"), sym("a"), sym("a")), {}) == {var("x"): sym("a")}
+        assert match(pattern, compound(sym("p"), sym("a"), sym("b")), {}) is None
 
 
 class TestSubstitute:
