@@ -3,9 +3,12 @@
 Proving a goal means pooling evidence from every applicable source:
 directly asserted facts that unify with it, and every rule whose
 consequence unifies with it, each rule's contribution scaled by the
-recursively proved value of its premise. Succeeding once is not enough;
-a later source may disconfirm what an earlier one confirmed, so all
-sources are consulted unless a stopping rule applies.
+recursively proved value of its premise. Candidate rules come from the
+knowledge base's consequence index, so a goal only meets rules filed
+under its predicate and rules whose consequence has a variable head.
+Succeeding once is not enough; a later source may disconfirm what an
+earlier one confirmed, so all sources are consulted unless a stopping
+rule applies.
 
 Two thresholds terminate work early. A rule whose own pair carries less
 mass than the inference cutoff could never matter that much and is not
@@ -35,7 +38,9 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING
 
+from . import resolution  # looked up per call, so a wrapper set on the module applies
 from .errors import DepthExceeded
+from .kb import unwrap_query
 from .terms import (
     canonical_form,
     is_ground,
@@ -146,7 +151,7 @@ def _run_agenda(goal, state: _State) -> list:
 
     heap = [(-state.priority_fn("fact"), 0, "fact", None)]
     seq = 1
-    for rule in kb.rules:
+    for rule in kb.rules_concluding(goal):
         if rule.rule_tv.mass < config.inference_cutoff:
             continue  # could never shift any conclusion enough to matter
         renamed = rename_apart([rule.consequence] + [core for core, _ in rule.conjuncts])
@@ -229,9 +234,6 @@ def truep(
     ``method``), stored facts are consulted first and backward chaining
     runs only when they yield nothing.
     """
-    from .kb import unwrap_query
-    from .resolution import prove_by_resolution
-
     config = config or kb.config
     core, tag = unwrap_query(goal, tag)
     if method is None:
@@ -242,7 +244,7 @@ def truep(
     if method == "backward-chain":
         return _filter_answers(prove(kb, core, config, trace), tag, cutoff)
     if method == "resolution":
-        return prove_by_resolution(kb, core, tag, cutoff, config)
+        return resolution.prove_by_resolution(kb, core, tag, cutoff, config)
 
     answers = kb.lookup(core, tag, cutoff)
     if answers:

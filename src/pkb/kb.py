@@ -18,7 +18,7 @@ change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import NotFound, RangeError
 from .terms import (
@@ -30,6 +30,7 @@ from .terms import (
     is_ground,
     match,
     normalize_negation,
+    rename_apart,
     unify,
     variables_in,
 )
@@ -93,6 +94,12 @@ class ControlEntry:
 
     pattern: Term
     method: str
+    # ``pattern`` renamed apart once, so dispatch unifies without a fresh copy per goal
+    _renamed: Term = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        (renamed,) = rename_apart([self.pattern])
+        object.__setattr__(self, "_renamed", renamed)
 
 
 def binding_key(bindings: Bindings) -> tuple:
@@ -172,9 +179,10 @@ class KnowledgeBase:
         self._facts: dict[Term, FactRecord] = {}
         self._index: dict = {}
         self.rules: list[Rule] = []
-        # premise index key -> positions in self.rules; None holds rules
-        # with a conjunct that has a variable head
+        # index key -> positions in self.rules, by premise conjunct and by
+        # consequence; None holds rules whose indexed term has a variable head
         self._rules_by_key: dict = {}
+        self._rules_by_consequence: dict = {}
         self.clauses: list = []
         self.control_entries: list[ControlEntry] = []
         self._ledger: dict[tuple, Justification] = {}
@@ -314,8 +322,10 @@ class KnowledgeBase:
             self._rule_count += 1
             rule_id = f"r{self._rule_count}"
         rule = make_rule(rule_id, premise, consequence, rule_tv)
+        position = len(self.rules)
         for key in {_index_key(core) for core, _ in rule.conjuncts}:
-            self._rules_by_key.setdefault(key, []).append(len(self.rules))
+            self._rules_by_key.setdefault(key, []).append(position)
+        self._rules_by_consequence.setdefault(_index_key(rule.consequence), []).append(position)
         self.rules.append(rule)
         from .forward import fire_rule
 
@@ -337,25 +347,36 @@ class KnowledgeBase:
 
     def dispatch(self, goal: Term) -> str | None:
         """Method named by the first control entry matching the goal."""
-        from .terms import rename_apart
-
         for entry in self.control_entries:
-            (pattern,) = rename_apart([entry.pattern])
-            if unify(pattern, goal, {}) is not None:
+            if unify(entry._renamed, goal, {}) is not None:
                 return entry.method
         return None
 
-    # -- justification ledger -------------------------------------------------
+    # -- rule indexes -----------------------------------------------------------
+
+    def _indexed_rules(self, index: dict, key) -> list[Rule]:
+        """Rules filed under ``key`` plus the wildcard bucket, in the
+        order they were added."""
+        positions = index.get(key, [])
+        wildcard = index.get(None)
+        if wildcard and key is not None:
+            positions = sorted(set(positions).union(wildcard))
+        return [self.rules[i] for i in positions]
 
     def rules_touching(self, sentence: Term) -> list[Rule]:
         """Rules with a premise conjunct that may match the ground
         ``sentence``, in the order they were added."""
-        key = _index_key(sentence)
-        positions = self._rules_by_key.get(key, [])
-        wildcard = self._rules_by_key.get(None)
-        if wildcard and key is not None:
-            positions = sorted(set(positions).union(wildcard))
-        return [self.rules[i] for i in positions]
+        return self._indexed_rules(self._rules_by_key, _index_key(sentence))
+
+    def rules_concluding(self, goal: Term) -> list[Rule]:
+        """Rules whose consequence may unify with ``goal``, in the order
+        they were added. A goal with a variable head may meet any rule."""
+        key = _index_key(goal)
+        if key is None:
+            return list(self.rules)
+        return self._indexed_rules(self._rules_by_consequence, key)
+
+    # -- justification ledger -------------------------------------------------
 
     def record_justification(self, j: Justification):
         key = (j.rule_id, binding_key(j.bindings))

@@ -42,7 +42,7 @@ from .errors import (
     TotalConflict,
 )
 from .terms import Term, is_ground, normalize_negation
-from .truth import VACUOUS, EngineConfig, TruthValue, apply_tag, combine
+from .truth import VACUOUS, EngineConfig, TruthValue, apply_tag, combine, negate
 
 
 @dataclass(frozen=True)
@@ -276,8 +276,6 @@ def prove_by_resolution(kb, goal, tag, cutoff, config: EngineConfig | None = Non
     unit is the same information with the pair swapped. The two kinds
     are pooled under the usual disjoint-support policy.
     """
-    from .truth import negate
-
     core, flipped = normalize_negation(goal)
     if not is_ground(core):
         raise ValueError(f"resolution needs a ground goal, got {goal}")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import pkb.backward
 from pkb.backward import prove, truep
 from pkb.errors import DepthExceeded
 from pkb.kb import KnowledgeBase
@@ -216,13 +217,20 @@ def _reversed_priority(kind, rule=None):
     return -rule.rule_tv.mass
 
 
+def _unrelated_rules(n):
+    return [(S(f"(u{i} $x)"), S(f"(t{i} $x)"), TruthValue(0.5, 0.1)) for i in range(n)]
+
+
 class TestOracleEquivalence:
-    def test_matches_bottom_up_oracle_under_three_priorities(self):
-        rng = random.Random(90210)
+    @staticmethod
+    def check_random_kbs(rng, rounds, n_unrelated=0):
         priorities = [None, _fifo_priority, _reversed_priority]
-        for _ in range(35):
+        for _ in range(rounds):
             facts, rules = random_ground_kb(rng)
-            kb = build_kb(facts, ground_rules_to_terms(rules))
+            rule_terms = ground_rules_to_terms(rules)
+            for extra in _unrelated_rules(n_unrelated):
+                rule_terms.insert(rng.randrange(len(rule_terms) + 1), extra)
+            kb = build_kb(facts, rule_terms)
             base = {s: (tv.belief, tv.disbelief) for s, tv in facts.items()}
             oracle_rules = [
                 (conjuncts, cons, (tv.belief, tv.disbelief)) for conjuncts, cons, tv in rules
@@ -240,6 +248,92 @@ class TestOracleEquivalence:
                     else:
                         assert len(answers) == 1
                         assert tv_close(answers[0][1], want)
+
+    def test_matches_bottom_up_oracle_under_three_priorities(self):
+        self.check_random_kbs(random.Random(90210), 35)
+
+    def test_matches_oracle_beside_unrelated_rules(self):
+        self.check_random_kbs(random.Random(4242), 20, n_unrelated=20)
+
+
+class TestConsequenceIndex:
+    def test_variable_headed_consequence_still_contributes(self):
+        events = []
+        kb = KnowledgeBase()
+        kb.load_text(
+            """
+            (rule (sparrow $x) (bird $x) (0.5 . 0))
+            (rule (isa $p $x) ($p $x) (0.8 . 0))
+            (fact (sparrow tweety) (1 . 0))
+            (fact (isa bird tweety) (1 . 0))
+            """
+        )
+        got = prove_one(kb, "(bird tweety)", trace=events.append)
+        assert tv_close(got, oracle_combine((0.8, 0.0), (0.5, 0.0)))
+        assert "TASK goal=(bird tweety) src=rule:r2 acc=(0.8 . 0)" in events
+
+    def test_variable_headed_goal_consults_every_rule(self):
+        kb = KnowledgeBase()
+        kb.load_text(
+            """
+            (rule (bird $x) (flies $x) (0.7 . 0))
+            (rule (penguin $x) (swims $x) (0.6 . 0))
+            (fact (bird tweety) (1 . 0))
+            (fact (penguin tweety) (1 . 0))
+            """
+        )
+        goal = S("($p tweety)")
+        assert kb.rules_concluding(goal) == kb.rules
+        answers = {theta[var("p")].name: tv for theta, tv in prove(kb, goal)}
+        assert set(answers) == {"bird", "penguin", "flies", "swims"}
+        assert tv_close(answers["flies"], (0.7, 0.0))
+        assert tv_close(answers["swims"], (0.6, 0.0))
+
+    def test_equal_mass_rules_run_in_rule_order(self):
+        events = []
+        kb = KnowledgeBase()
+        kb.load_text(
+            """
+            (rule (a $x) (goal $x) (0.5 . 0))
+            (rule (u $x) (t $x) (0.5 . 0))
+            (rule (isa $p $x) ($p $x) (0.5 . 0))
+            (rule (b $x) (goal $x) (0.5 . 0))
+            (fact (a m) (1 . 0))
+            (fact (b m) (1 . 0))
+            """
+        )
+        prove(kb, S("(goal m)"), trace=events.append)
+        sources = [
+            line.split()[3] for line in events if line.startswith("TASK goal=(goal m)")
+        ]
+        assert sources == ["src=fact", "src=rule:r1", "src=rule:r3", "src=rule:r4"]
+
+    def test_unrelated_rules_add_no_work(self, monkeypatch):
+        calls = []
+        original = pkb.backward.rename_apart
+
+        def counting(terms):
+            calls.append(terms)
+            return original(terms)
+
+        monkeypatch.setattr(pkb.backward, "rename_apart", counting)
+
+        def run(n_unrelated):
+            kb = KnowledgeBase()
+            for premise, consequence, tv in _unrelated_rules(n_unrelated):
+                kb.add_rule(premise, consequence, tv)
+            kb.add_rule(S("(and (p $x) (q $x))"), S("(r $x)"), TruthValue(0.9, 0.0))
+            kb.stash(S("(p a)"), TruthValue(0.8, 0.1))
+            kb.stash(S("(q a)"), TruthValue(0.7, 0.2))
+            calls.clear()
+            answers = prove(kb, S("(r a)"))
+            return answers, len(calls)
+
+        bare, bare_calls = run(0)
+        crowded, crowded_calls = run(100)
+        assert bare_calls > 0
+        assert crowded_calls == bare_calls
+        assert crowded == bare
 
 
 class TestTruep:

@@ -215,6 +215,10 @@ class TestControl:
         kb.add_control(S("(goo $x)"), "lookup")
         assert kb.dispatch(S("(foo fred)")) is None
 
+    def test_pattern_variables_kept_apart_from_goal(self, kb):
+        kb.add_control(S("(foo $x b)"), "lookup")
+        assert kb.dispatch(S("(foo a $x)")) == "lookup"
+
     def test_non_matching_entry_changes_nothing(self, kb):
         kb.add_control(S("(foo $x)"), "resolution")
         before = kb.dispatch(S("(foo fred)"))
