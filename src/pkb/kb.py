@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import NotFound, RangeError
+from .resolution import Clause, saturate_groups
 from .terms import (
     Bindings,
     Compound,
@@ -184,6 +185,8 @@ class KnowledgeBase:
         self._rules_by_key: dict = {}
         self._rules_by_consequence: dict = {}
         self.clauses: list = []
+        # (clause count, config copy, saturated clause groups)
+        self._saturation: tuple | None = None
         self.control_entries: list[ControlEntry] = []
         self._ledger: dict[tuple, Justification] = {}
         self._by_consequence: dict[Term, set] = {}
@@ -333,12 +336,27 @@ class KnowledgeBase:
         return rule
 
     def add_clause(self, literals, tv: TruthValue):
-        from .resolution import Clause
-
         self._clause_count += 1
         clause = Clause.make(literals, tv, support=frozenset({f"c{self._clause_count}"}))
         self.clauses.append(clause)
         return clause
+
+    def saturation(self, config: EngineConfig) -> dict:
+        """The clause set closed under resolution with ``config``, as
+        literal set -> derivations (see `resolution.saturate_groups`).
+
+        Computed on first use and kept until a clause is added or a
+        different config is asked for. A saturation that raises is not
+        kept. Callers must not modify the result.
+        """
+        # Keyed on the clause count rather than cleared by add_clause:
+        # freeing a stale closure is then paid by the query that
+        # replaces it, not by the write.
+        cached = self._saturation
+        if cached is None or cached[0] != len(self.clauses) or cached[1] != config:
+            cached = (len(self.clauses), replace(config), saturate_groups(self.clauses, config))
+            self._saturation = cached
+        return cached[2]
 
     def add_control(self, pattern: Term, method: str) -> ControlEntry:
         entry = ControlEntry(pattern, method)

@@ -25,16 +25,33 @@ The entailment checks are done symbolically: every focal intersection
 is a few tiny clauses plus a conjunction of literals, decided by a
 miniature splitting SAT routine rather than by enumerating 2^n models.
 
-`saturate` closes a clause set under both resolution modes. Each clause
-tracks which base clauses support it; rederivations of one literal set
-are pooled with `combine` only when their supports are disjoint (pooled
-evidence must be independent), otherwise only the heaviest derivation
-survives.
+`saturate_groups` closes a clause set under both resolution modes with
+a given-clause loop (Otter's; semi-naive evaluation). Round k gives
+each clause admitted in round k-1 and still alive, and resolves it on
+every shared atom against each live clause given before it, which an
+atom index supplies; so a pair is resolved once, not once per round.
+The input clauses, each round's clauses and each clause's partners are
+taken in one canonical order: heavier first, then by printed text, then
+by support labels. The result therefore does not depend on the order of
+the input. Only clauses equal in mass and text are told apart by their
+labels, which a KB assigns in statement order.
+
+Admission: each clause tracks which base clauses support it.
+Derivations of one literal set are pooled with `combine` only when
+their supports are disjoint (pooled evidence must be independent); a
+newcomer overlapping existing derivations replaces them only if it
+outweighs each, otherwise it is dropped. A dropped or replaced
+derivation is offered again in the round after a clause of its literal
+set is replaced, if both its parents are still alive, so at the
+fixpoint no live pair yields an admissible resolvent.
+`KnowledgeBase.saturation` keeps the result until a clause is added.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .errors import (
     IterationBoundExceeded,
@@ -67,8 +84,12 @@ class Clause:
             atoms.add(atom)
         return Clause(lits, tv, frozenset(support))
 
-    def atoms(self) -> set:
-        return {atom for atom, _ in self.literals}
+    def atoms(self) -> frozenset:
+        return self._atoms
+
+    @cached_property
+    def _atoms(self) -> frozenset:
+        return frozenset(atom for atom, _ in self.literals)
 
     def __str__(self):
         lits = sorted(self.literals, key=lambda l: (str(l[0]), not l[1]))
@@ -209,27 +230,78 @@ def _admit(groups: dict, candidate: Clause) -> bool:
     return True
 
 
-def _saturate_groups(clauses, config: EngineConfig, max_rounds: int) -> dict:
+def _alive(groups: dict, clause: Clause) -> bool:
+    return any(c is clause for c in groups.get(clause.literals, ()))
+
+
+def _canonical_key(clause: Clause):
+    return (-clause.tv.mass, str(clause), sorted(clause.support))
+
+
+def saturate_groups(clauses, config: EngineConfig, max_rounds: int = 100) -> dict:
+    """Close a ground clause set under resolution.
+
+    Returns literal set -> admitted derivations (see the module
+    docstring for the loop). Raises IterationBoundExceeded, with the
+    groups so far as its partial value, when round ``max_rounds`` still
+    admits something.
+    """
+    key = cache(_canonical_key)
     groups: dict = {}
-    for clause in clauses:
-        _admit(groups, clause)
-    for _round in range(max_rounds):
-        pool = [c for group in groups.values() for c in group]
-        changed = False
-        for i, c1 in enumerate(pool):
-            for c2 in pool[i + 1 :]:
-                for atom in sorted(c1.atoms() & c2.atoms(), key=str):
+    offered: dict = {}  # literal set -> every (clause, parents) offered for it
+    given: dict = {}  # atom -> clauses given so far that contain it
+    admitted: list = []
+    reopened: set = set()  # literal sets that lost a clause
+
+    def admit(clause):
+        size = len(groups.get(clause.literals, ()))
+        if _admit(groups, clause):
+            admitted.append(clause)
+            if len(groups[clause.literals]) <= size:  # it displaced something
+                reopened.add(clause.literals)
+
+    def offer(clause, parents):
+        offered.setdefault(clause.literals, []).append((clause, parents))
+        admit(clause)
+
+    for clause in sorted(clauses, key=key):
+        offer(clause, ())
+    for rounds in itertools.count():
+        delta = sorted((c for c in admitted if _alive(groups, c)), key=key)
+        retry = sorted(
+            (
+                c
+                for literals in reopened
+                for c, parents in offered[literals]
+                if not _alive(groups, c) and all(_alive(groups, p) for p in parents)
+            ),
+            key=key,
+        )
+        if not delta and not retry:
+            return groups
+        if rounds == max_rounds:
+            raise IterationBoundExceeded(f"no fixpoint after {max_rounds} rounds", partial=groups)
+        admitted.clear()
+        reopened.clear()
+        for clause in retry:
+            admit(clause)
+        for clause in delta:
+            if not _alive(groups, clause):
+                continue
+            partners = {id(p): p for atom in clause.atoms() for p in given.get(atom, ())}
+            for partner in sorted(partners.values(), key=key):
+                if not _alive(groups, partner):
+                    continue
+                for atom in sorted(clause.atoms() & partner.atoms(), key=str):
                     try:
-                        candidate = resolve(c1, c2, atom)
+                        candidate = resolve(clause, partner, atom)
                     except (TautologicalResolvent, TotalConflict, ValueError):
                         continue
                     if candidate.tv.mass == 0.0 or candidate.tv.mass < config.inference_cutoff:
                         continue
-                    if _admit(groups, candidate):
-                        changed = True
-        if not changed:
-            return groups
-    raise IterationBoundExceeded(f"no fixpoint after {max_rounds} rounds", partial=groups)
+                    offer(candidate, (clause, partner))
+            for atom in clause.atoms():
+                given.setdefault(atom, []).append(clause)
 
 
 def saturate(
@@ -245,7 +317,7 @@ def saturate(
     set, vacuous if it was never derived. Resolvents carrying less mass
     than the inference cutoff (or none at all) are discarded. Raises
     IterationBoundExceeded (with the partial target value attached) if
-    the set refuses to settle within ``max_rounds`` passes.
+    the set refuses to settle within ``max_rounds`` rounds.
     """
     config = config or EngineConfig()
     if isinstance(target, Clause):
@@ -253,7 +325,7 @@ def saturate(
     else:
         target_lits = frozenset(target)
     try:
-        groups = _saturate_groups(clauses, config, max_rounds)
+        groups = saturate_groups(clauses, config, max_rounds)
     except IterationBoundExceeded as exc:
         raise IterationBoundExceeded(
             str(exc), partial=_read_off(exc.partial, target_lits)
@@ -274,13 +346,14 @@ def prove_by_resolution(kb, goal, tag, cutoff, config: EngineConfig | None = Non
     Evidence derived for the unit clause of the goal's atom and for the
     complementary unit clause both count: a derivation of the opposite
     unit is the same information with the pair swapped. The two kinds
-    are pooled under the usual disjoint-support policy.
+    are pooled under the usual disjoint-support policy. The saturated
+    clause set comes from the KB's cache (`KnowledgeBase.saturation`).
     """
     core, flipped = normalize_negation(goal)
     if not is_ground(core):
         raise ValueError(f"resolution needs a ground goal, got {goal}")
     config = config or kb.config
-    groups = _saturate_groups(kb.clauses, config, max_rounds=100)
+    groups = kb.saturation(config)
     wanted = frozenset({(core, not flipped)})
     opposite = frozenset({(core, flipped)})
     pooled: dict = {}

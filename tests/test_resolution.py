@@ -1,11 +1,16 @@
 """Resolution: joint-frame values vs the model oracle, closed forms, saturation."""
 
+import functools
+import itertools
 import random
 
 import pytest
 
+import pkb.kb
+from pkb import resolution
 from pkb.errors import IterationBoundExceeded, TautologicalResolvent, TotalConflict
-from pkb.resolution import Clause, resolve, saturate
+from pkb.kb import KnowledgeBase
+from pkb.resolution import Clause, prove_by_resolution, resolve, saturate, saturate_groups
 from pkb.sexpr import parse_sentence as S
 from pkb.terms import sym
 from pkb.truth import EngineConfig, TruthValue
@@ -272,3 +277,218 @@ class TestSaturate:
         with pytest.raises(IterationBoundExceeded) as err:
             saturate(clauses, [(Q, True), (R, True)], max_rounds=1)
         assert isinstance(err.value.partial, TruthValue)
+
+
+@pytest.fixture
+def resolve_calls(monkeypatch):
+    """Every call the saturation loop makes to `resolve`."""
+    calls = []
+    real = resolution.resolve
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(resolution, "resolve", counting)
+    return calls
+
+
+# Order independence holds at any round bound, partial results
+# included; a low bound keeps the sets that never settle cheap.
+_ROUNDS = 10
+
+
+def _unit_values(clauses):
+    try:
+        groups, settled = saturate_groups(clauses, EngineConfig(), _ROUNDS), True
+    except IterationBoundExceeded as exc:
+        groups, settled = exc.partial, False
+    return settled, {lits: [c.tv for c in group] for lits, group in groups.items() if len(lits) == 1}
+
+
+def _kb_of(clauses):
+    kb = KnowledgeBase()
+    for c in clauses:
+        kb.add_clause(c.literals, c.tv)
+    return kb
+
+
+def _kb_answers(kb, config=None):
+    """Every atom's t and not value; one saturation serves them all."""
+    try:
+        return [prove_by_resolution(kb, atom, tag, 0.0, config) for atom in _ATOMS for tag in ("t", "not")]
+    except IterationBoundExceeded:
+        return "bound"
+
+
+class TestOrderIndependence:
+    def test_permuting_clauses_keeps_unit_values(self, monkeypatch):
+        # Overlapping derivations of one literal set keep only the
+        # heaviest; when the input order decided which one arrived
+        # first, reordering a clause set moved unit values.
+        monkeypatch.setattr(pkb.kb, "saturate_groups", functools.partial(saturate_groups, max_rounds=_ROUNDS))
+        rng = random.Random(3004)
+        for _ in range(20):
+            clauses = [_random_clause(rng, str(i)) for i in range(5)]
+            shuffled = clauses[:]
+            rng.shuffle(shuffled)
+            expected = _unit_values(clauses)
+            assert _unit_values(clauses[::-1]) == expected
+            assert _unit_values(shuffled) == expected
+            # Through a KB the support labels follow the insertion order too.
+            assert _kb_answers(_kb_of(clauses[::-1])) == _kb_answers(_kb_of(clauses))
+
+
+def _admissible_left(groups):
+    """Resolvents of live pairs that the admission policy would still take."""
+    live = [c for group in groups.values() for c in group]
+    out = []
+    for a, b in itertools.combinations(live, 2):
+        for atom in a.atoms() & b.atoms():
+            try:
+                got = resolve(a, b, atom)
+            except (TautologicalResolvent, TotalConflict, ValueError):
+                continue
+            if got.tv.mass == 0.0:
+                continue
+            overlapping = [c for c in groups.get(got.literals, ()) if c.support & got.support]
+            # resolve(a, b) and resolve(b, a) may differ in the last bit
+            if all(got.tv.mass > c.tv.mass + 1e-12 for c in overlapping):
+                out.append(got)
+    return out
+
+
+def _chain(n, link=0.75):
+    """Unit (a0) and links (or (not ai) ai+1); dyadic values keep every
+    derivation of one clause bit-for-bit equal."""
+    atoms = [sym(f"a{i}") for i in range(n + 1)]
+    clauses = [clause([(atoms[0], True)], 0.75, 0.0, support=("u",))]
+    for i in range(n):
+        clauses.append(clause([(atoms[i], False), (atoms[i + 1], True)], link, 0.0, support=(f"l{i}",)))
+    return atoms, clauses
+
+
+class TestGivenClauseLoop:
+    def test_each_pair_resolved_once(self, resolve_calls):
+        # The closure of an n-link chain holds every (or (not ai) aj),
+        # so its clauses share Theta(n^3) (pair, atom) combinations; the
+        # loop resolves each at most once instead of once per round.
+        n = 14
+        atoms, clauses = _chain(n)
+        groups = saturate_groups(clauses, EngineConfig())
+        closure = [c for group in groups.values() for c in group]
+        shared = sum(len(a.atoms() & b.atoms()) for a, b in itertools.combinations(closure, 2))
+        assert len(closure) == n + 1 + n * (n + 1) // 2
+        assert 0 < len(resolve_calls) <= shared
+        (unit,) = groups[frozenset({(atoms[n], True)})]
+        assert unit.tv == TruthValue(0.75 ** (n + 1), 0.0)
+
+    def test_fixpoint_is_closed(self):
+        # Here a derivation dropped early becomes admissible once the
+        # clause that blocked it is itself replaced; the loop must offer
+        # it again.
+        clauses = [
+            clause([(Q, True), (R, False)], 0.006998108368413548, 0.042112524572493204, support=("0",)),
+            clause([(P, False), (R, True)], 0.06991478939734862, 0.4093251204236652, support=("1",)),
+            clause([(Q, True), (R, True)], 0.27470727675509243, 0.08984073709583612, support=("2",)),
+            clause([(R, True)], 0.8740135713916825, 0.021908352508880458, support=("3",)),
+            clause([(P, False), (R, False)], 0.05839498707770723, 0.023584718382735313, support=("4",)),
+        ]
+        assert _admissible_left(saturate_groups(clauses, EngineConfig())) == []
+        rng = random.Random(3007)
+        for _ in range(10):
+            clauses = [_random_clause(rng, str(i)) for i in range(5)]
+            try:
+                groups = saturate_groups(clauses, EngineConfig(), _ROUNDS)
+            except IterationBoundExceeded:
+                continue  # closure is only defined at a fixpoint
+            assert _admissible_left(groups) == []
+
+
+_CHAIN_TEXT = """
+(clause (or (link s0)) (0.5 . 0.25))
+(clause (or (not (link s0)) (link s1)) (0.75 . 0))
+(clause (or (not (link s1)) (link s2)) (0.875 . 0))
+"""
+
+
+class TestSaturationCache:
+    def fresh(self, text=_CHAIN_TEXT):
+        kb = KnowledgeBase()
+        kb.load_text(text)
+        return kb
+
+    def test_repeated_query_does_not_resaturate(self, resolve_calls):
+        kb = self.fresh()
+        first = _kb_answers(kb)
+        assert resolve_calls
+        resolve_calls.clear()
+        assert _kb_answers(kb) == first
+        assert resolve_calls == []
+
+    def test_load_does_not_saturate(self, resolve_calls):
+        self.fresh()
+        assert resolve_calls == []
+
+    def test_add_clause_invalidates(self, resolve_calls):
+        kb = self.fresh()
+        goal = S("(link s3)")
+        assert prove_by_resolution(kb, goal, "t", 0.0) == [({}, 0.0)]
+        resolve_calls.clear()
+        kb.add_clause([(S("(link s2)"), False), (goal, True)], TruthValue(0.5, 0.0))
+        assert resolve_calls == []
+        (answer,) = prove_by_resolution(kb, goal, "t", 0.0)
+        assert resolve_calls
+        assert answer[1] == 0.5 * 0.75 * 0.875 * 0.5
+
+    def test_inference_cutoff_invalidates(self, resolve_calls):
+        kb = self.fresh()
+        goal = S("(link s2)")
+        assert prove_by_resolution(kb, goal, "t", 0.0) == [({}, 0.5 * 0.75 * 0.875)]
+        resolve_calls.clear()
+        kb.set_variable("inference-cutoff", 0.4)
+        assert prove_by_resolution(kb, goal, "t", 0.0) == [({}, 0.0)]
+        assert resolve_calls
+
+    def test_passed_config_invalidates(self, resolve_calls):
+        kb = self.fresh()
+        goal = S("(link s2)")
+        strict = EngineConfig(inference_cutoff=0.4)
+        assert prove_by_resolution(kb, goal, "t", 0.0, strict) == [({}, 0.0)]
+        resolve_calls.clear()
+        assert prove_by_resolution(kb, goal, "t", 0.0) == [({}, 0.5 * 0.75 * 0.875)]
+        assert resolve_calls
+        resolve_calls.clear()
+        # The cache keeps a copy of the config, so one mutated in place
+        # is judged by its new value.
+        strict.inference_cutoff = 0.0
+        assert prove_by_resolution(kb, goal, "t", 0.0, strict) == [({}, 0.5 * 0.75 * 0.875)]
+        assert resolve_calls == []
+        strict.inference_cutoff = 0.4
+        assert prove_by_resolution(kb, goal, "t", 0.0, strict) == [({}, 0.0)]
+
+    def test_cached_answers_equal_fresh_kb(self, monkeypatch):
+        monkeypatch.setattr(pkb.kb, "saturate_groups", functools.partial(saturate_groups, max_rounds=_ROUNDS))
+        rng = random.Random(3006)
+        for _ in range(8):
+            clauses = [_random_clause(rng, str(i)) for i in range(5)]
+            kb = _kb_of(clauses[:2])
+            for n in range(2, len(clauses) + 1):
+                config = EngineConfig(inference_cutoff=rng.choice((0.0, 0.05)))
+                fresh = _kb_of(clauses[:n])
+                assert _kb_answers(kb, config) == _kb_answers(fresh, config)
+                assert _kb_answers(kb, config) == _kb_answers(fresh, config)
+                if n < len(clauses):
+                    kb.add_clause(clauses[n].literals, clauses[n].tv)
+
+    def test_failed_saturation_is_not_cached(self, monkeypatch, resolve_calls):
+        kb = self.fresh()
+        expected = _kb_answers(self.fresh())
+        monkeypatch.setattr(pkb.kb, "saturate_groups", functools.partial(saturate_groups, max_rounds=1))
+        for _ in range(2):
+            resolve_calls.clear()
+            with pytest.raises(IterationBoundExceeded):
+                prove_by_resolution(kb, S("(link s2)"), "t", 0.0)
+            assert resolve_calls
+        monkeypatch.setattr(pkb.kb, "saturate_groups", saturate_groups)
+        assert _kb_answers(kb) == expected
