@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from . import sexpr
 from .errors import NotFound, RangeError
 from .resolution import Clause, saturate_groups
 from .terms import (
@@ -475,32 +476,22 @@ class KnowledgeBase:
         self.config = replace(self.config, **{fields[name]: value})
 
     def load(self, statements):
-        from .sexpr import (
-            ClauseStatement,
-            ControlStatement,
-            FactStatement,
-            RuleStatement,
-            SetVarStatement,
-        )
-
         for stmt in statements:
-            if isinstance(stmt, FactStatement):
+            if isinstance(stmt, sexpr.FactStatement):
                 self.stash(stmt.sentence, stmt.tv)
-            elif isinstance(stmt, RuleStatement):
+            elif isinstance(stmt, sexpr.RuleStatement):
                 self.add_rule(stmt.premise, stmt.consequence, stmt.tv)
-            elif isinstance(stmt, ClauseStatement):
+            elif isinstance(stmt, sexpr.ClauseStatement):
                 self.add_clause(stmt.literals, stmt.tv)
-            elif isinstance(stmt, ControlStatement):
+            elif isinstance(stmt, sexpr.ControlStatement):
                 self.add_control(stmt.pattern, stmt.method)
-            elif isinstance(stmt, SetVarStatement):
+            elif isinstance(stmt, sexpr.SetVarStatement):
                 self.set_variable(stmt.name, stmt.value)
             else:
                 raise TypeError(f"not a statement: {stmt!r}")
 
     def load_text(self, text: str):
-        from .sexpr import parse_kb
-
-        self.load(parse_kb(text))
+        self.load(sexpr.parse_kb(text))
 
     def load_file(self, path):
         with open(path, "r", encoding="utf-8") as handle:

@@ -17,13 +17,35 @@ entailing the resolvent (or its negation) becomes its belief (or
 disbelief). Working with model sets means the two premise conjuncts are
 never assumed independent as propositions; they share atoms and the
 intersection accounts for it exactly. Only the two evidence sources are
-taken as independent. For parents with disjoint, nonempty remainders
-this reduces to closed forms: opposite sign on the pivot gives
-(a1*a2 / (1 - b1*b2), 0); same sign gives (a1*b2 + b1*a2, b1*b2).
+taken as independent.
 
-The entailment checks are done symbolically: every focal intersection
-is a few tiny clauses plus a conjunction of literals, decided by a
-miniature splitting SAT routine rather than by enumerating 2^n models.
+Every focal intersection is decided by three facts about the parents:
+whether the pivot has opposite signs in them, and, with rest_i parent
+i's literals other than the pivot, sub1 = rest1 <= rest2 and
+sub2 = rest2 <= rest1. With focals in the order (belief, disbelief,
+unknown):
+
+    opposite sign: (B,B) belief; (B,D), (U,D) disbelief if sub1;
+                   (D,B), (D,U) disbelief if sub2; (D,D) conflict
+    same sign:     (B,D) conflict if sub1 else belief;
+                   (D,B) conflict if sub2 else belief;
+                   (D,D) disbelief; (U,D) disbelief if sub1;
+                   (D,U) disbelief if sub2
+    every other pair decides nothing.
+
+This is exact because the parents are ground and the resolvent
+rest1 | rest2 holds no complementary pair. A disbelief focal is a cube
+(the pivot literal negated and the negated rest), and a cube entails
+another cube only if it contains it; so, for instance, the cube
+p & ~rest2 of (U,D) under opposite signs entails ~rest1 & ~rest2
+exactly when rest1 <= rest2, and under the same sign the focal
+(p | rest1) & ~p & ~rest2 is empty exactly when every literal of rest1
+is falsified by ~rest2, again rest1 <= rest2. With disjoint, nonempty
+remainders this gives (a1*a2 / (1 - b1*b2), 0) for opposite signs and
+(a1*b2 + b1*a2, b1*b2) for the same sign; against a unit parent (p)
+at (a1 . b1), (or (not p) r) at (a2 . b2) gives
+(a1*a2, (1-b1)*b2) / (1 - b1*b2) and (or p r) gives
+(b1*a2, (1-a1)*b2) / (1 - a1*b2).
 
 `saturate_groups` closes a clause set under both resolution modes with
 a given-clause loop (Otter's; semi-naive evaluation). Round k gives
@@ -97,55 +119,6 @@ class Clause:
         return f"(clause (or {body}) {self.tv})"
 
 
-def _negation_cube(literals) -> frozenset:
-    return frozenset((atom, not positive) for atom, positive in literals)
-
-
-def _satisfiable(clauses, cube) -> bool:
-    """Is (AND of clauses) AND (AND of cube literals) satisfiable?"""
-    assignment = {}
-    for atom, positive in cube:
-        if assignment.setdefault(atom, positive) != positive:
-            return False
-    reduced = []
-    for clause in clauses:
-        remaining = []
-        satisfied = False
-        for atom, positive in clause:
-            if atom in assignment:
-                if assignment[atom] == positive:
-                    satisfied = True
-                    break
-            else:
-                remaining.append((atom, positive))
-        if satisfied:
-            continue
-        if not remaining:
-            return False
-        reduced.append(remaining)
-    return _split(reduced)
-
-
-def _split(clauses) -> bool:
-    if not clauses:
-        return True
-    atom, positive = clauses[0][0]
-    for choice in (positive, not positive):
-        simplified = []
-        dead = False
-        for clause in clauses:
-            if (atom, choice) in clause:
-                continue
-            rest = [lit for lit in clause if lit[0] != atom]
-            if not rest:
-                dead = True
-                break
-            simplified.append(rest)
-        if not dead and _split(simplified):
-            return True
-    return False
-
-
 def resolve(c1: Clause, c2: Clause, on: Term) -> Clause:
     """Resolve two ground clauses on a shared atom.
 
@@ -158,9 +131,9 @@ def resolve(c1: Clause, c2: Clause, on: Term) -> Clause:
     """
     if on not in c1.atoms() or on not in c2.atoms():
         raise ValueError(f"{on} does not occur in both clauses")
-    resolvent = frozenset(
-        lit for lit in (c1.literals | c2.literals) if lit[0] != on
-    )
+    rest1 = frozenset(lit for lit in c1.literals if lit[0] != on)
+    rest2 = frozenset(lit for lit in c2.literals if lit[0] != on)
+    resolvent = rest1 | rest2
     if not resolvent:
         raise ValueError("empty resolvent")
     seen = set()
@@ -169,41 +142,56 @@ def resolve(c1: Clause, c2: Clause, on: Term) -> Clause:
             raise TautologicalResolvent(f"resolvent contains {atom} with both signs")
         seen.add(atom)
 
-    tv = _joint_frame_tv(c1, c2, resolvent)
+    opposite = ((on, True) in c1.literals) != ((on, True) in c2.literals)
+    cells = _FOCAL_CELLS[opposite, rest1 <= rest2, rest2 <= rest1]
+    tv = _joint_frame_tv(c1, c2, cells)
     return Clause(resolvent, tv, c1.support | c2.support)
 
 
-def _joint_frame_tv(c1: Clause, c2: Clause, resolvent) -> TruthValue:
-    """Mass-product combination of the parents, read off the resolvent."""
-    not_resolvent = _negation_cube(resolvent)
-    focals1 = (
-        ((c1.literals,), frozenset(), c1.tv.belief),
-        ((), _negation_cube(c1.literals), c1.tv.disbelief),
-        ((), frozenset(), c1.tv.unknown),
-    )
-    focals2 = (
-        ((c2.literals,), frozenset(), c2.tv.belief),
-        ((), _negation_cube(c2.literals), c2.tv.disbelief),
-        ((), frozenset(), c2.tv.unknown),
-    )
-    belief = 0.0
-    disbelief = 0.0
-    conflict = 0.0
-    for clauses1, cube1, w1 in focals1:
-        if w1 == 0.0:
-            continue
-        for clauses2, cube2, w2 in focals2:
-            if w2 == 0.0:
-                continue
-            weight = w1 * w2
-            clauses = list(clauses1) + list(clauses2)
-            cube = cube1 | cube2
-            if not _satisfiable(clauses, cube):
-                conflict += weight
-            elif not _satisfiable(clauses, cube | not_resolvent):
-                belief += weight
-            elif not _satisfiable(clauses + [resolvent], cube):
-                disbelief += weight
+_BELIEF, _DISBELIEF, _CONFLICT = range(3)
+
+
+def _focal_cells(opposite: bool, sub1: bool, sub2: bool) -> tuple:
+    """The table of the module docstring for one class of parent pairs.
+
+    Returns (i, j, outcome) for each focal pair that decides something,
+    i and j indexing (belief, disbelief, unknown) of parent 1 and 2, in
+    row-major order.
+    """
+    if opposite:
+        cells = {(0, 0): _BELIEF, (1, 1): _CONFLICT}
+        if sub1:
+            cells[0, 1] = _DISBELIEF
+        if sub2:
+            cells[1, 0] = _DISBELIEF
+    else:
+        cells = {
+            (0, 1): _CONFLICT if sub1 else _BELIEF,
+            (1, 0): _CONFLICT if sub2 else _BELIEF,
+            (1, 1): _DISBELIEF,
+        }
+    if sub1:
+        cells[2, 1] = _DISBELIEF
+    if sub2:
+        cells[1, 2] = _DISBELIEF
+    return tuple((i, j, cells[i, j]) for i, j in sorted(cells))
+
+
+_FOCAL_CELLS = {key: _focal_cells(*key) for key in itertools.product((False, True), repeat=3)}
+
+
+def _joint_frame_tv(c1: Clause, c2: Clause, cells) -> TruthValue:
+    """Mass-product combination of the parents over the deciding cells.
+
+    A focal pair of zero weight adds +0.0, which leaves every sum as it
+    was, so none is skipped.
+    """
+    masses1 = (c1.tv.belief, c1.tv.disbelief, c1.tv.unknown)
+    masses2 = (c2.tv.belief, c2.tv.disbelief, c2.tv.unknown)
+    sums = [0.0, 0.0, 0.0]
+    for i, j, outcome in cells:
+        sums[outcome] += masses1[i] * masses2[j]
+    belief, disbelief, conflict = sums
     if conflict >= 1.0:
         raise TotalConflict(f"resolving {c1} with {c2} leaves no consistent mass")
     norm = 1.0 - conflict

@@ -29,7 +29,7 @@ from .terms import (
     Variable,
     normalize_negation,
 )
-from .truth import TruthValue, negate
+from .truth import TruthValue, format_real, negate
 
 CONTROL_METHODS = ("lookup", "backward-chain", "resolution")
 
@@ -316,7 +316,5 @@ def print_statement(stmt: Statement) -> str:
     if isinstance(stmt, ControlStatement):
         return f"(control {stmt.pattern} {stmt.method})"
     if isinstance(stmt, SetVarStatement):
-        from .truth import format_real
-
         return f"(setvar {stmt.name} {format_real(stmt.value)})"
     raise TypeError(f"not a statement: {stmt!r}")

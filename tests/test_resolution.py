@@ -129,43 +129,72 @@ class TestResolve:
             resolve(c1, c2, P)
 
     def test_matches_model_oracle_on_random_pairs(self):
+        # The second draw adds certain, vacuous and mass-1 parents, so
+        # total conflict occurs; every (pivot sign, rest1 <= rest2,
+        # rest2 <= rest1) class, hence every cell of resolve's focal
+        # table, is met.
         rng = random.Random(3002)
-        checked = 0
-        while checked < 400:
-            c1, c2, atom = _random_pair(rng)
-            try:
-                got = resolve(c1, c2, atom)
-            except (TautologicalResolvent, ValueError):
-                continue
-            except TotalConflict:
-                continue
-            expected = oracle_resolvent_tv(
-                c1.literals, (c1.tv.belief, c1.tv.disbelief),
-                c2.literals, (c2.tv.belief, c2.tv.disbelief),
-                got.literals,
-            )
-            assert expected is not None
-            assert tv_close(got.tv, expected)
-            checked += 1
+        classes = set()
+        conflicts = 0
+        for draw_mass in (_random_mass, _edge_mass):
+            checked = 0
+            while checked < 400:
+                c1, c2, atom = _random_pair(rng, draw_mass)
+                try:
+                    got = resolve(c1, c2, atom)
+                except (TautologicalResolvent, ValueError):
+                    continue
+                except TotalConflict:
+                    got = None
+                rest1 = frozenset(lit for lit in c1.literals if lit[0] != atom)
+                rest2 = frozenset(lit for lit in c2.literals if lit[0] != atom)
+                expected = oracle_resolvent_tv(
+                    c1.literals, (c1.tv.belief, c1.tv.disbelief),
+                    c2.literals, (c2.tv.belief, c2.tv.disbelief),
+                    rest1 | rest2,
+                )
+                if got is None:
+                    assert expected is None
+                    conflicts += 1
+                else:
+                    assert expected is not None
+                    assert got.literals == rest1 | rest2
+                    assert tv_close(got.tv, expected)
+                opposite = ((atom, True) in c1.literals) != ((atom, True) in c2.literals)
+                classes.add((opposite, rest1 <= rest2, rest2 <= rest1))
+                checked += 1
+        assert conflicts > 0
+        assert len(classes) == 8
 
     def test_structural_facts_on_disjoint_remainders(self):
         # With disjoint nonempty remainders the two closed forms hold
         # exactly: opposite-sign resolvents carry no disbelief, and
-        # same-sign resolution has no conflict to renormalize.
+        # same-sign resolution has no conflict to renormalize. Against a
+        # unit parent both modes renormalize and keep some disbelief.
         rng = random.Random(3003)
         for _ in range(200):
             a1, b1 = _random_mass(rng)
             a2, b2 = _random_mass(rng)
             c1 = clause([(P, True), (Q, True)], a1, b1, support=("1",))
+            unit = clause([(P, True)], a1, b1, support=("1",))
             opposite = clause([(P, False), (R, True)], a2, b2, support=("2",))
             same = clause([(P, True), (R, True)], a2, b2, support=("2",))
             if b1 * b2 < 1.0:
                 got = resolve(c1, opposite, P)
                 assert got.tv.disbelief == 0.0
                 assert got.tv.belief == pytest.approx(a1 * a2 / (1 - b1 * b2), abs=TOL)
+                norm = 1 - b1 * b2
+                got = resolve(unit, opposite, P)
+                assert got.tv.belief == pytest.approx(a1 * a2 / norm, abs=TOL)
+                assert got.tv.disbelief == pytest.approx((1 - b1) * b2 / norm, abs=TOL)
             got = resolve(c1, same, P)
             assert got.tv.belief == pytest.approx(a1 * b2 + b1 * a2, abs=TOL)
             assert got.tv.disbelief == pytest.approx(b1 * b2, abs=TOL)
+            if a1 * b2 < 1.0:
+                norm = 1 - a1 * b2
+                got = resolve(unit, same, P)
+                assert got.tv.belief == pytest.approx(b1 * a2 / norm, abs=TOL)
+                assert got.tv.disbelief == pytest.approx((1 - a1) * b2 / norm, abs=TOL)
 
 
 def _random_mass(rng):
@@ -174,20 +203,35 @@ def _random_mass(rng):
     return belief, mass - belief
 
 
+def _edge_mass(rng):
+    """Like _random_mass, but half the draws are certain, vacuous or mass 1."""
+    kind = rng.randrange(8)
+    if kind == 0:
+        return 1.0, 0.0
+    if kind == 1:
+        return 0.0, 1.0
+    if kind == 2:
+        return 0.0, 0.0
+    if kind == 3:
+        belief = rng.random()
+        return belief, 1.0 - belief
+    return _random_mass(rng)
+
+
 _ATOMS = [P, Q, R, W]
 
 
-def _random_clause(rng, support):
+def _random_clause(rng, support, draw_mass=_random_mass):
     n = rng.randrange(1, 4)
     atoms = rng.sample(_ATOMS, n)
     lits = [(atom, rng.random() < 0.5) for atom in atoms]
-    a, b = _random_mass(rng)
+    a, b = draw_mass(rng)
     return Clause.make(lits, TruthValue(a, b), support=frozenset({support}))
 
 
-def _random_pair(rng):
-    c1 = _random_clause(rng, "1")
-    c2 = _random_clause(rng, "2")
+def _random_pair(rng, draw_mass=_random_mass):
+    c1 = _random_clause(rng, "1", draw_mass)
+    c2 = _random_clause(rng, "2", draw_mass)
     shared = sorted(c1.atoms() & c2.atoms(), key=str)
     if not shared:
         c2 = Clause.make(
