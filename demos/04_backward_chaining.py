@@ -53,7 +53,8 @@ eager.load_text(
     """
 )
 print("\naccept-as-true 0.9 with tracing: the weak rule never runs")
-for _b, tv in prove(eager, parse_sentence("(goal m)"), trace=lambda l: print(f"    | {l}")):
+eager.trace = lambda l: print(f"    | {l}")
+for _b, tv in prove(eager, parse_sentence("(goal m)")):
     print(f"  accepted at {tv}")
 
 # truep is the query front door: it consults the control table, falls

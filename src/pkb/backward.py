@@ -27,7 +27,13 @@ of an ancestor goal contributes nothing (a sound, terminating reading
 of rule cycles), and subgoal results are cached for the duration of one
 top-level ``prove`` call.
 
-With tracing enabled:
+Every instance an agenda accumulates is ground: a fact task's instances
+are stored facts, and a rule task's premise solutions bind every premise
+variable to a ground instance, which binds the consequence too (see
+`kb.make_rule`).
+
+Settings are read from ``kb.config``. Trace lines, like every engine's,
+go through ``KnowledgeBase.trace``:
 
     TASK goal=<s> src=<fact|rule:id> acc=(a . b)   per executed task
     ACCEPT goal=<s> tag=<t|not> at=<v>             on early exit
@@ -36,11 +42,10 @@ With tracing enabled:
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING
 
 from . import resolution  # looked up per call, so a wrapper set on the module applies
 from .errors import DepthExceeded
-from .kb import unwrap_query
+from .kb import KnowledgeBase, unwrap_query
 from .terms import (
     canonical_form,
     is_ground,
@@ -51,17 +56,14 @@ from .terms import (
 )
 from .truth import (
     VACUOUS,
-    EngineConfig,
     TruthValue,
     apply_tag,
     combine,
     conjoin,
     negate,
     propagate,
+    tagged_answers,
 )
-
-if TYPE_CHECKING:
-    from .kb import KnowledgeBase
 
 
 def default_priority(kind: str, rule=None) -> float:
@@ -72,17 +74,12 @@ def default_priority(kind: str, rule=None) -> float:
 
 
 class _State:
-    def __init__(self, kb, config, trace, priority_fn):
+    def __init__(self, kb, priority_fn):
         self.kb = kb
-        self.config = config
-        self.trace = trace
+        self.config = kb.config
         self.priority_fn = priority_fn or default_priority
         self.memo = {}
         self.stack = []
-
-    def emit(self, line):
-        if self.trace is not None:
-            self.trace(line)
 
 
 def _solve(goal, state: _State) -> list:
@@ -139,7 +136,7 @@ def _run_agenda(goal, state: _State) -> list:
             value = apply_tag(tag, acc)
             if value >= config.accept_as_true:
                 accepted.add(instance)
-                state.emit(f"ACCEPT goal={instance} tag={tag} at={value}")
+                kb._emit(f"ACCEPT goal={instance} tag={tag} at={value}")
                 break
 
     def current_acc(instance):
@@ -176,38 +173,28 @@ def _run_agenda(goal, state: _State) -> list:
                 instance = substitute(goal, theta)
                 accumulate(instance, base_tv)
                 last = instance
-            state.emit(f"TASK goal={goal} src=fact acc={current_acc(last)}")
+            kb._emit(f"TASK goal={goal} src=fact acc={current_acc(last)}")
         else:
             rule, consequence, conjuncts, theta = payload
             for full_theta, premise_tv in _prove_conjuncts(conjuncts, theta, state):
                 contribution = propagate(premise_tv, rule.rule_tv)
                 instance = substitute(consequence, full_theta)
-                if not is_ground(instance):
-                    continue
                 accumulate(instance, contribution)
                 last = instance
-            state.emit(f"TASK goal={goal} src=rule:{rule.id} acc={current_acc(last)}")
+            kb._emit(f"TASK goal={goal} src=rule:{rule.id} acc={current_acc(last)}")
 
     return list(answers.items())
 
 
-def prove(
-    kb: "KnowledgeBase",
-    goal,
-    config: EngineConfig | None = None,
-    trace=None,
-    priority_fn=None,
-) -> list:
+def prove(kb: KnowledgeBase, goal, priority_fn=None) -> list:
     """Accumulated truth values for every binding of ``goal``.
 
     Returns a list of (bindings, tv) pairs, the bindings restricted to
     the goal's own variables. A goal wrapped in ``(not ...)`` is proved
     through its core with the answers swapped.
     """
-    config = config or kb.config
-    trace = trace if trace is not None else kb.trace
     core, flipped = normalize_negation(goal)
-    state = _State(kb, config, trace, priority_fn)
+    state = _State(kb, priority_fn)
     results = _solve(core, state)
     answers = []
     for instance, tv in results:
@@ -218,15 +205,7 @@ def prove(
     return answers
 
 
-def truep(
-    kb: "KnowledgeBase",
-    goal,
-    tag: str = "t",
-    cutoff: float = 1.0,
-    config: EngineConfig | None = None,
-    trace=None,
-    method: str | None = None,
-) -> list:
+def truep(kb: KnowledgeBase, goal, tag: str = "t", cutoff: float = 1.0, method: str | None = None) -> list:
     """Top-level query: dispatch through the control table, then filter.
 
     Answers are (bindings, value) pairs with value = tag(accumulated tv)
@@ -234,7 +213,6 @@ def truep(
     ``method``), stored facts are consulted first and backward chaining
     runs only when they yield nothing.
     """
-    config = config or kb.config
     core, tag = unwrap_query(goal, tag)
     if method is None:
         method = kb.dispatch(core)
@@ -242,20 +220,11 @@ def truep(
     if method == "lookup":
         return kb.lookup(core, tag, cutoff)
     if method == "backward-chain":
-        return _filter_answers(prove(kb, core, config, trace), tag, cutoff)
+        return tagged_answers(prove(kb, core), tag, cutoff)
     if method == "resolution":
-        return resolution.prove_by_resolution(kb, core, tag, cutoff, config)
+        return resolution.prove_by_resolution(kb, core, tag, cutoff)
 
     answers = kb.lookup(core, tag, cutoff)
     if answers:
         return answers
-    return _filter_answers(prove(kb, core, config, trace), tag, cutoff)
-
-
-def _filter_answers(results, tag, cutoff):
-    answers = []
-    for theta, tv in results:
-        value = apply_tag(tag, tv)
-        if value >= cutoff:
-            answers.append((theta, value))
-    return answers
+    return tagged_answers(prove(kb, core), tag, cutoff)

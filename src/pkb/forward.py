@@ -22,19 +22,26 @@ If inverting a contribution hits a numerical corner (certain
 contributions are not invertible), the consequence is rebuilt from its
 base evidence plus all other live contributions, which is always exact.
 
-With tracing enabled, one line is emitted per event:
+Every rule instance is ground. Stored facts are ground, each premise
+conjunct is matched against them, and `kb.make_rule` rejects a rule
+whose consequence has a variable the premise does not bind; so a
+complete premise binding grounds the premise, the consequence and the
+justification's premise atoms, and no instance needs a groundness check.
+
+Settings are read from ``kb.config``. With ``KnowledgeBase.trace``
+set, one line is emitted per event:
 
     FIRE|SKIP|RETRACT rule=<id> bind=<bindings> contrib=(a . b)
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DepthExceeded, NoValidResidual, NotCertainRemovable
-from .terms import format_bindings, is_ground, match, substitute
+from .terms import Bindings, Term, format_bindings, match, substitute
 from .truth import (
-    EngineConfig,
     TruthValue,
     combine,
     conjoin,
@@ -46,6 +53,23 @@ from .truth import (
 
 if TYPE_CHECKING:
     from .kb import KnowledgeBase, Rule
+
+
+@dataclass
+class Justification:
+    """Record of one rule firing, precise enough to retract it later."""
+
+    rule_id: str
+    bindings: Bindings
+    premise_tv_at_firing: TruthValue
+    contribution: TruthValue
+    consequence: Term
+    premises: tuple = ()  # ground premise atoms, one per conjunct
+
+
+def binding_key(bindings: Bindings) -> tuple:
+    """Hashable canonical key for a ground binding set."""
+    return tuple(sorted(((v.name, t) for v, t in bindings.items()), key=lambda i: i[0]))
 
 
 def premise_value(kb: "KnowledgeBase", rule: "Rule", bindings) -> TruthValue:
@@ -75,7 +99,7 @@ def _enumerate_instances(kb: "KnowledgeBase", rule: "Rule", seed) -> list:
                 merged.update(match)
                 extended.append(merged)
         solutions = extended
-    return [s for s in solutions if is_ground(substitute(rule.premise, s))]
+    return solutions
 
 
 def _affected_bindings(kb: "KnowledgeBase", rule: "Rule", sentence) -> list:
@@ -85,8 +109,6 @@ def _affected_bindings(kb: "KnowledgeBase", rule: "Rule", sentence) -> list:
     instances remembered only by a live justification (whose supporting
     fact may just have vanished).
     """
-    from .kb import binding_key
-
     found = {}
     for core, _positive in rule.conjuncts:
         seed = match(core, sentence, {})
@@ -101,13 +123,12 @@ def _affected_bindings(kb: "KnowledgeBase", rule: "Rule", sentence) -> list:
 
 
 def _justification(rule: "Rule", bindings, ptv, contribution, consequence):
-    from .kb import Justification
-
     premises = tuple(substitute(core, bindings) for core, _positive in rule.conjuncts)
     return Justification(rule.id, dict(bindings), ptv, contribution, consequence, premises)
 
 
-def _apply_instance(kb, rule, bindings, config: EngineConfig, depth: int):
+def _apply_instance(kb, rule, bindings, depth: int):
+    cutoff = kb.config.inference_cutoff
     ptv = premise_value(kb, rule, bindings)
     contribution = propagate(ptv, rule.rule_tv)
     consequence = substitute(rule.consequence, bindings)
@@ -116,7 +137,7 @@ def _apply_instance(kb, rule, bindings, config: EngineConfig, depth: int):
 
     if existing is not None:
         delta = delta_mass(existing.contribution, contribution)
-        if delta == 0.0 or delta < config.inference_cutoff:
+        if delta == 0.0 or delta < cutoff:
             kb._emit(f"SKIP rule={rule.id} bind={bind_text} contrib={contribution}")
             return
         old_tv = kb.retrieve_core(consequence)
@@ -132,12 +153,12 @@ def _apply_instance(kb, rule, bindings, config: EngineConfig, depth: int):
             kb._emit(f"FIRE rule={rule.id} bind={bind_text} contrib={contribution}")
         kb._set_combined(consequence, new_tv)
         if delta_mass(old_tv, new_tv) > 0.0:
-            propagate_change(kb, consequence, old_tv, new_tv, config, depth + 1)
+            propagate_change(kb, consequence, old_tv, new_tv, depth + 1)
         return
 
     if contribution.is_vacuous():
         return
-    if contribution.mass < config.inference_cutoff:
+    if contribution.mass < cutoff:
         kb._emit(f"SKIP rule={rule.id} bind={bind_text} contrib={contribution}")
         return
     old_tv = kb.retrieve_core(consequence)
@@ -146,33 +167,24 @@ def _apply_instance(kb, rule, bindings, config: EngineConfig, depth: int):
     kb._emit(f"FIRE rule={rule.id} bind={bind_text} contrib={contribution}")
     kb._set_combined(consequence, new_tv)
     if delta_mass(old_tv, new_tv) > 0.0:
-        propagate_change(kb, consequence, old_tv, new_tv, config, depth + 1)
+        propagate_change(kb, consequence, old_tv, new_tv, depth + 1)
 
 
-def propagate_change(
-    kb: "KnowledgeBase",
-    sentence,
-    old_tv: TruthValue,
-    new_tv: TruthValue,
-    config: EngineConfig | None = None,
-    depth: int = 0,
-):
+def propagate_change(kb: "KnowledgeBase", sentence, old_tv: TruthValue, new_tv: TruthValue, depth: int = 0):
     """Push one fact's truth-value change through the rule base.
 
     The entry for ``sentence`` must already hold ``new_tv``. Raises
     DepthExceeded when consequences keep changing past the configured
     chain depth (cyclic rule sets).
     """
-    config = config or kb.config
-    if depth >= config.max_chain_depth:
+    if depth >= kb.config.max_chain_depth:
         raise DepthExceeded(sentence, depth)
     for rule in kb.rules_touching(sentence):
         for bindings in _affected_bindings(kb, rule, sentence):
-            _apply_instance(kb, rule, bindings, config, depth)
+            _apply_instance(kb, rule, bindings, depth)
 
 
-def fire_rule(kb: "KnowledgeBase", rule: "Rule", config: EngineConfig | None = None):
+def fire_rule(kb: "KnowledgeBase", rule: "Rule"):
     """Fire a newly added rule on every premise instance already stored."""
-    config = config or kb.config
     for bindings in _enumerate_instances(kb, rule, {}):
-        _apply_instance(kb, rule, bindings, config, depth=0)
+        _apply_instance(kb, rule, bindings, depth=0)

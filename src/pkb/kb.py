@@ -14,14 +14,19 @@ needed: `stash` treats its argument as a new independent evidence
 source and combines it in; `set_truth` replaces the directly asserted
 evidence outright. Both trigger forward chaining on the resulting
 change.
+
+The KB holds the one config and the one trace sink of every engine:
+forward chaining, backward chaining and resolution read ``config``, and
+all trace lines go through ``trace`` (a callable taking one line, or
+None); no engine takes either as an argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from . import sexpr
-from .errors import NotFound, RangeError
+from . import forward, sexpr
+from .errors import NotFound
 from .resolution import Clause, saturate_groups
 from .terms import (
     Bindings,
@@ -42,10 +47,11 @@ from .truth import (
     VACUOUS,
     EngineConfig,
     TruthValue,
-    apply_tag,
+    check_tag,
     combine,
     delta_mass,
     negate,
+    tagged_answers,
 )
 
 _AND = Symbol("and")
@@ -75,18 +81,6 @@ class Rule:
     conjuncts: tuple  # of (core, positive) pairs
 
 
-@dataclass
-class Justification:
-    """Record of one rule firing, precise enough to retract it later."""
-
-    rule_id: str
-    bindings: Bindings
-    premise_tv_at_firing: TruthValue
-    contribution: TruthValue
-    consequence: Term
-    premises: tuple = ()  # ground premise atoms, one per conjunct
-
-
 @dataclass(frozen=True)
 class ControlEntry:
     """Meta-level directive: goals matching ``pattern`` use ``method``.
@@ -102,11 +96,6 @@ class ControlEntry:
     def __post_init__(self):
         (renamed,) = rename_apart([self.pattern])
         object.__setattr__(self, "_renamed", renamed)
-
-
-def binding_key(bindings: Bindings) -> tuple:
-    """Hashable canonical key for a ground binding set."""
-    return tuple(sorted(((v.name, t) for v, t in bindings.items()), key=lambda i: i[0]))
 
 
 def make_rule(rule_id: str, premise: Term, consequence: Term, rule_tv: TruthValue) -> Rule:
@@ -145,6 +134,7 @@ def unwrap_query(pattern: Term, tag: str = "t") -> tuple[Term, str]:
     ``(poss p)`` etc. names the tag directly. Unwrapping stops when a
     wrapper cannot be folded into the tag accumulated so far.
     """
+    check_tag(tag)
     while (
         isinstance(pattern, Compound)
         and len(pattern.elements) == 2
@@ -189,7 +179,7 @@ class KnowledgeBase:
         # (clause count, config copy, saturated clause groups)
         self._saturation: tuple | None = None
         self.control_entries: list[ControlEntry] = []
-        self._ledger: dict[tuple, Justification] = {}
+        self._ledger: dict[tuple, forward.Justification] = {}
         self._by_consequence: dict[Term, set] = {}
         # ground premise atom -> {ledger key: None}, in ledger order
         self._by_premise: dict[Term, dict] = {}
@@ -232,7 +222,7 @@ class KnowledgeBase:
         old = record.tv
         new = combine(old, tv)
         self._write(core, FactRecord(combine(record.base, tv), new))
-        self._changed(core, old, new)
+        forward.propagate_change(self, core, old, new)
 
     def set_truth(self, sentence: Term, tv: TruthValue):
         """Replace the directly asserted evidence for the sentence.
@@ -247,18 +237,13 @@ class KnowledgeBase:
         new = self.pooled_value(core, tv)
         self._write(core, FactRecord(tv, new))
         if delta_mass(old, new) > 0.0:
-            self._changed(core, old, new)
+            forward.propagate_change(self, core, old, new)
 
     def _set_combined(self, core: Term, new_tv: TruthValue):
         """Adjust an entry's pooled value (chaining only; base unchanged)."""
         record = self._facts.get(core)
         base = record.base if record else VACUOUS
         self._write(core, FactRecord(base, new_tv))
-
-    def _changed(self, core: Term, old: TruthValue, new: TruthValue, depth: int = 0):
-        from .forward import propagate_change
-
-        propagate_change(self, core, old, new, self.config, depth)
 
     # -- reads --------------------------------------------------------------
 
@@ -308,15 +293,8 @@ class KnowledgeBase:
         ``(not (foo fred))`` is looking up ``(foo fred)`` under the
         ``not`` tag. Sentences never stored yield no answers.
         """
-        if not 0.0 <= cutoff <= 1.0:
-            raise RangeError(f"cutoff must be in [0, 1], got {cutoff!r}")
         core, tag = unwrap_query(pattern, tag)
-        answers = []
-        for theta, tv in self.match_facts(core):
-            value = apply_tag(tag, tv)
-            if value >= cutoff:
-                answers.append((theta, value))
-        return answers
+        return tagged_answers(self.match_facts(core), tag, cutoff)
 
     # -- rules, clauses, control ----------------------------------------------
 
@@ -331,9 +309,7 @@ class KnowledgeBase:
             self._rules_by_key.setdefault(key, []).append(position)
         self._rules_by_consequence.setdefault(_index_key(rule.consequence), []).append(position)
         self.rules.append(rule)
-        from .forward import fire_rule
-
-        fire_rule(self, rule, self.config)
+        forward.fire_rule(self, rule)
         return rule
 
     def add_clause(self, literals, tv: TruthValue):
@@ -342,17 +318,18 @@ class KnowledgeBase:
         self.clauses.append(clause)
         return clause
 
-    def saturation(self, config: EngineConfig) -> dict:
-        """The clause set closed under resolution with ``config``, as
-        literal set -> derivations (see `resolution.saturate_groups`).
+    def saturation(self) -> dict:
+        """The clause set closed under resolution with ``self.config``,
+        as literal set -> derivations (see `resolution.saturate_groups`).
 
-        Computed on first use and kept until a clause is added or a
-        different config is asked for. A saturation that raises is not
-        kept. Callers must not modify the result.
+        Computed on first use and kept until a clause is added or the
+        config changes. A saturation that raises is not kept. Callers
+        must not modify the result.
         """
         # Keyed on the clause count rather than cleared by add_clause:
         # freeing a stale closure is then paid by the query that
         # replaces it, not by the write.
+        config = self.config
         cached = self._saturation
         if cached is None or cached[0] != len(self.clauses) or cached[1] != config:
             cached = (len(self.clauses), replace(config), saturate_groups(self.clauses, config))
@@ -397,22 +374,22 @@ class KnowledgeBase:
 
     # -- justification ledger -------------------------------------------------
 
-    def record_justification(self, j: Justification):
-        key = (j.rule_id, binding_key(j.bindings))
+    def record_justification(self, j: forward.Justification):
+        key = (j.rule_id, forward.binding_key(j.bindings))
         self._ledger[key] = j
         self._by_consequence.setdefault(j.consequence, set()).add(key)
         for atom in j.premises:
             self._by_premise.setdefault(atom, {})[key] = None
 
-    def find_justification(self, rule_id: str, bindings: Bindings) -> Justification | None:
-        return self._ledger.get((rule_id, binding_key(bindings)))
+    def find_justification(self, rule_id: str, bindings: Bindings) -> forward.Justification | None:
+        return self._ledger.get((rule_id, forward.binding_key(bindings)))
 
     def retract_justification(self, rule_id: str, bindings: Bindings) -> TruthValue:
         """Remove a firing record, returning its contribution for inversion."""
-        key = (rule_id, binding_key(bindings))
+        key = (rule_id, forward.binding_key(bindings))
         j = self._ledger.pop(key, None)
         if j is None:
-            raise NotFound(f"no justification for {rule_id} at {binding_key(bindings)}")
+            raise NotFound(f"no justification for {rule_id} at {key[1]}")
         refs = self._by_consequence.get(j.consequence)
         if refs is not None:
             refs.discard(key)
@@ -430,7 +407,7 @@ class KnowledgeBase:
         keys = self._by_consequence.get(consequence, ())
         return [self._ledger[k] for k in sorted(keys, key=repr)]
 
-    def justifications_with_premise(self, atom: Term) -> list[Justification]:
+    def justifications_with_premise(self, atom: Term) -> list[forward.Justification]:
         """Live justifications with ``atom`` among their premise atoms,
         in ledger order."""
         return [self._ledger[k] for k in self._by_premise.get(atom, ())]

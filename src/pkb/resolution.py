@@ -81,7 +81,7 @@ from .errors import (
     TotalConflict,
 )
 from .terms import Term, is_ground, normalize_negation
-from .truth import VACUOUS, EngineConfig, TruthValue, apply_tag, combine, negate
+from .truth import VACUOUS, EngineConfig, TruthValue, combine, negate, tagged_answers
 
 
 @dataclass(frozen=True)
@@ -328,20 +328,20 @@ def _read_off(groups, target_lits) -> TruthValue:
     return tv
 
 
-def prove_by_resolution(kb, goal, tag, cutoff, config: EngineConfig | None = None):
+def prove_by_resolution(kb, goal, tag, cutoff):
     """Answer a ground single-literal goal from the KB's clause set.
 
     Evidence derived for the unit clause of the goal's atom and for the
     complementary unit clause both count: a derivation of the opposite
     unit is the same information with the pair swapped. The two kinds
     are pooled under the usual disjoint-support policy. The saturated
-    clause set comes from the KB's cache (`KnowledgeBase.saturation`).
+    clause set comes from the KB's cache (`KnowledgeBase.saturation`),
+    closed under ``kb.config``.
     """
     core, flipped = normalize_negation(goal)
     if not is_ground(core):
         raise ValueError(f"resolution needs a ground goal, got {goal}")
-    config = config or kb.config
-    groups = kb.saturation(config)
+    groups = kb.saturation()
     wanted = frozenset({(core, not flipped)})
     opposite = frozenset({(core, flipped)})
     pooled: dict = {}
@@ -349,8 +349,4 @@ def prove_by_resolution(kb, goal, tag, cutoff, config: EngineConfig | None = Non
         _admit(pooled, clause)
     for clause in groups.get(opposite, ()):
         _admit(pooled, Clause(wanted, negate(clause.tv), clause.support))
-    tv = _read_off(pooled, wanted)
-    value = apply_tag(tag, tv)
-    if value >= cutoff:
-        return [({}, value)]
-    return []
+    return tagged_answers([({}, _read_off(pooled, wanted))], tag, cutoff)

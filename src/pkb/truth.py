@@ -137,6 +137,30 @@ def apply_tag(tag: str, tv: TruthValue) -> float:
     raise ValueError(f"unknown tag {tag!r}; expected one of {TAG_NAMES}")
 
 
+def check_tag(tag: str):
+    """Raise ValueError unless ``tag`` is one of `TAG_NAMES`."""
+    if tag not in TAG_NAMES:
+        raise ValueError(f"unknown tag {tag!r}; expected one of {TAG_NAMES}")
+
+
+def tagged_answers(results, tag: str, cutoff: float) -> list:
+    """Query answers: the (bindings, value) pairs of ``results``, a
+    list of (bindings, tv), whose value ``apply_tag(tag, tv)`` reaches
+    ``cutoff``. Every query method filters through here, so each one
+    rejects an unknown tag and a cutoff outside [0, 1] even when it
+    found nothing.
+    """
+    check_tag(tag)
+    if not 0.0 <= cutoff <= 1.0:
+        raise RangeError(f"cutoff must be in [0, 1], got {cutoff!r}")
+    answers = []
+    for theta, tv in results:
+        value = apply_tag(tag, tv)
+        if value >= cutoff:
+            answers.append((theta, value))
+    return answers
+
+
 def negate(tv: TruthValue) -> TruthValue:
     """Evidence for the negated sentence: swap the pair."""
     return TruthValue(tv.disbelief, tv.belief)

@@ -190,7 +190,8 @@ def test_criterion_6_cutoff_behavior():
         (fact (crook Jones) (0.4 . 0))
         """
     )
-    answers = prove(kb, S("(crook Jones)"), trace=events.append)
+    kb.trace = events.append
+    answers = prove(kb, S("(crook Jones)"))
     assert not any("src=rule" in line for line in events)
     assert len(answers) == 1 and tv_close(answers[0][1], (0.4, 0.0))
 
@@ -201,7 +202,8 @@ def test_criterion_6_cutoff_behavior():
     kb.add_rule(S("(weak $x)"), S("(goal $x)"), TruthValue(0.5, 0.0))
     kb.stash(S("(strong m)"), TRUE)
     kb.stash(S("(weak m)"), TRUE)
-    prove(kb, S("(goal m)"), trace=events.append)
+    kb.trace = events.append
+    prove(kb, S("(goal m)"))
     rule_tasks = [
         line for line in events if line.startswith("TASK goal=(goal m)") and "src=rule" in line
     ]

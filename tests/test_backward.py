@@ -6,7 +6,7 @@ import pytest
 
 import pkb.backward
 from pkb.backward import prove, truep
-from pkb.errors import DepthExceeded
+from pkb.errors import DepthExceeded, RangeError
 from pkb.kb import KnowledgeBase
 from pkb.sexpr import parse_sentence as S
 from pkb.terms import sym, var
@@ -146,7 +146,8 @@ class TestThresholds:
             (fact (crook Jones) (0.4 . 0))
             """
         )
-        answers = prove(kb, S("(crook Jones)"), trace=events.append)
+        kb.trace = events.append
+        answers = prove(kb, S("(crook Jones)"))
         assert len(answers) == 1
         assert tv_close(answers[0][1], (0.4, 0.0))  # fact evidence only
         assert not any("src=rule" in line for line in events)
@@ -158,7 +159,8 @@ class TestThresholds:
         kb.add_rule(S("(weak $x)"), S("(goal $x)"), TruthValue(0.5, 0.0))
         kb.stash(S("(strong m)"), TRUE)
         kb.stash(S("(weak m)"), TRUE)
-        answers = prove(kb, S("(goal m)"), trace=events.append)
+        kb.trace = events.append
+        answers = prove(kb, S("(goal m)"))
         rule_tasks = [
             line
             for line in events
@@ -173,7 +175,8 @@ class TestThresholds:
         events = []
         kb = KnowledgeBase(config=EngineConfig(accept_as_true=0.8))
         kb.stash(S("(f a)"), TruthValue(0.85, 0.0))
-        prove(kb, S("(f a)"), trace=events.append)
+        kb.trace = events.append
+        prove(kb, S("(f a)"))
         accepts = [line for line in events if line.startswith("ACCEPT")]
         assert len(accepts) == 1
         value = float(accepts[0].split("at=")[1])
@@ -186,7 +189,8 @@ class TestThresholds:
         kb.add_rule(S("(b $x)"), S("(goal $x)"), TruthValue(0.5, 0.0))
         kb.stash(S("(a m)"), TRUE)
         kb.stash(S("(b m)"), TRUE)
-        prove(kb, S("(goal m)"), trace=events.append)
+        kb.trace = events.append
+        prove(kb, S("(goal m)"))
         accepts = [line for line in events if line.startswith("ACCEPT goal=(goal m)")]
         assert accepts and "tag=not" in accepts[0]
 
@@ -268,7 +272,8 @@ class TestConsequenceIndex:
             (fact (isa bird tweety) (1 . 0))
             """
         )
-        got = prove_one(kb, "(bird tweety)", trace=events.append)
+        kb.trace = events.append
+        got = prove_one(kb, "(bird tweety)")
         assert tv_close(got, oracle_combine((0.8, 0.0), (0.5, 0.0)))
         assert "TASK goal=(bird tweety) src=rule:r2 acc=(0.8 . 0)" in events
 
@@ -302,7 +307,8 @@ class TestConsequenceIndex:
             (fact (b m) (1 . 0))
             """
         )
-        prove(kb, S("(goal m)"), trace=events.append)
+        kb.trace = events.append
+        prove(kb, S("(goal m)"))
         sources = [
             line.split()[3] for line in events if line.startswith("TASK goal=(goal m)")
         ]
@@ -393,3 +399,20 @@ class TestTruep:
         answers = truep(tweety_kb, S("(not (flies Tweety))"), "t", 0.9)
         assert len(answers) == 1
         assert answers[0][1] == pytest.approx(1.0, abs=TOL)
+
+    @pytest.mark.parametrize("method", ["lookup", "backward-chain", "resolution", None])
+    @pytest.mark.parametrize("goal", ["(flies Tweety)", "(not (flies Tweety))", "(swims Tweety)"])
+    @pytest.mark.parametrize(
+        "tag, cutoff, error, message",
+        [
+            ("t", 1.5, RangeError, "cutoff must be in"),
+            ("not", -0.1, RangeError, "cutoff must be in"),
+            ("t", float("nan"), RangeError, "cutoff must be in"),
+            ("bogus", 0.5, ValueError, "unknown tag"),
+        ],
+    )
+    def test_every_method_rejects_bad_cutoff_and_tag(self, tweety_kb, method, goal, tag, cutoff, error, message):
+        # (swims Tweety) has no evidence at all, so the check cannot
+        # ride on an answer being filtered.
+        with pytest.raises(error, match=message):
+            truep(tweety_kb, S(goal), tag, cutoff, method=method)

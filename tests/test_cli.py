@@ -75,6 +75,15 @@ class TestQuery:
         assert code == 0
         assert capsys.readouterr().out.startswith("{}")
 
+    @pytest.mark.parametrize("method", ["lookup", "bc", "resolution", None])
+    def test_out_of_range_cutoff_exits_two(self, tweety_file, capsys, method):
+        argv = ["--kb", tweety_file, "query", "(flies Tweety)", "--cutoff", "2"]
+        code = main(argv + (["--method", method] if method else []))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "cutoff must be in [0, 1]" in captured.err
+
     def test_parse_error_exits_two(self, capsys):
         code = main(["query", "(unbalanced"])
         err = capsys.readouterr().err

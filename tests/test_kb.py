@@ -3,7 +3,8 @@
 import pytest
 
 from pkb.errors import NotFound, RangeError, TotalConflict
-from pkb.kb import Justification, KnowledgeBase, make_rule, unwrap_query
+from pkb.forward import Justification
+from pkb.kb import KnowledgeBase, make_rule, unwrap_query
 from pkb.sexpr import parse_sentence as S
 from pkb.terms import sym, var
 from pkb.truth import FALSE, TRUE, VACUOUS, TruthValue

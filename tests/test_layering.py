@@ -1,0 +1,105 @@
+"""The package's import structure: modules form layers, not a cycle.
+
+`kb` sits over `forward`, which needs only the annotation types from
+`kb` and imports them under ``if TYPE_CHECKING:``. An import inside a
+function body would hide a cycle from this check and from the reader,
+so there is none.
+"""
+
+import ast
+from pathlib import Path
+
+import pkb
+
+SRC = Path(pkb.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def _is_type_checking_block(node) -> bool:
+    return isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"
+
+
+def _imports(node, in_function=False):
+    """(import node, inside a function body) for every import under
+    ``node``, skipping ``if TYPE_CHECKING:`` blocks."""
+    for child in ast.iter_child_nodes(node):
+        if _is_type_checking_block(child):
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child, in_function
+        else:
+            nested = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            yield from _imports(child, nested)
+
+
+def _targets(node) -> set:
+    """The pkb modules an import statement names."""
+    if isinstance(node, ast.Import):
+        names = [a.name.split(".") for a in node.names]
+        return {parts[1] for parts in names if parts[0] == "pkb" and len(parts) > 1}
+    if node.level == 0 and (node.module or "").split(".")[0] != "pkb":
+        return set()
+    module = (node.module or "").removeprefix("pkb").lstrip(".")
+    if module:
+        return {module.split(".")[0]}
+    return {a.name for a in node.names if a.name in MODULES}
+
+
+def import_graph() -> dict:
+    """module -> pkb modules it imports at run time."""
+    return {
+        name: set().union(*(_targets(node) for node, _ in _imports(tree))) - {name}
+        for name, tree in MODULES.items()
+    }
+
+
+def _find_cycle(graph) -> list | None:
+    state = {}  # module -> "open" while on the DFS path, "done" after
+
+    def visit(name, path):
+        state[name] = "open"
+        for target in sorted(graph.get(name, ())):
+            if state.get(target) == "open":
+                return path[path.index(target):] + [target]
+            if target not in state:
+                cycle = visit(target, path + [target])
+                if cycle:
+                    return cycle
+        state[name] = "done"
+        return None
+
+    for name in sorted(graph):
+        if name not in state:
+            cycle = visit(name, [name])
+            if cycle:
+                return cycle
+    return None
+
+
+def test_every_module_is_parsed():
+    assert {"kb", "forward", "backward", "resolution", "truth", "terms"} <= set(MODULES)
+
+
+def test_no_import_inside_a_function():
+    hidden = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node, in_function in _imports(tree)
+        if in_function
+    ]
+    assert hidden == []
+
+
+def test_import_graph_is_acyclic():
+    assert _find_cycle(import_graph()) is None
+
+
+def test_forward_does_not_import_kb():
+    graph = import_graph()
+    assert "forward" in graph["kb"]
+    assert "kb" not in graph["forward"]
+
+
+def test_cycle_finder_sees_a_cycle():
+    assert _find_cycle({"kb": {"forward"}, "forward": {"truth", "kb"}, "truth": set()}) == ["forward", "kb", "forward"]
+    assert _find_cycle({"kb": {"forward"}, "forward": {"truth"}, "truth": set()}) is None

@@ -358,9 +358,12 @@ def _kb_of(clauses):
 
 
 def _kb_answers(kb, config=None):
-    """Every atom's t and not value; one saturation serves them all."""
+    """Every atom's t and not value, under ``config`` if one is given;
+    one saturation serves them all."""
+    if config is not None:
+        kb.config = config
     try:
-        return [prove_by_resolution(kb, atom, tag, 0.0, config) for atom in _ATOMS for tag in ("t", "not")]
+        return [prove_by_resolution(kb, atom, tag, 0.0) for atom in _ATOMS for tag in ("t", "not")]
     except IterationBoundExceeded:
         return "bound"
 
@@ -494,22 +497,25 @@ class TestSaturationCache:
         assert prove_by_resolution(kb, goal, "t", 0.0) == [({}, 0.0)]
         assert resolve_calls
 
-    def test_passed_config_invalidates(self, resolve_calls):
+    def test_config_mutated_in_place_invalidates(self, resolve_calls):
         kb = self.fresh()
         goal = S("(link s2)")
-        strict = EngineConfig(inference_cutoff=0.4)
-        assert prove_by_resolution(kb, goal, "t", 0.0, strict) == [({}, 0.0)]
-        resolve_calls.clear()
         assert prove_by_resolution(kb, goal, "t", 0.0) == [({}, 0.5 * 0.75 * 0.875)]
-        assert resolve_calls
         resolve_calls.clear()
         # The cache keeps a copy of the config, so one mutated in place
         # is judged by its new value.
-        strict.inference_cutoff = 0.0
-        assert prove_by_resolution(kb, goal, "t", 0.0, strict) == [({}, 0.5 * 0.75 * 0.875)]
+        kb.config.inference_cutoff = 0.4
+        assert prove_by_resolution(kb, goal, "t", 0.0) == [({}, 0.0)]
+        assert resolve_calls
+        resolve_calls.clear()
+        kb.config.inference_cutoff = 0.0
+        assert prove_by_resolution(kb, goal, "t", 0.0) == [({}, 0.5 * 0.75 * 0.875)]
+        assert resolve_calls
+        resolve_calls.clear()
+        # An equal config, even a different object, keeps the cache.
+        kb.config = EngineConfig()
+        assert prove_by_resolution(kb, goal, "t", 0.0) == [({}, 0.5 * 0.75 * 0.875)]
         assert resolve_calls == []
-        strict.inference_cutoff = 0.4
-        assert prove_by_resolution(kb, goal, "t", 0.0, strict) == [({}, 0.0)]
 
     def test_cached_answers_equal_fresh_kb(self, monkeypatch):
         monkeypatch.setattr(pkb.kb, "saturate_groups", functools.partial(saturate_groups, max_rounds=_ROUNDS))
