@@ -58,6 +58,7 @@ from .truth import (
     VACUOUS,
     TruthValue,
     apply_tag,
+    check_cutoff,
     combine,
     conjoin,
     negate,
@@ -211,9 +212,11 @@ def truep(kb: KnowledgeBase, goal, tag: str = "t", cutoff: float = 1.0, method: 
     Answers are (bindings, value) pairs with value = tag(accumulated tv)
     and value >= cutoff. Without a matching control entry (or explicit
     ``method``), stored facts are consulted first and backward chaining
-    runs only when they yield nothing.
+    runs only when they yield nothing. A bad tag or cutoff is rejected
+    before any method runs.
     """
     core, tag = unwrap_query(goal, tag)
+    check_cutoff(cutoff)
     if method is None:
         method = kb.dispatch(core)
 

@@ -50,23 +50,44 @@ at (a1 . b1), (or (not p) r) at (a2 . b2) gives
 `saturate_groups` closes a clause set under both resolution modes with
 a given-clause loop (Otter's; semi-naive evaluation). Round k gives
 each clause admitted in round k-1 and still alive, and resolves it on
-every shared atom against each live clause given before it, which an
-atom index supplies; so a pair is resolved once, not once per round.
-The input clauses, each round's clauses and each clause's partners are
-taken in one canonical order: heavier first, then by printed text, then
-by support labels. The result therefore does not depend on the order of
-the input. Only clauses equal in mass and text are told apart by their
-labels, which a KB assigns in statement order.
+every shared atom against each live clause given before it whose
+support is disjoint from its own, which an atom index supplies; so a
+pair is resolved once, not once per round. The input clauses, each
+round's clauses and each clause's partners are taken in one canonical
+order: heavier first, then by printed text, then by support labels.
+The result therefore does not depend on the order of the input. Only
+clauses equal in mass and text are told apart by their labels, which a
+KB assigns in statement order.
 
-Admission: each clause tracks which base clauses support it.
-Derivations of one literal set are pooled with `combine` only when
-their supports are disjoint (pooled evidence must be independent); a
-newcomer overlapping existing derivations replaces them only if it
-outweighs each, otherwise it is dropped. A dropped or replaced
-derivation is offered again in the round after a clause of its literal
-set is replaced, if both its parents are still alive, so at the
-fixpoint no live pair yields an admissible resolvent.
+Supports: each clause tracks which base clauses support it, its
+environment in the ATMS sense (de Kleer 1986); a KB labels each stated
+clause on its own. The mass product above is Dempster's rule, which is
+sound only for distinct bodies of evidence (Shafer 1976), and the two
+parents of a step are its two sources. So only parents with disjoint
+supports are resolved: parents sharing a base clause would count it
+twice. A resolvent's support is then the disjoint union of its
+parents'. With nonempty input supports it is larger than either, and
+every derivation is a tree whose leaves are distinct input clauses. A
+conclusion that needs some base clause twice is not derived.
+
+Admission: derivations of one literal set are pooled with `combine`
+only when their supports are disjoint, for the same reason; a newcomer
+overlapping existing derivations replaces them only if it outweighs
+each, otherwise it is dropped. A dropped or replaced derivation is
+offered again in the round after a clause of its literal set is
+replaced, if both its parents are still alive, so at the fixpoint no
+live support-disjoint pair yields an admissible resolvent.
 `KnowledgeBase.saturation` keeps the result until a clause is added.
+
+Termination, when every input support is nonempty: n input clauses
+leave finitely many derivation trees, each with at most n leaves. An
+admission makes its group's masses, sorted heaviest first, strictly
+greater in lexicographic order, since a newcomer is heavier than all it
+replaces; so no group returns to an earlier state, admissions are
+finitely many, and a round has work only after one that admitted
+something. The round count is not bounded by n, because retries offer
+old derivations again (one 10-clause set over 6 atoms takes 11 rounds),
+so `max_rounds` stays as a guard.
 """
 
 from __future__ import annotations
@@ -276,7 +297,12 @@ def saturate_groups(clauses, config: EngineConfig, max_rounds: int = 100) -> dic
         for clause in delta:
             if not _alive(groups, clause):
                 continue
-            partners = {id(p): p for atom in clause.atoms() for p in given.get(atom, ())}
+            partners = {
+                id(p): p
+                for atom in clause.atoms()
+                for p in given.get(atom, ())
+                if not p.support & clause.support
+            }
             for partner in sorted(partners.values(), key=key):
                 if not _alive(groups, partner):
                     continue
@@ -305,7 +331,7 @@ def saturate(
     set, vacuous if it was never derived. Resolvents carrying less mass
     than the inference cutoff (or none at all) are discarded. Raises
     IterationBoundExceeded (with the partial target value attached) if
-    the set refuses to settle within ``max_rounds`` rounds.
+    the loop has not reached its fixpoint within ``max_rounds`` rounds.
     """
     config = config or EngineConfig()
     if isinstance(target, Clause):

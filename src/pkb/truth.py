@@ -143,6 +143,12 @@ def check_tag(tag: str):
         raise ValueError(f"unknown tag {tag!r}; expected one of {TAG_NAMES}")
 
 
+def check_cutoff(cutoff: float):
+    """Raise RangeError unless ``cutoff`` is in [0, 1] (NaN is not)."""
+    if not 0.0 <= cutoff <= 1.0:
+        raise RangeError(f"cutoff must be in [0, 1], got {cutoff!r}")
+
+
 def tagged_answers(results, tag: str, cutoff: float) -> list:
     """Query answers: the (bindings, value) pairs of ``results``, a
     list of (bindings, tv), whose value ``apply_tag(tag, tv)`` reaches
@@ -151,8 +157,7 @@ def tagged_answers(results, tag: str, cutoff: float) -> list:
     found nothing.
     """
     check_tag(tag)
-    if not 0.0 <= cutoff <= 1.0:
-        raise RangeError(f"cutoff must be in [0, 1], got {cutoff!r}")
+    check_cutoff(cutoff)
     answers = []
     for theta, tv in results:
         value = apply_tag(tag, tv)

@@ -416,3 +416,15 @@ class TestTruep:
         # ride on an answer being filtered.
         with pytest.raises(error, match=message):
             truep(tweety_kb, S(goal), tag, cutoff, method=method)
+
+    @pytest.mark.parametrize("method", ["lookup", "backward-chain", "resolution", None])
+    def test_bad_cutoff_is_rejected_before_any_method_runs(self, method):
+        # Proving (d k) would exceed the depth bound; the cutoff error
+        # must come first.
+        kb = KnowledgeBase(config=EngineConfig(max_chain_depth=2))
+        for premise, consequence in (("a", "b"), ("b", "c"), ("c", "d")):
+            kb.add_rule(S(f"({premise} $x)"), S(f"({consequence} $x)"), TruthValue(0.9, 0.0))
+        with pytest.raises(DepthExceeded):
+            truep(kb, S("(d k)"), "t", 0.5, method="backward-chain")
+        with pytest.raises(RangeError, match="cutoff must be in"):
+            truep(kb, S("(d k)"), "t", 2.0, method=method)

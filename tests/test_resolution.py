@@ -8,7 +8,8 @@ import pytest
 
 import pkb.kb
 from pkb import resolution
-from pkb.errors import IterationBoundExceeded, TautologicalResolvent, TotalConflict
+from pkb.backward import truep
+from pkb.errors import IterationBoundExceeded, RangeError, TautologicalResolvent, TotalConflict
 from pkb.kb import KnowledgeBase
 from pkb.resolution import Clause, prove_by_resolution, resolve, saturate, saturate_groups
 from pkb.sexpr import parse_sentence as S
@@ -19,7 +20,7 @@ from oracles import oracle_resolvent_tv
 
 TOL = 1e-9
 
-P, Q, R, W = sym("p"), sym("q"), sym("r"), sym("w")
+P, Q, R, W, X, Y = sym("p"), sym("q"), sym("r"), sym("w"), sym("x"), sym("y")
 
 
 def clause(lits, a, b, support=("s",)):
@@ -338,7 +339,8 @@ def resolve_calls(monkeypatch):
 
 
 # Order independence holds at any round bound, partial results
-# included; a low bound keeps the sets that never settle cheap.
+# included. The random 5-clause sets below settle within 5 rounds; the
+# low bound keeps a regression that stops one settling cheap to see.
 _ROUNDS = 10
 
 
@@ -387,10 +389,13 @@ class TestOrderIndependence:
 
 
 def _admissible_left(groups):
-    """Resolvents of live pairs that the admission policy would still take."""
+    """Resolvents of live support-disjoint pairs that the admission
+    policy would still take."""
     live = [c for group in groups.values() for c in group]
     out = []
     for a, b in itertools.combinations(live, 2):
+        if a.support & b.support:
+            continue
         for atom in a.atoms() & b.atoms():
             try:
                 got = resolve(a, b, atom)
@@ -405,13 +410,13 @@ def _admissible_left(groups):
     return out
 
 
-def _chain(n, link=0.75):
-    """Unit (a0) and links (or (not ai) ai+1); dyadic values keep every
-    derivation of one clause bit-for-bit equal."""
+def _chain(n, unit=(0.75, 0.0), link=(0.75, 0.0)):
+    """Unit (a0) and links (or (not ai) ai+1); the dyadic default values
+    keep every derivation of one clause bit-for-bit equal."""
     atoms = [sym(f"a{i}") for i in range(n + 1)]
-    clauses = [clause([(atoms[0], True)], 0.75, 0.0, support=("u",))]
+    clauses = [clause([(atoms[0], True)], *unit, support=("u",))]
     for i in range(n):
-        clauses.append(clause([(atoms[i], False), (atoms[i + 1], True)], link, 0.0, support=(f"l{i}",)))
+        clauses.append(clause([(atoms[i], False), (atoms[i + 1], True)], *link, support=(f"l{i}",)))
     return atoms, clauses
 
 
@@ -430,10 +435,50 @@ class TestGivenClauseLoop:
         (unit,) = groups[frozenset({(atoms[n], True)})]
         assert unit.tv == TruthValue(0.75 ** (n + 1), 0.0)
 
+    def test_disbelief_chain_uses_each_base_clause_once(self, resolve_calls):
+        # With disbelief on the links, same-sign steps yield resolvents
+        # too. Parents that share a base clause are never resolved, which
+        # keeps the calls to a few hundred; sharing ones would add
+        # thousands without changing the unit (a14).
+        n = 14
+        atoms, clauses = _chain(n, unit=(0.8, 0.1), link=(0.9, 0.05))
+        groups = saturate_groups(clauses, EngineConfig())
+        (unit,) = groups[frozenset({(atoms[n], True)})]
+        assert unit.tv == TruthValue(0.18971394077639406, 0.04772751981656383)
+        assert 0 < len(resolve_calls) <= 601
+
+    def test_every_random_set_settles_closed(self, resolve_calls):
+        # A derivation that reused its own base clauses could displace a
+        # lighter copy of itself, and values would creep up round after
+        # round without settling.
+        rng = random.Random(3004)
+        for _ in range(120):
+            clauses = [_random_clause(rng, str(i)) for i in range(5)]
+            assert _admissible_left(saturate_groups(clauses, EngineConfig())) == []
+        assert resolve_calls
+        assert all(not (c1.support & c2.support) for c1, c2, _atom in resolve_calls)
+
+    def test_rounds_can_exceed_clause_count(self):
+        # Retries offer old derivations again, so n clauses may need
+        # more than n rounds: these 10 need 11.
+        clauses = [
+            clause([(W, False)], 0.01650929613724973, 0.10687939294653519, support=("0",)),
+            clause([(R, True), (X, False)], 0.1675137884120426, 0.5726966997690979, support=("1",)),
+            clause([(W, True), (X, False), (Y, True)], 0.4435743657385948, 0.0018658121533308147, support=("2",)),
+            clause([(R, False)], 0.19694321422147026, 0.06910110183907547, support=("3",)),
+            clause([(W, True)], 0.4459058167602453, 0.056679427334282106, support=("4",)),
+            clause([(P, True), (Q, False), (Y, True)], 0.0354373038729823, 0.4575889517936922, support=("5",)),
+            clause([(P, False)], 0.14041324463119279, 0.1748493025008642, support=("6",)),
+            clause([(R, True), (W, True), (X, True)], 0.2933560594068728, 0.4197357038102857, support=("7",)),
+            clause([(Q, True), (X, True)], 0.054946973082866224, 0.17301522517312842, support=("8",)),
+            clause([(W, True), (X, True)], 0.1343146845725723, 0.02938575464453283, support=("9",)),
+        ]
+        with pytest.raises(IterationBoundExceeded):
+            saturate_groups(clauses, EngineConfig(), max_rounds=10)
+        groups = saturate_groups(clauses, EngineConfig(), max_rounds=11)
+        assert _admissible_left(groups) == []
+
     def test_fixpoint_is_closed(self):
-        # Here a derivation dropped early becomes admissible once the
-        # clause that blocked it is itself replaced; the loop must offer
-        # it again.
         clauses = [
             clause([(Q, True), (R, False)], 0.006998108368413548, 0.042112524572493204, support=("0",)),
             clause([(P, False), (R, True)], 0.06991478939734862, 0.4093251204236652, support=("1",)),
@@ -442,14 +487,21 @@ class TestGivenClauseLoop:
             clause([(P, False), (R, False)], 0.05839498707770723, 0.023584718382735313, support=("4",)),
         ]
         assert _admissible_left(saturate_groups(clauses, EngineConfig())) == []
+        # Here a derivation dropped early becomes admissible once the
+        # clause that blocked it is itself replaced; the loop must offer
+        # it again.
+        clauses = [
+            clause([(Q, False), (W, False)], 0.8168335929310634, 0.0757270949367641, support=("0",)),
+            clause([(P, True), (Q, True), (R, False)], 0.3251145081149552, 0.08705340040425857, support=("1",)),
+            clause([(P, True), (Q, False), (R, False)], 0.04605347496550364, 0.03755151042863968, support=("2",)),
+            clause([(P, True), (Q, True)], 0.11606411707940455, 0.018200597529420312, support=("3",)),
+            clause([(W, False)], 0.11514373342149474, 0.3837113021063078, support=("4",)),
+        ]
+        assert _admissible_left(saturate_groups(clauses, EngineConfig())) == []
         rng = random.Random(3007)
         for _ in range(10):
             clauses = [_random_clause(rng, str(i)) for i in range(5)]
-            try:
-                groups = saturate_groups(clauses, EngineConfig(), _ROUNDS)
-            except IterationBoundExceeded:
-                continue  # closure is only defined at a fixpoint
-            assert _admissible_left(groups) == []
+            assert _admissible_left(saturate_groups(clauses, EngineConfig(), _ROUNDS)) == []
 
 
 _CHAIN_TEXT = """
@@ -530,6 +582,11 @@ class TestSaturationCache:
                 assert _kb_answers(kb, config) == _kb_answers(fresh, config)
                 if n < len(clauses):
                     kb.add_clause(clauses[n].literals, clauses[n].tv)
+
+    def test_bad_cutoff_saturates_nothing(self, resolve_calls):
+        with pytest.raises(RangeError, match="cutoff must be in"):
+            truep(self.fresh(), S("(link s2)"), "t", 2.0, method="resolution")
+        assert resolve_calls == []
 
     def test_failed_saturation_is_not_cached(self, monkeypatch, resolve_calls):
         kb = self.fresh()
