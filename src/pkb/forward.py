@@ -28,20 +28,30 @@ whose consequence has a variable the premise does not bind; so a
 complete premise binding grounds the premise, the consequence and the
 justification's premise atoms, and no instance needs a groundness check.
 
+Rules are compiled once, when they are made (see `kb.Rule`). An
+instance is the tuple of the values of the rule's premise variables, in
+name order; it is also the instance's key in the ledger. The changed
+fact is matched against each conjunct by the conjunct's compiled
+matcher, and a complete instance's ground premise atoms and consequence
+come from one compiled builder, without `substitute`; `premise_value`,
+the consequence and the justification share those atoms.
+
 Settings are read from ``kb.config``. With ``KnowledgeBase.trace``
-set, one line is emitted per event:
+set, one line is emitted per event; the text, bindings included, is
+built only then:
 
     FIRE|SKIP|RETRACT rule=<id> bind=<bindings> contrib=(a . b)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import DepthExceeded, NoValidResidual, NotCertainRemovable
-from .terms import Bindings, Term, format_bindings, match, substitute
+from .terms import Bindings, format_bindings, substitute
 from .truth import (
+    TRUE,
     TruthValue,
     combine,
     conjoin,
@@ -55,116 +65,116 @@ if TYPE_CHECKING:
     from .kb import KnowledgeBase, Rule
 
 
-@dataclass
-class Justification:
-    """Record of one rule firing, precise enough to retract it later."""
+Justification = namedtuple(
+    "Justification",
+    "rule_id bindings premise_tv_at_firing contribution consequence premises",
+    defaults=((),),
+)
+Justification.__doc__ = """Record of one rule firing, precise enough to retract it later.
 
-    rule_id: str
-    bindings: Bindings
-    premise_tv_at_firing: TruthValue
-    contribution: TruthValue
-    consequence: Term
-    premises: tuple = ()  # ground premise atoms, one per conjunct
+``premises`` holds the ground premise atoms, one per conjunct."""
 
 
 def binding_key(bindings: Bindings) -> tuple:
-    """Hashable canonical key for a ground binding set."""
-    return tuple(sorted(((v.name, t) for v, t in bindings.items()), key=lambda i: i[0]))
+    """The ledger key of a ground binding dict: its values in variable
+    name order, the order of `Rule.variables`. The engine has its
+    instances in that form already; this is for callers holding a dict."""
+    return tuple([t for _v, t in sorted(bindings.items(), key=lambda item: item[0].name)])
 
 
-def premise_value(kb: "KnowledgeBase", rule: "Rule", bindings) -> TruthValue:
+def premise_value(kb: "KnowledgeBase", rule: "Rule", bindings, premises=None) -> TruthValue:
     """Truth value of a rule's premise under a complete ground binding.
 
     Conjunct values come from exact entry reads (absent facts count as
     vacuous) and pool through `conjoin`; negated conjuncts read the
-    swapped pair.
+    swapped pair. A caller holding the ground premise atoms passes them
+    as ``premises``, and ``bindings`` is then not read.
     """
-    value = TruthValue(1.0, 0.0)
-    for core, positive in rule.conjuncts:
-        tv = kb.retrieve_core(substitute(core, bindings))
+    if premises is None:
+        premises = [substitute(core, bindings) for core, _positive in rule.conjuncts]
+    value = TRUE
+    for atom, (_core, positive) in zip(premises, rule.conjuncts):
+        tv = kb.retrieve_core(atom)
         if not positive:
             tv = negate(tv)
         value = conjoin(value, tv)
     return value
 
 
-def _enumerate_instances(kb: "KnowledgeBase", rule: "Rule", seed) -> list:
-    """All complete ground premise bindings extending ``seed``."""
+def _instances(kb: "KnowledgeBase", rule: "Rule", seed: tuple) -> list:
+    """All complete instances of ``rule`` extending ``seed``, a tuple of
+    values with None for the variables it leaves open."""
     solutions = [seed]
-    for core, _positive in rule.conjuncts:
+    for pattern in rule.patterns:
         extended = []
-        for theta in solutions:
-            for match, _tv in kb.match_facts(substitute(core, theta)):
-                merged = dict(theta)
-                merged.update(match)
-                extended.append(merged)
+        for values in solutions:
+            for theta, _tv in kb.match_facts(pattern(values)):
+                if theta:
+                    merged = list(values)
+                    for v, t in theta.items():
+                        merged[rule.variables.index(v)] = t
+                    extended.append(tuple(merged))
+                else:
+                    extended.append(values)
         solutions = extended
     return solutions
 
 
-def _affected_bindings(kb: "KnowledgeBase", rule: "Rule", sentence) -> list:
-    """Ground bindings of ``rule`` in which ``sentence`` participates.
+def _affected_instances(kb: "KnowledgeBase", rule: "Rule", sentence) -> list:
+    """Instances of ``rule`` in which ``sentence`` participates.
 
     Covers both instances currently enumerable from stored facts and
     instances remembered only by a live justification (whose supporting
     fact may just have vanished).
     """
     found = {}
-    for core, _positive in rule.conjuncts:
-        seed = match(core, sentence, {})
-        if seed is None:
-            continue
-        for theta in _enumerate_instances(kb, rule, seed):
-            found.setdefault(binding_key(theta), theta)
-    for j in kb.justifications_with_premise(sentence):
-        if j.rule_id == rule.id:
-            found.setdefault(binding_key(j.bindings), j.bindings)
-    return list(found.values())
+    for matcher in rule.matchers:
+        seed = matcher(sentence)
+        if seed is not None:
+            found.update(dict.fromkeys(_instances(kb, rule, seed)))
+    for rule_id, values in kb.instances_with_premise(sentence):
+        if rule_id == rule.id:
+            found.setdefault(values)
+    return list(found)
 
 
-def _justification(rule: "Rule", bindings, ptv, contribution, consequence):
-    premises = tuple(substitute(core, bindings) for core, _positive in rule.conjuncts)
-    return Justification(rule.id, dict(bindings), ptv, contribution, consequence, premises)
+def _trace(kb, event: str, rule: "Rule", values: tuple, contribution: TruthValue):
+    if kb.trace is not None:
+        bindings = format_bindings(dict(zip(rule.variables, values)))
+        kb._emit(f"{event} rule={rule.id} bind={bindings} contrib={contribution}")
 
 
-def _apply_instance(kb, rule, bindings, depth: int):
+def _apply_instance(kb, rule, values: tuple, depth: int):
     cutoff = kb.config.inference_cutoff
-    ptv = premise_value(kb, rule, bindings)
+    premises, consequence = rule.instantiate(values)
+    ptv = premise_value(kb, rule, values, premises)
     contribution = propagate(ptv, rule.rule_tv)
-    consequence = substitute(rule.consequence, bindings)
-    existing = kb.find_justification(rule.id, bindings)
-    bind_text = format_bindings(bindings)
+    existing = kb.find_justification(rule.id, values)
 
     if existing is not None:
         delta = delta_mass(existing.contribution, contribution)
         if delta == 0.0 or delta < cutoff:
-            kb._emit(f"SKIP rule={rule.id} bind={bind_text} contrib={contribution}")
+            _trace(kb, "SKIP", rule, values, contribution)
             return
         old_tv = kb.retrieve_core(consequence)
         try:
             residual = uncombine(old_tv, existing.contribution)
         except (NotCertainRemovable, NoValidResidual):
             residual = kb.pooled_value(consequence, exclude=existing)
-        kb._emit(f"RETRACT rule={rule.id} bind={bind_text} contrib={existing.contribution}")
-        kb.retract_justification(rule.id, bindings)
-        new_tv = combine(residual, contribution)
-        if not contribution.is_vacuous():
-            kb.record_justification(_justification(rule, bindings, ptv, contribution, consequence))
-            kb._emit(f"FIRE rule={rule.id} bind={bind_text} contrib={contribution}")
-        kb._set_combined(consequence, new_tv)
-        if delta_mass(old_tv, new_tv) > 0.0:
-            propagate_change(kb, consequence, old_tv, new_tv, depth + 1)
+        _trace(kb, "RETRACT", rule, values, existing.contribution)
+        kb.retract_justification(rule.id, values)
+    elif contribution.is_vacuous():
         return
-
-    if contribution.is_vacuous():
+    elif contribution.mass < cutoff:
+        _trace(kb, "SKIP", rule, values, contribution)
         return
-    if contribution.mass < cutoff:
-        kb._emit(f"SKIP rule={rule.id} bind={bind_text} contrib={contribution}")
-        return
-    old_tv = kb.retrieve_core(consequence)
-    new_tv = combine(old_tv, contribution)
-    kb.record_justification(_justification(rule, bindings, ptv, contribution, consequence))
-    kb._emit(f"FIRE rule={rule.id} bind={bind_text} contrib={contribution}")
+    else:
+        residual = old_tv = kb.retrieve_core(consequence)
+    new_tv = combine(residual, contribution)
+    if not contribution.is_vacuous():
+        bindings = dict(zip(rule.variables, values))
+        kb.record_justification(Justification(rule.id, bindings, ptv, contribution, consequence, premises), values)
+        _trace(kb, "FIRE", rule, values, contribution)
     kb._set_combined(consequence, new_tv)
     if delta_mass(old_tv, new_tv) > 0.0:
         propagate_change(kb, consequence, old_tv, new_tv, depth + 1)
@@ -180,11 +190,11 @@ def propagate_change(kb: "KnowledgeBase", sentence, old_tv: TruthValue, new_tv: 
     if depth >= kb.config.max_chain_depth:
         raise DepthExceeded(sentence, depth)
     for rule in kb.rules_touching(sentence):
-        for bindings in _affected_bindings(kb, rule, sentence):
-            _apply_instance(kb, rule, bindings, depth)
+        for values in _affected_instances(kb, rule, sentence):
+            _apply_instance(kb, rule, values, depth)
 
 
 def fire_rule(kb: "KnowledgeBase", rule: "Rule"):
     """Fire a newly added rule on every premise instance already stored."""
-    for bindings in _enumerate_instances(kb, rule, {}):
-        _apply_instance(kb, rule, bindings, depth=0)
+    for values in _instances(kb, rule, (None,) * len(rule.variables)):
+        _apply_instance(kb, rule, values, depth=0)

@@ -23,7 +23,8 @@ None); no engine takes either as an argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from operator import attrgetter
 
 from . import forward, sexpr
 from .errors import NotFound
@@ -33,6 +34,8 @@ from .terms import (
     Compound,
     Symbol,
     Term,
+    compile_builder,
+    compile_matcher,
     format_bindings,
     is_ground,
     match,
@@ -57,49 +60,35 @@ from .truth import (
 _AND = Symbol("and")
 
 
-@dataclass
-class FactRecord:
-    """One stored sentence: direct evidence and the pooled value."""
-
-    base: TruthValue
-    tv: TruthValue
+FactRecord = namedtuple("FactRecord", "base tv")
+FactRecord.__doc__ = "One stored sentence: direct evidence and the pooled value."
 
 
-@dataclass
-class Rule:
-    """A conditional ``premise -> consequence`` carrying its own truth pair.
+Rule = namedtuple(
+    "Rule", "id premise consequence rule_tv conjuncts variables matchers patterns instantiate"
+)
+Rule.__doc__ = """A conditional ``premise -> consequence`` carrying its own truth pair.
 
-    The pair is the value the consequence earns when the premise holds
-    outright; partial premises scale it down. A consequence written as
-    ``(not c)`` is stored as ``c`` with the pair swapped.
-    """
+The pair is the value the consequence earns when the premise holds
+outright; partial premises scale it down. A consequence written as
+``(not c)`` is stored as ``c`` with the pair swapped. ``conjuncts``
+holds (core, positive) pairs.
 
-    id: str
-    premise: Term
-    consequence: Term
-    rule_tv: TruthValue
-    conjuncts: tuple  # of (core, positive) pairs
+`make_rule` compiles the rule once. ``variables`` are the premise
+variables in name order, and an instance is the tuple of their values.
+``matchers[i]`` matches conjunct i against a ground atom and gives the
+instance values it fixes, None for the rest; ``patterns[i]`` puts the
+fixed values of a partial instance into conjunct i; ``instantiate``
+gives a complete instance's ground premise atoms and consequence."""
 
+ControlEntry = namedtuple("ControlEntry", "pattern method")
+ControlEntry.__doc__ = """Meta-level directive: goals matching ``pattern`` use ``method``.
 
-@dataclass(frozen=True)
-class ControlEntry:
-    """Meta-level directive: goals matching ``pattern`` use ``method``.
-
-    Entries are tried in the order they were added.
-    """
-
-    pattern: Term
-    method: str
-    # ``pattern`` renamed apart once, so dispatch unifies without a fresh copy per goal
-    _renamed: Term = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        (renamed,) = rename_apart([self.pattern])
-        object.__setattr__(self, "_renamed", renamed)
+Entries are tried in the order they were added."""
 
 
 def make_rule(rule_id: str, premise: Term, consequence: Term, rule_tv: TruthValue) -> Rule:
-    """Normalize and validate a rule.
+    """Normalize, validate and compile a rule.
 
     Splits an ``(and ...)`` premise into conjuncts, rewrites a negated
     consequence into core + swapped pair, and checks that firing the
@@ -114,17 +103,20 @@ def make_rule(rule_id: str, premise: Term, consequence: Term, rule_tv: TruthValu
             raise ValueError("empty (and) premise")
     else:
         parts = (premise,)
-    conjuncts = []
-    premise_vars = set()
-    for part in parts:
-        core, neg = normalize_negation(part)
-        conjuncts.append((core, not neg))
-        premise_vars |= variables_in(core)
+    conjuncts = tuple((core, not neg) for core, neg in map(normalize_negation, parts))
+    cores = tuple(core for core, _positive in conjuncts)
+    premise_vars = set().union(*map(variables_in, cores))
     missing = variables_in(cons_core) - premise_vars
     if missing:
         names = ", ".join(sorted("$" + v.name for v in missing))
         raise ValueError(f"rule {rule_id}: consequence variables {names} not bound by the premise")
-    return Rule(rule_id, premise, cons_core, rule_tv, tuple(conjuncts))
+    variables = tuple(sorted(premise_vars, key=attrgetter("name")))
+    return Rule(
+        rule_id, premise, cons_core, rule_tv, conjuncts, variables,
+        tuple(compile_matcher(core, variables) for core in cores),
+        tuple(compile_builder(core, variables, partial=True) for core in cores),
+        compile_builder((cores, cons_core), variables),
+    )
 
 
 def unwrap_query(pattern: Term, tag: str = "t") -> tuple[Term, str]:
@@ -154,6 +146,10 @@ def unwrap_query(pattern: Term, tag: str = "t") -> tuple[Term, str]:
     return pattern, tag
 
 
+def _ledger_key(rule_id: str, bindings) -> tuple:
+    return rule_id, (bindings if isinstance(bindings, tuple) else forward.binding_key(bindings))
+
+
 def _index_key(sentence: Term):
     if isinstance(sentence, Compound) and isinstance(sentence.elements[0], Symbol):
         return (sentence.elements[0].name, len(sentence.elements))
@@ -179,6 +175,10 @@ class KnowledgeBase:
         # (clause count, config copy, saturated clause groups)
         self._saturation: tuple | None = None
         self.control_entries: list[ControlEntry] = []
+        # each entry's pattern renamed apart once, so dispatch unifies
+        # without a fresh copy per goal
+        self._dispatch: list[tuple[Term, str]] = []
+        # (rule id, instance values) -> justification; see forward.binding_key
         self._ledger: dict[tuple, forward.Justification] = {}
         self._by_consequence: dict[Term, set] = {}
         # ground premise atom -> {ledger key: None}, in ledger order
@@ -332,20 +332,21 @@ class KnowledgeBase:
         config = self.config
         cached = self._saturation
         if cached is None or cached[0] != len(self.clauses) or cached[1] != config:
-            cached = (len(self.clauses), replace(config), saturate_groups(self.clauses, config))
+            cached = (len(self.clauses), config.copy(), saturate_groups(self.clauses, config))
             self._saturation = cached
         return cached[2]
 
     def add_control(self, pattern: Term, method: str) -> ControlEntry:
         entry = ControlEntry(pattern, method)
         self.control_entries.append(entry)
+        self._dispatch.append((rename_apart([pattern])[0], method))
         return entry
 
     def dispatch(self, goal: Term) -> str | None:
         """Method named by the first control entry matching the goal."""
-        for entry in self.control_entries:
-            if unify(entry._renamed, goal, {}) is not None:
-                return entry.method
+        for pattern, method in self._dispatch:
+            if unify(pattern, goal, {}) is not None:
+                return method
         return None
 
     # -- rule indexes -----------------------------------------------------------
@@ -374,19 +375,23 @@ class KnowledgeBase:
 
     # -- justification ledger -------------------------------------------------
 
-    def record_justification(self, j: forward.Justification):
-        key = (j.rule_id, forward.binding_key(j.bindings))
+    def record_justification(self, j: forward.Justification, values: tuple | None = None):
+        """File a firing record under its rule and instance values,
+        ``forward.binding_key(j.bindings)`` unless given."""
+        key = (j.rule_id, forward.binding_key(j.bindings) if values is None else values)
         self._ledger[key] = j
         self._by_consequence.setdefault(j.consequence, set()).add(key)
         for atom in j.premises:
             self._by_premise.setdefault(atom, {})[key] = None
 
-    def find_justification(self, rule_id: str, bindings: Bindings) -> forward.Justification | None:
-        return self._ledger.get((rule_id, forward.binding_key(bindings)))
+    def find_justification(self, rule_id: str, bindings) -> forward.Justification | None:
+        """The live record of a rule instance, given as a binding dict or
+        as its instance values."""
+        return self._ledger.get(_ledger_key(rule_id, bindings))
 
-    def retract_justification(self, rule_id: str, bindings: Bindings) -> TruthValue:
+    def retract_justification(self, rule_id: str, bindings) -> TruthValue:
         """Remove a firing record, returning its contribution for inversion."""
-        key = (rule_id, forward.binding_key(bindings))
+        key = _ledger_key(rule_id, bindings)
         j = self._ledger.pop(key, None)
         if j is None:
             raise NotFound(f"no justification for {rule_id} at {key[1]}")
@@ -407,10 +412,10 @@ class KnowledgeBase:
         keys = self._by_consequence.get(consequence, ())
         return [self._ledger[k] for k in sorted(keys, key=repr)]
 
-    def justifications_with_premise(self, atom: Term) -> list[forward.Justification]:
-        """Live justifications with ``atom`` among their premise atoms,
-        in ledger order."""
-        return [self._ledger[k] for k in self._by_premise.get(atom, ())]
+    def instances_with_premise(self, atom: Term) -> list[tuple]:
+        """(rule id, instance values) of each live justification with
+        ``atom`` among its premise atoms, in ledger order."""
+        return list(self._by_premise.get(atom, ()))
 
     def pooled_value(self, core: Term, base: TruthValue | None = None, exclude=None) -> TruthValue:
         """``base`` combined with every live contribution to ``core``
@@ -450,7 +455,7 @@ class KnowledgeBase:
             raise ValueError(f"unknown variable {name!r}; expected one of {', '.join(fields)}")
         if name == "max-chain-depth":
             value = int(value)
-        self.config = replace(self.config, **{fields[name]: value})
+        self.config = self.config.copy(**{fields[name]: value})
 
     def load(self, statements):
         for stmt in statements:
@@ -480,4 +485,4 @@ class KnowledgeBase:
 
     def facts(self):
         """Snapshot of (sentence, record) pairs in insertion order."""
-        return [(s, FactRecord(r.base, r.tv)) for s, r in self._facts.items()]
+        return list(self._facts.items())

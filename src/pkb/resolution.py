@@ -93,8 +93,8 @@ so `max_rounds` stays as a guard.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cache, cached_property
+from collections import namedtuple
+from functools import cache
 
 from .errors import (
     IterationBoundExceeded,
@@ -105,13 +105,13 @@ from .terms import Term, is_ground, normalize_negation
 from .truth import VACUOUS, EngineConfig, TruthValue, combine, negate, tagged_answers
 
 
-@dataclass(frozen=True)
-class Clause:
-    """Ground disjunction with a truth pair and its supporting sources."""
+class Clause(namedtuple("Clause", "literals tv support")):
+    """Ground disjunction with a truth pair and its supporting sources.
 
-    literals: frozenset  # of (atom: Term, positive: bool)
-    tv: TruthValue
-    support: frozenset
+    ``literals`` is a frozenset of (atom, positive) pairs.
+    """
+
+    __slots__ = ()
 
     @staticmethod
     def make(literals, tv: TruthValue, support=frozenset()) -> "Clause":
@@ -128,10 +128,6 @@ class Clause:
         return Clause(lits, tv, frozenset(support))
 
     def atoms(self) -> frozenset:
-        return self._atoms
-
-    @cached_property
-    def _atoms(self) -> frozenset:
         return frozenset(atom for atom, _ in self.literals)
 
     def __str__(self):
@@ -150,10 +146,10 @@ def resolve(c1: Clause, c2: Clause, on: Term) -> Clause:
     complementary pair and TotalConflict when the parents' masses are
     entirely contradictory.
     """
-    if on not in c1.atoms() or on not in c2.atoms():
-        raise ValueError(f"{on} does not occur in both clauses")
     rest1 = frozenset(lit for lit in c1.literals if lit[0] != on)
     rest2 = frozenset(lit for lit in c2.literals if lit[0] != on)
+    if len(rest1) == len(c1.literals) or len(rest2) == len(c2.literals):
+        raise ValueError(f"{on} does not occur in both clauses")
     resolvent = rest1 | rest2
     if not resolvent:
         raise ValueError("empty resolvent")
@@ -256,6 +252,7 @@ def saturate_groups(clauses, config: EngineConfig, max_rounds: int = 100) -> dic
     admits something.
     """
     key = cache(_canonical_key)
+    atoms = cache(Clause.atoms)
     groups: dict = {}
     offered: dict = {}  # literal set -> every (clause, parents) offered for it
     given: dict = {}  # atom -> clauses given so far that contain it
@@ -299,14 +296,14 @@ def saturate_groups(clauses, config: EngineConfig, max_rounds: int = 100) -> dic
                 continue
             partners = {
                 id(p): p
-                for atom in clause.atoms()
+                for atom in atoms(clause)
                 for p in given.get(atom, ())
                 if not p.support & clause.support
             }
             for partner in sorted(partners.values(), key=key):
                 if not _alive(groups, partner):
                     continue
-                for atom in sorted(clause.atoms() & partner.atoms(), key=str):
+                for atom in sorted(atoms(clause) & atoms(partner), key=str):
                     try:
                         candidate = resolve(clause, partner, atom)
                     except (TautologicalResolvent, TotalConflict, ValueError):
@@ -314,7 +311,7 @@ def saturate_groups(clauses, config: EngineConfig, max_rounds: int = 100) -> dic
                     if candidate.tv.mass == 0.0 or candidate.tv.mass < config.inference_cutoff:
                         continue
                     offer(candidate, (clause, partner))
-            for atom in clause.atoms():
+            for atom in atoms(clause):
                 given.setdefault(atom, []).append(clause)
 
 

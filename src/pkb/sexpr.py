@@ -18,7 +18,7 @@ parsing round-trip: parse(print(s)) == s for every valid statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParseError
 from .terms import (
@@ -40,38 +40,13 @@ _MAX_DEPTH = 400
 # Statements
 
 
-@dataclass(frozen=True)
-class FactStatement:
-    sentence: Term
-    tv: TruthValue
-
-
-@dataclass(frozen=True)
-class RuleStatement:
-    premise: Term
-    consequence: Term
-    tv: TruthValue
-
-
-@dataclass(frozen=True)
-class ClauseStatement:
-    # Literals in source order: (atom, True) for positive, (atom, False)
-    # for negated.
-    literals: tuple
-    tv: TruthValue
-
-
-@dataclass(frozen=True)
-class ControlStatement:
-    pattern: Term
-    method: str
-
-
-@dataclass(frozen=True)
-class SetVarStatement:
-    name: str
-    value: float
-
+FactStatement = namedtuple("FactStatement", "sentence tv")
+RuleStatement = namedtuple("RuleStatement", "premise consequence tv")
+# Literals in source order: (atom, True) for positive, (atom, False)
+# for negated.
+ClauseStatement = namedtuple("ClauseStatement", "literals tv")
+ControlStatement = namedtuple("ControlStatement", "pattern method")
+SetVarStatement = namedtuple("SetVarStatement", "name value")
 
 Statement = FactStatement | RuleStatement | ClauseStatement | ControlStatement | SetVarStatement
 

@@ -3,7 +3,10 @@
 Sentences are s-expression terms: symbols, numbers, variables (written
 ``$name`` in the surface syntax) and compounds like ``(foo fred $x)``.
 All term objects are immutable and hashable, so ground sentences can key
-dictionaries directly.
+dictionaries directly. Each term computes its hash once, when it is
+built, and a compound also records whether it is ground; so a dict probe
+costs no walk over the term, and `substitute`, `match` and `is_ground`
+return at once on a ground compound.
 
 Bindings are plain dicts from Variable to Term. They are triangular: a
 variable may map to a term containing variables bound elsewhere in the
@@ -14,36 +17,73 @@ twice is the same as applying it once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from functools import lru_cache
+from operator import attrgetter
 
 _rename_counter = itertools.count(1)
+_set = object.__setattr__
 
 
 class Term:
-    """Base class for all term shapes."""
+    """Base class for all term shapes.
 
-    __slots__ = ()
+    A term keeps its one public field (``name``, ``value`` or
+    ``elements``) in the ``_payload`` slot: each subclass names that
+    slot's descriptor after its field, so reading the field is a plain
+    slot read. Terms of one class are equal when their fields are.
+    """
+
+    __slots__ = ("_payload", "_hash")
+    _field = ""
+    _ground = True
+
+    def __init__(self, payload):
+        _set(self, "_payload", payload)
+        _set(self, "_hash", hash(payload))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._payload == other._payload
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._field}={self._payload!r})"
+
+    def __reduce__(self):
+        return type(self), (self._payload,)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change field {name!r} of an immutable term")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
 class Symbol(Term):
-    name: str
+    __slots__ = ()
+    _field = "name"
+    name = Term._payload
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class Variable(Term):
-    name: str
+    __slots__ = ()
+    _field = "name"
+    name = Term._payload
+    _ground = False
 
     def __str__(self):
         return "$" + self.name
 
 
-@dataclass(frozen=True)
 class Number(Term):
-    value: float
+    __slots__ = ()
+    _field = "value"
+    value = Term._payload
 
     def __str__(self):
         if self.value == int(self.value):
@@ -51,16 +91,32 @@ class Number(Term):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
-class Compound(Term):
-    elements: tuple
+_is_ground = attrgetter("_ground")
 
-    def __post_init__(self):
-        if not self.elements:
+
+class Compound(Term):
+    __slots__ = ("_ground",)
+    _field = "elements"
+    elements = Term._payload
+
+    def __init__(self, elements: tuple):
+        if not elements:
             raise ValueError("compound terms cannot be empty")
+        _set(self, "_payload", elements)
+        _set(self, "_hash", hash(elements))
+        _set(self, "_ground", False not in map(_is_ground, elements))
 
     def __str__(self):
         return "(" + " ".join(str(e) for e in self.elements) + ")"
+
+
+def _ground_compound(elements: tuple) -> Compound:
+    """``Compound(elements)`` for nonempty, ground ``elements``, unchecked."""
+    term = object.__new__(Compound)
+    _set(term, "_payload", elements)
+    _set(term, "_hash", hash(elements))
+    _set(term, "_ground", True)
+    return term
 
 
 Bindings = dict
@@ -137,25 +193,25 @@ def match(pattern: Term, ground: Term, bindings: Bindings) -> Bindings | None:
     ``unify(pattern, ground, bindings)`` returns.
     """
     pattern = walk(pattern, bindings)
+    if pattern._ground:
+        return bindings if pattern == ground else None
     if isinstance(pattern, Variable):
         out = dict(bindings)
         out[pattern] = ground
         return out
-    if isinstance(pattern, Compound):
-        if not isinstance(ground, Compound) or len(pattern.elements) != len(ground.elements):
+    if not isinstance(ground, Compound) or len(pattern.elements) != len(ground.elements):
+        return None
+    for p, g in zip(pattern.elements, ground.elements):
+        bindings = match(p, g, bindings)
+        if bindings is None:
             return None
-        for p, g in zip(pattern.elements, ground.elements):
-            bindings = match(p, g, bindings)
-            if bindings is None:
-                return None
-        return bindings
-    return bindings if pattern == ground else None
+    return bindings
 
 
 def substitute(t: Term, bindings: Bindings) -> Term:
     """Replace every bound variable, following chains; unbound ones stay."""
     t = walk(t, bindings)
-    if isinstance(t, Compound):
+    if isinstance(t, Compound) and not t._ground:
         return Compound(tuple(substitute(e, bindings) for e in t.elements))
     return t
 
@@ -173,11 +229,7 @@ def variables_in(t: Term) -> set:
 
 
 def is_ground(t: Term) -> bool:
-    if isinstance(t, Variable):
-        return False
-    if isinstance(t, Compound):
-        return all(is_ground(e) for e in t.elements)
-    return True
+    return t._ground
 
 
 def rename_apart(terms: list[Term]) -> list[Term]:
@@ -199,6 +251,79 @@ def rename_apart(terms: list[Term]) -> list[Term]:
         return t
 
     return [rec(t) for t in terms]
+
+
+@lru_cache(maxsize=256)
+def _code(source: str):
+    return compile(source, "<rule>", "exec")
+
+
+def _define(source: str, constants: list):
+    """The function ``f`` that ``source`` defines, reading ``C``, ``G``
+    and ``constants`` (as ``k0``, ``k1``, ...) as globals. Rules of one
+    shape differ only in their constants, so they share compiled code."""
+    namespace = {"C": Compound, "G": _ground_compound}
+    namespace.update((f"k{i}", t) for i, t in enumerate(constants))
+    exec(_code(source), namespace)
+    return namespace["f"]
+
+
+def compile_builder(shape, variables: tuple, partial: bool = False):
+    """Compile ``shape``, a term or a nested tuple of terms, into a
+    function from a tuple of values, one per variable of ``variables``,
+    to ``shape`` with those values put in: what `substitute` gives for
+    ground values, without its walk.
+
+    Each value must be ground. With ``partial``, a value may be None,
+    which leaves its variable in place; otherwise every variable of
+    ``shape`` must be in ``variables``, and the result is ground.
+    """
+    constants = []
+
+    def constant(t):
+        constants.append(t)
+        return f"k{len(constants) - 1}"
+
+    def expr(t):
+        if isinstance(t, tuple):
+            return "(" + "".join(expr(e) + ", " for e in t) + ")"
+        if t._ground:
+            return constant(t)
+        if isinstance(t, Variable):
+            i = variables.index(t)
+            return f"(b[{i}] if b[{i}] is not None else {constant(t)})" if partial else f"b[{i}]"
+        return ("C(" if partial else "G(") + expr(t.elements) + ")"
+
+    return _define(f"def f(b): return {expr(shape)}", constants)
+
+
+def compile_matcher(pattern: Term, variables: tuple):
+    """Compile ``pattern`` into a one-way matcher against ground terms.
+
+    The matcher returns the values a match gives ``variables``, as a
+    tuple in their order with None for each variable the pattern lacks,
+    or None when the term does not match. It agrees with
+    ``match(pattern, ground, {})``.
+    """
+    constants, tests, bound = [], [], {}
+
+    def visit(t, expr):
+        if t._ground:
+            constants.append(t)
+            tests.append(f"{expr} != k{len(constants) - 1}")
+        elif isinstance(t, Variable):
+            if t in bound:
+                tests.append(f"{expr} != {bound[t]}")
+            bound.setdefault(t, expr)
+        else:
+            tests.append(f"type({expr}) is not C or len({expr}.elements) != {len(t.elements)}")
+            for i, e in enumerate(t.elements):
+                visit(e, f"{expr}.elements[{i}]")
+
+    visit(pattern, "g")
+    body = "".join(f"    if {test}: return None\n" for test in tests)
+    result = "".join(f"{bound.get(v, 'None')}, " for v in variables)
+    return _define(f"def f(g):\n{body}    return ({result})\n", constants)
 
 
 _NOT = Symbol("not")

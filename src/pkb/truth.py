@@ -20,11 +20,17 @@ package.
 `propagate` pushes a premise value through a rule pair, `conjoin` pools
 conjunct values inside a premise, and the six tag functions project a
 pair down to the single number a query asks about.
+
+The public `TruthValue` constructor checks its arguments and clamps
+float drift. The algebra's own results skip that: `negate` and
+`propagate` build theirs unchecked (`_pair`), since swapping a valid
+pair, or scaling one by a belief, stays valid; `combine` and `conjoin`
+keep only the constructor's last step, which shaves a float excess over
+1 off the disbelief (`_shaved`). Each result is bit-identical to what
+the checked constructor makes of the same floats.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import NoValidResidual, NotCertainRemovable, RangeError, TotalConflict
 
@@ -34,6 +40,8 @@ DRIFT_TOLERANCE = 1e-12
 
 # A solved residual must reproduce the original combination this closely.
 _RESIDUAL_CHECK = 1e-6
+
+_set = object.__setattr__
 
 TAG_NAMES = ("t", "not", "unknown", "poss", "poss-not", "mass")
 
@@ -63,22 +71,39 @@ def _clean(value: float, name: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
 class TruthValue:
     """An evidence pair (belief . disbelief) with belief + disbelief <= 1."""
 
-    belief: float
-    disbelief: float
+    __slots__ = ("belief", "disbelief")
 
-    def __post_init__(self):
-        a = _clean(self.belief, "belief")
-        b = _clean(self.disbelief, "disbelief")
+    def __init__(self, belief: float, disbelief: float):
+        a = _clean(belief, "belief")
+        b = _clean(disbelief, "disbelief")
         if a + b > 1.0:
             if a + b > 1.0 + DRIFT_TOLERANCE:
                 raise RangeError(f"belief + disbelief = {a + b!r} exceeds 1")
             b = 1.0 - a  # shave the float excess off the disbelief side
-        object.__setattr__(self, "belief", a)
-        object.__setattr__(self, "disbelief", b)
+        _set(self, "belief", a)
+        _set(self, "disbelief", b)
+
+    def __eq__(self, other):
+        if type(other) is not TruthValue:
+            return NotImplemented
+        return self.belief == other.belief and self.disbelief == other.disbelief
+
+    def __hash__(self):
+        return hash((self.belief, self.disbelief))
+
+    def __repr__(self):
+        return f"TruthValue(belief={self.belief!r}, disbelief={self.disbelief!r})"
+
+    def __reduce__(self):
+        return TruthValue, (self.belief, self.disbelief)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change field {name!r} of a truth value")
+
+    __delattr__ = __setattr__
 
     @property
     def unknown(self) -> float:
@@ -99,6 +124,22 @@ class TruthValue:
 
     def __str__(self):
         return f"({format_real(self.belief)} . {format_real(self.disbelief)})"
+
+
+def _pair(belief: float, disbelief: float) -> TruthValue:
+    """TruthValue(belief, disbelief) for floats already in range, unchecked."""
+    tv = object.__new__(TruthValue)
+    _set(tv, "belief", belief)
+    _set(tv, "disbelief", disbelief)
+    return tv
+
+
+def _shaved(belief: float, disbelief: float) -> TruthValue:
+    """TruthValue(belief, disbelief) for floats in [0, 1] whose sum is at
+    most float rounding over 1, with only the constructor's shave."""
+    if belief + disbelief > 1.0:
+        disbelief = 1.0 - belief
+    return _pair(belief, disbelief)
 
 
 VACUOUS = TruthValue(0.0, 0.0)
@@ -168,7 +209,7 @@ def tagged_answers(results, tag: str, cutoff: float) -> list:
 
 def negate(tv: TruthValue) -> TruthValue:
     """Evidence for the negated sentence: swap the pair."""
-    return TruthValue(tv.disbelief, tv.belief)
+    return _pair(tv.disbelief, tv.belief)
 
 
 def conflict(x: TruthValue, y: TruthValue) -> float:
@@ -194,7 +235,7 @@ def combine(x: TruthValue, y: TruthValue) -> TruthValue:
     # the computed sum keeps the result inside the simplex even when
     # near-total conflict amplifies rounding error.
     norm = belief + disbelief + unknown
-    return TruthValue(belief / norm, disbelief / norm)
+    return _shaved(belief / norm, disbelief / norm)
 
 
 def uncombine(total: TruthValue, component: TruthValue) -> TruthValue:
@@ -266,10 +307,7 @@ def propagate(premise_tv: TruthValue, rule_tv: TruthValue) -> TruthValue:
     nothing (a non-instance of the premise is not evidence about the
     consequence).
     """
-    return TruthValue(
-        premise_tv.belief * rule_tv.belief,
-        premise_tv.belief * rule_tv.disbelief,
-    )
+    return _pair(premise_tv.belief * rule_tv.belief, premise_tv.belief * rule_tv.disbelief)
 
 
 def conjoin(x: TruthValue, y: TruthValue) -> TruthValue:
@@ -279,10 +317,7 @@ def conjoin(x: TruthValue, y: TruthValue) -> TruthValue:
     conjunct failing fails the conjunction). The result is always a
     valid pair because each belief is bounded by 1 - disbelief.
     """
-    return TruthValue(
-        x.belief * y.belief,
-        x.disbelief + y.disbelief - x.disbelief * y.disbelief,
-    )
+    return _shaved(x.belief * y.belief, x.disbelief + y.disbelief - x.disbelief * y.disbelief)
 
 
 def delta_mass(old: TruthValue, new: TruthValue) -> float:
@@ -290,7 +325,6 @@ def delta_mass(old: TruthValue, new: TruthValue) -> float:
     return abs(new.belief - old.belief) + abs(new.disbelief - old.disbelief)
 
 
-@dataclass
 class EngineConfig:
     """Tunable thresholds shared by the inference engines.
 
@@ -300,16 +334,36 @@ class EngineConfig:
         reaches this level, goal-directed proving stops looking for
         further evidence about it.
     max_chain_depth: hard bound on chaining recursion.
+
+    The constructor checks the ranges; fields may be reassigned.
     """
 
-    inference_cutoff: float = 0.0
-    accept_as_true: float = 1.0
-    max_chain_depth: int = 64
+    __slots__ = ("inference_cutoff", "accept_as_true", "max_chain_depth")
 
-    def __post_init__(self):
-        if not 0.0 <= self.inference_cutoff <= 1.0:
-            raise RangeError(f"inference_cutoff must be in [0, 1], got {self.inference_cutoff!r}")
-        if not 0.0 < self.accept_as_true <= 1.0:
-            raise RangeError(f"accept_as_true must be in (0, 1], got {self.accept_as_true!r}")
-        if self.max_chain_depth < 1:
-            raise RangeError(f"max_chain_depth must be positive, got {self.max_chain_depth!r}")
+    def __init__(self, inference_cutoff: float = 0.0, accept_as_true: float = 1.0, max_chain_depth: int = 64):
+        if not 0.0 <= inference_cutoff <= 1.0:
+            raise RangeError(f"inference_cutoff must be in [0, 1], got {inference_cutoff!r}")
+        if not 0.0 < accept_as_true <= 1.0:
+            raise RangeError(f"accept_as_true must be in (0, 1], got {accept_as_true!r}")
+        if max_chain_depth < 1:
+            raise RangeError(f"max_chain_depth must be positive, got {max_chain_depth!r}")
+        self.inference_cutoff = inference_cutoff
+        self.accept_as_true = accept_as_true
+        self.max_chain_depth = max_chain_depth
+
+    def _values(self) -> tuple:
+        return self.inference_cutoff, self.accept_as_true, self.max_chain_depth
+
+    def copy(self, **changes) -> "EngineConfig":
+        """A new, checked config with ``changes`` applied."""
+        return EngineConfig(**dict(zip(self.__slots__, self._values()), **changes))
+
+    def __eq__(self, other):
+        if type(other) is not EngineConfig:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "EngineConfig(" + ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values())) + ")"
