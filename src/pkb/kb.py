@@ -180,8 +180,9 @@ class KnowledgeBase:
         self._dispatch: list[tuple[Term, str]] = []
         # (rule id, instance values) -> justification; see forward.binding_key
         self._ledger: dict[tuple, forward.Justification] = {}
-        self._by_consequence: dict[Term, set] = {}
-        # ground premise atom -> {ledger key: None}, in ledger order
+        # consequence, and ground premise atom -> {ledger key: None}, in
+        # ledger order
+        self._by_consequence: dict[Term, dict] = {}
         self._by_premise: dict[Term, dict] = {}
         self._rule_count = 0
         self._clause_count = 0
@@ -380,9 +381,8 @@ class KnowledgeBase:
         ``forward.binding_key(j.bindings)`` unless given."""
         key = (j.rule_id, forward.binding_key(j.bindings) if values is None else values)
         self._ledger[key] = j
-        self._by_consequence.setdefault(j.consequence, set()).add(key)
-        for atom in j.premises:
-            self._by_premise.setdefault(atom, {})[key] = None
+        for index, atom in self._filings(j):
+            index.setdefault(atom, {})[key] = None
 
     def find_justification(self, rule_id: str, bindings) -> forward.Justification | None:
         """The live record of a rule instance, given as a binding dict or
@@ -395,22 +395,20 @@ class KnowledgeBase:
         j = self._ledger.pop(key, None)
         if j is None:
             raise NotFound(f"no justification for {rule_id} at {key[1]}")
-        refs = self._by_consequence.get(j.consequence)
-        if refs is not None:
-            refs.discard(key)
-            if not refs:
-                del self._by_consequence[j.consequence]
-        for atom in j.premises:
-            refs = self._by_premise.get(atom)
+        for index, atom in self._filings(j):
+            refs = index.get(atom)
             if refs is not None:
                 refs.pop(key, None)
                 if not refs:
-                    del self._by_premise[atom]
+                    del index[atom]
         return j.contribution
 
+    def _filings(self, j: forward.Justification) -> list:
+        """(index, atom) for each place a justification is filed."""
+        return [(self._by_consequence, j.consequence)] + [(self._by_premise, atom) for atom in j.premises]
+
     def _justifications_for(self, consequence: Term):
-        keys = self._by_consequence.get(consequence, ())
-        return [self._ledger[k] for k in sorted(keys, key=repr)]
+        return [self._ledger[k] for k in self._by_consequence.get(consequence, ())]
 
     def instances_with_premise(self, atom: Term) -> list[tuple]:
         """(rule id, instance values) of each live justification with
