@@ -431,14 +431,15 @@ class KnowledgeBase:
         return base
 
     def why(self, sentence: Term):
-        """Live justifications whose consequence matches the sentence."""
+        """Live justifications whose consequence matches the sentence,
+        by rule id and then bindings. A ground sentence is one probe of
+        the consequence index; a pattern is unified with every entry."""
         core, _ = normalize_negation(sentence)
-        out = []
-        for j in self._ledger.values():
-            if unify(core, j.consequence, {}) is not None:
-                out.append(j)
-        out.sort(key=lambda j: (j.rule_id, format_bindings(j.bindings)))
-        return out
+        if is_ground(core):
+            found = self._justifications_for(core)
+        else:
+            found = [j for j in self._ledger.values() if unify(core, j.consequence, {}) is not None]
+        return sorted(found, key=lambda j: (j.rule_id, format_bindings(j.bindings)))
 
     # -- loading ----------------------------------------------------------------
 

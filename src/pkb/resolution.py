@@ -247,10 +247,17 @@ def saturate_groups(clauses, config: EngineConfig, max_rounds: int = 100) -> dic
     """Close a ground clause set under resolution.
 
     Returns literal set -> admitted derivations (see the module
-    docstring for the loop). Raises IterationBoundExceeded, with the
-    groups so far as its partial value, when round ``max_rounds`` still
-    admits something.
+    docstring for the loop). Every input clause needs a nonempty
+    support, which the termination proof assumes: an empty support
+    meets no other, so such a clause could be reused without limit.
+    Raises ValueError for one, before any work, and
+    IterationBoundExceeded, with the groups so far as its partial
+    value, when round ``max_rounds`` still admits something.
     """
+    clauses = list(clauses)
+    for clause in clauses:
+        if not clause.support:
+            raise ValueError(f"{clause} has an empty support; label each input clause")
     key = cache(_canonical_key)
     atoms = cache(Clause.atoms)
     groups: dict = {}
@@ -326,9 +333,11 @@ def saturate(
     ``target`` is a Clause or an iterable of literals; the return value
     is the pooled truth value of derivations with exactly that literal
     set, vacuous if it was never derived. Resolvents carrying less mass
-    than the inference cutoff (or none at all) are discarded. Raises
-    IterationBoundExceeded (with the partial target value attached) if
-    the loop has not reached its fixpoint within ``max_rounds`` rounds.
+    than the inference cutoff (or none at all) are discarded. Each
+    clause needs a nonempty support (ValueError otherwise; see
+    `saturate_groups`). Raises IterationBoundExceeded (with the partial
+    target value attached) if the loop has not reached its fixpoint
+    within ``max_rounds`` rounds.
     """
     config = config or EngineConfig()
     if isinstance(target, Clause):

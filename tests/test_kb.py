@@ -2,11 +2,12 @@
 
 import pytest
 
+import pkb.kb
 from pkb.errors import NotFound, RangeError, TotalConflict
 from pkb.forward import Justification
 from pkb.kb import KnowledgeBase, make_rule, unwrap_query
 from pkb.sexpr import parse_sentence as S
-from pkb.terms import sym, var
+from pkb.terms import format_bindings, normalize_negation, sym, unify, var
 from pkb.truth import FALSE, TRUE, VACUOUS, TruthValue
 
 from oracles import oracle_combine
@@ -204,6 +205,45 @@ class TestLedger:
         kb.set_truth(S("(foo fred)"), TruthValue(0.4, 0.1))
         keys = [k for k in kb._ledger]
         assert len(keys) == len(set(keys)) == 1
+
+
+    def test_ground_why_is_one_probe(self, kb, monkeypatch):
+        kb.load_text(
+            """
+            (rule (u $x) (v $x) (0.9 . 0))
+            (rule (p $x) (q $x) (0.8 . 0.1))
+            (rule (and (t $x) (p $y)) (q $x) (0.5 . 0))
+            (fact (p a) (0.7 . 0))
+            (fact (p b) (0.6 . 0.1))
+            (fact (t a) (0.9 . 0))
+            """
+        )
+        for i in range(500):
+            kb.stash(S(f"(u k{i})"), TruthValue(0.5, 0.1))
+        assert len(kb._ledger) == 504
+
+        def scan(sentence):
+            found = [j for j in kb._ledger.values() if unify(sentence, j.consequence, {}) is not None]
+            return sorted(found, key=lambda j: (j.rule_id, format_bindings(j.bindings)))
+
+        calls = []
+
+        def counting_unify(*args):
+            calls.append(args)
+            return unify(*args)
+
+        monkeypatch.setattr(pkb.kb, "unify", counting_unify)
+        for text in ("(q a)", "(not (q a))", "(q b)", "(v k7)", "(q zzz)"):
+            got = kb.why(S(text))
+            assert calls == []
+            assert got == scan(normalize_negation(S(text))[0])
+        assert [(j.rule_id, format_bindings(j.bindings)) for j in kb.why(S("(q a)"))] == [
+            ("r2", "{$x=a}"),
+            ("r3", "{$x=a, $y=a}"),
+            ("r3", "{$x=a, $y=b}"),
+        ]
+        assert len(kb.why(S("(q $z)"))) == 4
+        assert len(calls) == 504
 
 
 class TestControl:

@@ -3,10 +3,14 @@
 `kb` sits over `forward`, which needs only the annotation types from
 `kb` and imports them under ``if TYPE_CHECKING:``. An import inside a
 function body would hide a cycle from this check and from the reader,
-so there is none.
+so there is none. Importing the package loads neither `dataclasses`
+nor `inspect`, which cost most of its import time when it used them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pkb
@@ -103,3 +107,10 @@ def test_forward_does_not_import_kb():
 def test_cycle_finder_sees_a_cycle():
     assert _find_cycle({"kb": {"forward"}, "forward": {"truth", "kb"}, "truth": set()}) == ["forward", "kb", "forward"]
     assert _find_cycle({"kb": {"forward"}, "forward": {"truth"}, "truth": set()}) is None
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, pkb.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -458,6 +458,23 @@ class TestGivenClauseLoop:
         assert resolve_calls
         assert all(not (c1.support & c2.support) for c1, c2, _atom in resolve_calls)
 
+    def test_empty_support_is_rejected_before_any_work(self, resolve_calls):
+        # An empty support meets no other, so a clause with one could be
+        # reused without limit: with no labels these three ran into the
+        # round bound with 20 derivations in one group.
+        clauses = [
+            Clause.make([(P, True)], TruthValue(0.8, 0.1)),
+            Clause.make([(P, False), (Q, True)], TruthValue(0.9, 0.05)),
+            Clause.make([(Q, False)], TruthValue(0.3, 0.2)),
+        ]
+        with pytest.raises(ValueError, match="empty support"):
+            saturate_groups(clauses, EngineConfig(), max_rounds=20)
+        with pytest.raises(ValueError, match="empty support"):
+            saturate(clauses, [(Q, True)])
+        assert resolve_calls == []
+        labelled = [Clause(c.literals, c.tv, frozenset({str(i)})) for i, c in enumerate(clauses)]
+        assert _admissible_left(saturate_groups(labelled, EngineConfig(), max_rounds=20)) == []
+
     def test_rounds_can_exceed_clause_count(self):
         # Retries offer old derivations again, so n clauses may need
         # more than n rounds: these 10 need 11.

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pkb.kb import make_rule
 from pkb.terms import (
     Compound,
     Number,
     Symbol,
+    Term,
     Variable,
     canonical_form,
     compound,
@@ -22,6 +24,7 @@ from pkb.terms import (
     var,
     variables_in,
 )
+from pkb.truth import TRUE
 
 FOO_X = compound(sym("foo"), var("x"))
 FOO_FRED = compound(sym("foo"), sym("fred"))
@@ -184,3 +187,105 @@ class TestMisc:
         theta = {var("y"): Number(2.0), var("x"): sym("harry")}
         assert format_bindings(theta) == "{$x=harry, $y=2}"
         assert format_bindings({}) == "{}"
+
+
+def _structure(t):
+    """A term's structure as plain data: class and field, recursively."""
+    if isinstance(t, Compound):
+        return ("Compound", tuple(_structure(e) for e in t.elements))
+    if isinstance(t, Number):
+        return ("Number", float(t.value))
+    return (type(t).__name__, t.name)
+
+
+def _rebuilt(t):
+    """An equal term made of fresh objects, with integral numbers as ints."""
+    if isinstance(t, Compound):
+        return Compound(tuple(_rebuilt(e) for e in t.elements))
+    if isinstance(t, Number):
+        return Number(int(t.value)) if t.value == int(t.value) else Number(t.value)
+    return type(t)(t.name)
+
+
+class TestTermObjects:
+    @given(a=terms(), b=terms())
+    def test_equality_is_structural(self, a, b):
+        assert (a == b) == (_structure(a) == _structure(b))
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(t=terms())
+    def test_equal_terms_hash_equal(self, t):
+        copy = _rebuilt(t)
+        assert copy is not t
+        assert copy == t and hash(copy) == hash(t)
+        assert is_ground(copy) == is_ground(t) == (not variables_in(t))
+
+    def test_numbers_compare_by_value(self):
+        assert Number(1) == Number(1.0)
+        assert hash(Number(1)) == hash(Number(1.0))
+        assert compound(sym("p"), Number(2)) == compound(sym("p"), Number(2.0))
+        assert Number(1) != Symbol("1") and Symbol("x") != Variable("x")
+
+    @given(t=terms())
+    def test_terms_are_immutable(self, t):
+        for name in ("name", "value", "elements", "_payload", "_hash", "_ground", "other"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, sym("a"))
+            with pytest.raises(AttributeError):
+                delattr(t, name)
+
+    def test_repr_names_the_field(self):
+        assert repr(compound(sym("p"), var("x"), Number(1.5))) == (
+            "Compound(elements=(Symbol(name='p'), Variable(name='x'), Number(value=1.5)))"
+        )
+        assert all(issubclass(cls, Term) for cls in (Symbol, Variable, Number, Compound))
+
+
+def _ground_values(draw, n):
+    leaves = st.sampled_from([sym("a"), sym("b"), Number(1.0), compound(sym("f"), sym("a"))])
+    return tuple(draw(st.lists(leaves, min_size=n, max_size=n)))
+
+
+@st.composite
+def rules(draw):
+    """A rule made from random conjuncts, with a consequence over the
+    premise's variables, and ground values for those variables."""
+    conjuncts = draw(st.lists(terms(), min_size=1, max_size=3))
+    premise = conjuncts[0] if len(conjuncts) == 1 else Compound((sym("and"), *conjuncts))
+    consequence = draw(terms())
+    unbound = {v: sym("c") for v in variables_in(consequence) - variables_in(premise)}
+    rule = make_rule("r1", premise, substitute(consequence, unbound), TRUE)
+    return rule, _ground_values(draw, len(rule.variables))
+
+
+class TestCompiledRules:
+    @given(case=rules())
+    def test_builders_agree_with_substitute(self, case):
+        rule, values = case
+        theta = dict(zip(rule.variables, values))
+        cores = [core for core, _positive in rule.conjuncts]
+        premises, consequence = rule.instantiate(values)
+        assert premises == tuple(substitute(core, theta) for core in cores)
+        assert consequence == substitute(rule.consequence, theta)
+        assert all(is_ground(atom) for atom in (*premises, consequence))
+        partial = tuple(v if i % 2 else None for i, v in enumerate(values))
+        bound = {v: t for v, t in zip(rule.variables, partial) if t is not None}
+        for core, pattern in zip(cores, rule.patterns):
+            assert pattern(partial) == substitute(core, bound)
+            assert is_ground(pattern(partial)) == is_ground(substitute(core, bound))
+
+    @given(case=rules(), other=terms())
+    def test_matchers_agree_with_match(self, case, other):
+        rule, values = case
+        theta = dict(zip(rule.variables, values))
+        grounding = {v: sym("a") for v in variables_in(other)}
+        for (core, _positive), matcher in zip(rule.conjuncts, rule.matchers):
+            for ground in (substitute(core, theta), substitute(other, grounding)):
+                expected = match(core, ground, {})
+                got = matcher(ground)
+                if expected is None:
+                    assert got is None
+                else:
+                    assert got == tuple(expected.get(v) for v in rule.variables)
+            assert matcher(substitute(core, theta)) is not None

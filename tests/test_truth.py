@@ -1,8 +1,13 @@
 """Unit and property tests for the truth-value algebra."""
 
+import math
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from pkb import truth
 
 from pkb.errors import NoValidResidual, NotCertainRemovable, RangeError, TotalConflict
 from pkb.truth import (
@@ -253,3 +258,81 @@ class TestEngineConfig:
             EngineConfig(accept_as_true=0.0)
         with pytest.raises(RangeError):
             EngineConfig(max_chain_depth=0)
+
+    def test_copy_checks_and_equality(self):
+        config = EngineConfig(inference_cutoff=0.2)
+        copy = config.copy()
+        assert copy == config and copy is not config
+        assert config.copy(max_chain_depth=5) == EngineConfig(inference_cutoff=0.2, max_chain_depth=5)
+        config.inference_cutoff = 0.3
+        assert copy != config
+        with pytest.raises(RangeError):
+            config.copy(accept_as_true=2.0)
+
+
+def _edge_values() -> list:
+    """Certain, vacuous and mass-one pairs, and pairs whose float sum
+    lands within an ulp of 1 on either side."""
+    rng = random.Random(8)
+    values = [VACUOUS, TRUE, FALSE, TruthValue(0.5, 0.5), TruthValue(1e-300, 0.0)]
+    for _ in range(60):
+        a = rng.random()
+        for b in (1.0 - a, math.nextafter(1.0 - a, 0.0), math.nextafter(1.0 - a, 2.0)):
+            values.append(TruthValue(a, b) if a + b <= 1.0 + 1e-12 else TruthValue(a, 1.0 - a))
+        values.append(TruthValue(a, 0.0))
+        values.append(TruthValue(0.0, a))
+    for _ in range(60):
+        mass = rng.random()
+        belief = rng.uniform(0.0, mass)
+        values.append(TruthValue(belief, mass - belief))
+    return values
+
+
+def _bits(tv: TruthValue) -> tuple:
+    return tv.belief.hex(), tv.disbelief.hex()
+
+
+def _through_public_constructor(op, *args):
+    """``op(*args)`` with the algebra's private constructors replaced by
+    the checked public one."""
+    saved = truth._pair, truth._shaved
+    truth._pair = truth._shaved = TruthValue
+    try:
+        return op(*args)
+    finally:
+        truth._pair, truth._shaved = saved
+
+
+class TestPrivateConstructors:
+    def test_results_are_bit_identical_to_checked_ones(self):
+        values = _edge_values()
+        pairs = [(x, y) for x in values for y in values[::7]]
+        for x, y in pairs:
+            for op in (combine, conjoin, propagate):
+                try:
+                    expected = _through_public_constructor(op, x, y)
+                except TotalConflict:
+                    with pytest.raises(TotalConflict):
+                        op(x, y)
+                    continue
+                got = op(x, y)
+                assert _bits(got) == _bits(expected), (op.__name__, x, y)
+                assert got.belief + got.disbelief <= 1.0
+            assert _bits(negate(x)) == _bits(_through_public_constructor(negate, x))
+
+    @given(x=truth_values(), y=truth_values())
+    def test_random_results_are_bit_identical(self, x, y):
+        for op in (combine, conjoin, propagate):
+            try:
+                expected = _through_public_constructor(op, x, y)
+            except TotalConflict:
+                continue
+            assert _bits(op(x, y)) == _bits(expected)
+
+    @given(tv=truth_values())
+    def test_truth_values_are_immutable(self, tv):
+        for name in ("belief", "disbelief", "other"):
+            with pytest.raises(AttributeError):
+                setattr(tv, name, 0.5)
+            with pytest.raises(AttributeError):
+                delattr(tv, name)
