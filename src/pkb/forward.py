@@ -28,17 +28,15 @@ whose consequence has a variable the premise does not bind; so a
 complete premise binding grounds the premise, the consequence and the
 justification's premise atoms, and no instance needs a groundness check.
 
-Rules are compiled once, when they are made (see `kb.Rule`). An
-instance is the tuple of the values of the rule's premise variables, in
-name order; it is also the instance's key in the ledger. The changed
-fact is matched against each conjunct by the conjunct's compiled
-matcher, and a complete instance's ground premise atoms and consequence
-come from one compiled builder, without `substitute`; `premise_value`,
-the consequence and the justification share those atoms.
+Rules are compiled when they are made (see `kb.Rule`). An instance is
+the tuple of its premise variables' values, in name order, and that is
+also its ledger key. The changed fact is matched against each conjunct
+by a compiled matcher, and one compiled builder gives the instance's
+ground premise atoms and consequence, which `premise_value` and the
+justification share.
 
 Settings are read from ``kb.config``. With ``KnowledgeBase.trace``
-set, one line is emitted per event; the text, bindings included, is
-built only then:
+set, and only then, one line is built and emitted per event:
 
     FIRE|SKIP|RETRACT rule=<id> bind=<bindings> contrib=(a . b)
 """
@@ -49,7 +47,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import DepthExceeded, NoValidResidual, NotCertainRemovable
-from .terms import Bindings, format_bindings, substitute
+from .terms import format_bindings, substitute
 from .truth import (
     TRUE,
     TruthValue,
@@ -73,13 +71,6 @@ Justification = namedtuple(
 Justification.__doc__ = """Record of one rule firing, precise enough to retract it later.
 
 ``premises`` holds the ground premise atoms, one per conjunct."""
-
-
-def binding_key(bindings: Bindings) -> tuple:
-    """The ledger key of a ground binding dict: its values in variable
-    name order, the order of `Rule.variables`. The engine has its
-    instances in that form already; this is for callers holding a dict."""
-    return tuple([t for _v, t in sorted(bindings.items(), key=lambda item: item[0].name)])
 
 
 def premise_value(kb: "KnowledgeBase", rule: "Rule", bindings, premises=None) -> TruthValue:
@@ -109,13 +100,10 @@ def _instances(kb: "KnowledgeBase", rule: "Rule", seed: tuple) -> list:
         extended = []
         for values in solutions:
             for theta, _tv in kb.match_facts(pattern(values)):
-                if theta:
-                    merged = list(values)
-                    for v, t in theta.items():
-                        merged[rule.variables.index(v)] = t
-                    extended.append(tuple(merged))
-                else:
-                    extended.append(values)
+                merged = list(values)
+                for v, t in theta.items():
+                    merged[rule.variables.index(v)] = t
+                extended.append(tuple(merged))
         solutions = extended
     return solutions
 
@@ -132,7 +120,7 @@ def _affected_instances(kb: "KnowledgeBase", rule: "Rule", sentence) -> list:
         seed = matcher(sentence)
         if seed is not None:
             found.update(dict.fromkeys(_instances(kb, rule, seed)))
-    for rule_id, values in kb.instances_with_premise(sentence):
+    for rule_id, values in kb._by_premise.get(sentence, ()):
         if rule_id == rule.id:
             found.setdefault(values)
     return list(found)

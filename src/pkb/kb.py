@@ -30,7 +30,6 @@ from . import forward, sexpr
 from .errors import NotFound
 from .resolution import Clause, saturate_groups
 from .terms import (
-    Bindings,
     Compound,
     Symbol,
     Term,
@@ -71,15 +70,13 @@ Rule.__doc__ = """A conditional ``premise -> consequence`` carrying its own trut
 
 The pair is the value the consequence earns when the premise holds
 outright; partial premises scale it down. A consequence written as
-``(not c)`` is stored as ``c`` with the pair swapped. ``conjuncts``
-holds (core, positive) pairs.
+``(not c)`` is stored as ``c`` with the pair swapped.
 
-`make_rule` compiles the rule once. ``variables`` are the premise
-variables in name order, and an instance is the tuple of their values.
-``matchers[i]`` matches conjunct i against a ground atom and gives the
-instance values it fixes, None for the rest; ``patterns[i]`` puts the
-fixed values of a partial instance into conjunct i; ``instantiate``
-gives a complete instance's ground premise atoms and consequence."""
+`make_rule` compiles the rule. An instance is the tuple of the values
+of ``variables``, the premise variables in name order. For conjunct i,
+``matchers[i]`` gives the instance values a ground atom fixes (None for
+the rest) and ``patterns[i]`` the conjunct under a partial instance;
+``instantiate`` gives an instance's ground premise atoms and consequence."""
 
 ControlEntry = namedtuple("ControlEntry", "pattern method")
 ControlEntry.__doc__ = """Meta-level directive: goals matching ``pattern`` use ``method``.
@@ -147,7 +144,11 @@ def unwrap_query(pattern: Term, tag: str = "t") -> tuple[Term, str]:
 
 
 def _ledger_key(rule_id: str, bindings) -> tuple:
-    return rule_id, (bindings if isinstance(bindings, tuple) else forward.binding_key(bindings))
+    """(rule id, instance values) for a ground binding dict, or for the
+    instance values already in the order `make_rule` gives variables."""
+    if isinstance(bindings, dict):
+        bindings = tuple([t for _v, t in sorted(bindings.items(), key=lambda item: item[0].name)])
+    return rule_id, bindings
 
 
 def _index_key(sentence: Term):
@@ -178,7 +179,7 @@ class KnowledgeBase:
         # each entry's pattern renamed apart once, so dispatch unifies
         # without a fresh copy per goal
         self._dispatch: list[tuple[Term, str]] = []
-        # (rule id, instance values) -> justification; see forward.binding_key
+        # (rule id, instance values) -> justification; see _ledger_key
         self._ledger: dict[tuple, forward.Justification] = {}
         # consequence, and ground premise atom -> {ledger key: None}, in
         # ledger order
@@ -377,9 +378,9 @@ class KnowledgeBase:
     # -- justification ledger -------------------------------------------------
 
     def record_justification(self, j: forward.Justification, values: tuple | None = None):
-        """File a firing record under its rule and instance values,
-        ``forward.binding_key(j.bindings)`` unless given."""
-        key = (j.rule_id, forward.binding_key(j.bindings) if values is None else values)
+        """File a firing record under its rule and instance values, which
+        are read from ``j.bindings`` unless given."""
+        key = _ledger_key(j.rule_id, j.bindings if values is None else values)
         self._ledger[key] = j
         for index, atom in self._filings(j):
             index.setdefault(atom, {})[key] = None
@@ -409,11 +410,6 @@ class KnowledgeBase:
 
     def _justifications_for(self, consequence: Term):
         return [self._ledger[k] for k in self._by_consequence.get(consequence, ())]
-
-    def instances_with_premise(self, atom: Term) -> list[tuple]:
-        """(rule id, instance values) of each live justification with
-        ``atom`` among its premise atoms, in ledger order."""
-        return list(self._by_premise.get(atom, ()))
 
     def pooled_value(self, core: Term, base: TruthValue | None = None, exclude=None) -> TruthValue:
         """``base`` combined with every live contribution to ``core``

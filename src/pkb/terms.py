@@ -259,9 +259,9 @@ def _code(source: str):
 
 
 def _define(source: str, constants: list):
-    """The function ``f`` that ``source`` defines, reading ``C``, ``G``
-    and ``constants`` (as ``k0``, ``k1``, ...) as globals. Rules of one
-    shape differ only in their constants, so they share compiled code."""
+    """The function ``f`` that ``source`` defines over globals ``C``,
+    ``G`` and ``k0``, ``k1``, ... for ``constants``. Rules of one shape
+    differ only in their constants, so they share compiled code."""
     namespace = {"C": Compound, "G": _ground_compound}
     namespace.update((f"k{i}", t) for i, t in enumerate(constants))
     exec(_code(source), namespace)
@@ -269,15 +269,10 @@ def _define(source: str, constants: list):
 
 
 def compile_builder(shape, variables: tuple, partial: bool = False):
-    """Compile ``shape``, a term or a nested tuple of terms, into a
-    function from a tuple of values, one per variable of ``variables``,
-    to ``shape`` with those values put in: what `substitute` gives for
-    ground values, without its walk.
-
-    Each value must be ground. With ``partial``, a value may be None,
-    which leaves its variable in place; otherwise every variable of
-    ``shape`` must be in ``variables``, and the result is ground.
-    """
+    """Compile ``shape``, a term or nested tuple of terms, into a function
+    from a tuple of ground values, one per variable of ``variables``, to
+    what `substitute` makes of ``shape`` under them. With ``partial`` a
+    value may be None, which leaves its variable in place."""
     constants = []
 
     def constant(t):
@@ -298,13 +293,9 @@ def compile_builder(shape, variables: tuple, partial: bool = False):
 
 
 def compile_matcher(pattern: Term, variables: tuple):
-    """Compile ``pattern`` into a one-way matcher against ground terms.
-
-    The matcher returns the values a match gives ``variables``, as a
-    tuple in their order with None for each variable the pattern lacks,
-    or None when the term does not match. It agrees with
-    ``match(pattern, ground, {})``.
-    """
+    """Compile ``pattern`` into a one-way matcher of ground terms, which
+    agrees with `match` but returns the values of ``variables`` in order
+    (None for those the pattern lacks), or None for no match."""
     constants, tests, bound = [], [], {}
 
     def visit(t, expr):

@@ -22,12 +22,10 @@ conjunct values inside a premise, and the six tag functions project a
 pair down to the single number a query asks about.
 
 The public `TruthValue` constructor checks its arguments and clamps
-float drift. The algebra's own results skip that: `negate` and
-`propagate` build theirs unchecked (`_pair`), since swapping a valid
-pair, or scaling one by a belief, stays valid; `combine` and `conjoin`
-keep only the constructor's last step, which shaves a float excess over
-1 off the disbelief (`_shaved`). Each result is bit-identical to what
-the checked constructor makes of the same floats.
+drift. The algebra skips that for results it keeps in range: `negate`
+and `propagate` build theirs unchecked (`_pair`); `combine` and
+`conjoin` keep only the shave of a float excess over 1 (`_shaved`).
+Each result is bit-identical to what the checked constructor makes.
 """
 
 from __future__ import annotations
@@ -87,9 +85,7 @@ class TruthValue:
         _set(self, "disbelief", b)
 
     def __eq__(self, other):
-        if type(other) is not TruthValue:
-            return NotImplemented
-        return self.belief == other.belief and self.disbelief == other.disbelief
+        return type(other) is TruthValue and self.belief == other.belief and self.disbelief == other.disbelief
 
     def __hash__(self):
         return hash((self.belief, self.disbelief))
@@ -127,7 +123,7 @@ class TruthValue:
 
 
 def _pair(belief: float, disbelief: float) -> TruthValue:
-    """TruthValue(belief, disbelief) for floats already in range, unchecked."""
+    """TruthValue(belief, disbelief), unchecked, for floats in range."""
     tv = object.__new__(TruthValue)
     _set(tv, "belief", belief)
     _set(tv, "disbelief", disbelief)
@@ -135,8 +131,7 @@ def _pair(belief: float, disbelief: float) -> TruthValue:
 
 
 def _shaved(belief: float, disbelief: float) -> TruthValue:
-    """TruthValue(belief, disbelief) for floats in [0, 1] whose sum is at
-    most float rounding over 1, with only the constructor's shave."""
+    """TruthValue(belief, disbelief) for floats in [0, 1], shaved only."""
     if belief + disbelief > 1.0:
         disbelief = 1.0 - belief
     return _pair(belief, disbelief)
@@ -351,19 +346,17 @@ class EngineConfig:
         self.accept_as_true = accept_as_true
         self.max_chain_depth = max_chain_depth
 
-    def _values(self) -> tuple:
-        return self.inference_cutoff, self.accept_as_true, self.max_chain_depth
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def copy(self, **changes) -> "EngineConfig":
         """A new, checked config with ``changes`` applied."""
-        return EngineConfig(**dict(zip(self.__slots__, self._values()), **changes))
+        return EngineConfig(**self._fields() | changes)
 
     def __eq__(self, other):
-        if type(other) is not EngineConfig:
-            return NotImplemented
-        return self._values() == other._values()
+        return type(other) is EngineConfig and self._fields() == other._fields()
 
     __hash__ = None
 
     def __repr__(self):
-        return "EngineConfig(" + ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values())) + ")"
+        return "EngineConfig(" + ", ".join(f"{n}={v!r}" for n, v in self._fields().items()) + ")"
