@@ -33,7 +33,7 @@ variable to a ground instance, which binds the consequence too (see
 `kb.make_rule`).
 
 Settings are read from ``kb.config``. Trace lines, like every engine's,
-go through ``KnowledgeBase.trace``:
+go through ``KnowledgeBase.trace`` and are built only when it is set:
 
     TASK goal=<s> src=<fact|rule:id> acc=(a . b)   per executed task
     ACCEPT goal=<s> tag=<t|not> at=<v>             on early exit
@@ -137,7 +137,8 @@ def _run_agenda(goal, state: _State) -> list:
             value = apply_tag(tag, acc)
             if value >= config.accept_as_true:
                 accepted.add(instance)
-                kb._emit(f"ACCEPT goal={instance} tag={tag} at={value}")
+                if kb.trace is not None:
+                    kb._emit(f"ACCEPT goal={instance} tag={tag} at={value}")
                 break
 
     def current_acc(instance):
@@ -174,7 +175,6 @@ def _run_agenda(goal, state: _State) -> list:
                 instance = substitute(goal, theta)
                 accumulate(instance, base_tv)
                 last = instance
-            kb._emit(f"TASK goal={goal} src=fact acc={current_acc(last)}")
         else:
             rule, consequence, conjuncts, theta = payload
             for full_theta, premise_tv in _prove_conjuncts(conjuncts, theta, state):
@@ -182,7 +182,9 @@ def _run_agenda(goal, state: _State) -> list:
                 instance = substitute(consequence, full_theta)
                 accumulate(instance, contribution)
                 last = instance
-            kb._emit(f"TASK goal={goal} src=rule:{rule.id} acc={current_acc(last)}")
+        if kb.trace is not None:
+            source = "fact" if kind == "fact" else f"rule:{payload[0].id}"
+            kb._emit(f"TASK goal={goal} src={source} acc={current_acc(last)}")
 
     return list(answers.items())
 

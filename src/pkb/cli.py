@@ -130,10 +130,7 @@ _HANDLERS = {
 def _dispatch(kb: KnowledgeBase, args, out, err) -> int:
     try:
         return _HANDLERS[args.command](kb, args, out)
-    except PkbError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (PkbError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
 

@@ -47,7 +47,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import DepthExceeded, NoValidResidual, NotCertainRemovable
-from .terms import format_bindings, substitute
+from .terms import format_bindings
 from .truth import (
     TRUE,
     TruthValue,
@@ -73,16 +73,13 @@ Justification.__doc__ = """Record of one rule firing, precise enough to retract 
 ``premises`` holds the ground premise atoms, one per conjunct."""
 
 
-def premise_value(kb: "KnowledgeBase", rule: "Rule", bindings, premises=None) -> TruthValue:
-    """Truth value of a rule's premise under a complete ground binding.
+def premise_value(kb: "KnowledgeBase", rule: "Rule", premises) -> TruthValue:
+    """Truth value of a rule's premise from its ground atoms, one per conjunct.
 
     Conjunct values come from exact entry reads (absent facts count as
     vacuous) and pool through `conjoin`; negated conjuncts read the
-    swapped pair. A caller holding the ground premise atoms passes them
-    as ``premises``, and ``bindings`` is then not read.
+    swapped pair.
     """
-    if premises is None:
-        premises = [substitute(core, bindings) for core, _positive in rule.conjuncts]
     value = TRUE
     for atom, (_core, positive) in zip(premises, rule.conjuncts):
         tv = kb.retrieve_core(atom)
@@ -135,7 +132,7 @@ def _trace(kb, event: str, rule: "Rule", values: tuple, contribution: TruthValue
 def _apply_instance(kb, rule, values: tuple, depth: int):
     cutoff = kb.config.inference_cutoff
     premises, consequence = rule.instantiate(values)
-    ptv = premise_value(kb, rule, values, premises)
+    ptv = premise_value(kb, rule, premises)
     contribution = propagate(ptv, rule.rule_tv)
     existing = kb.find_justification(rule.id, values)
 

@@ -14,10 +14,15 @@ decimal reals. A fact or rule consequence wrapped in ``(not ...)`` is
 normalized at read time: the wrapper is stripped and the truth value
 swapped, so printing always emits the normalized form. Printing and
 parsing round-trip: parse(print(s)) == s for every valid statement.
+
+One regular expression splits the text into tokens, which are plain
+strings. Tokens carry no position: a `ParseError`'s line and column are
+worked out from the text only when a parse fails.
 """
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 
 from .errors import ParseError
@@ -52,141 +57,87 @@ Statement = FactStatement | RuleStatement | ClauseStatement | ControlStatement |
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
-
-_LPAREN = "("
-_RPAREN = ")"
-_DOT = "."
-_ATOM = "atom"
-_EOF = "eof"
-
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-
-
-def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in "()":
-            tokens.append(_Token(c, c, line, col))
-            col += 1
-            i += 1
-            continue
-        start, start_col = i, col
-        while i < n and not text[i].isspace() and text[i] not in "();":
-            i += 1
-            col += 1
-        word = text[start:i]
-        if word == ".":
-            tokens.append(_Token(_DOT, word, line, start_col))
-        else:
-            tokens.append(_Token(_ATOM, word, line, start_col))
-    tokens.append(_Token(_EOF, "", line, col))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
 # Parser
+
+# A token is "(", ")" or a word: a run of characters that are neither
+# whitespace nor one of "();". A comment matches with an empty group.
+_TOKEN = re.compile(r";[^\n]*|([()]|[^\s();]+)")
+
+_NOT_ATOMS = ("(", ")", ".", "")
 
 
 class _Parser:
+    """Recursive descent over the token strings; ``""`` ends the input."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = [*filter(None, _TOKEN.findall(text)), ""]
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def next(self) -> str:
+        # A caller that gets the end marker fails at once, so nothing
+        # reads past it.
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != _EOF:
-            self.pos += 1
-        return tok
+    def fail(self, message: str, index: int):
+        """Raise a ParseError at token ``index``, the only place a
+        position is worked out: from the token's offset in the text."""
+        starts = [match.start() for match in _TOKEN.finditer(self.text) if match[1]]
+        offset = starts[index] if index < len(starts) else len(self.text)
+        line = self.text.count("\n", 0, offset) + 1
+        raise ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
 
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column)
-
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> str:
+        """The next token, which must be ``kind``, or any atom for kind "atom"."""
         tok = self.next()
-        if tok.kind != kind:
-            shown = tok.text or "end of input"
-            self.fail(f"expected {kind!r}, got {shown!r}", tok)
+        if tok != kind and (kind != "atom" or tok in _NOT_ATOMS):
+            self.fail(f"expected {kind!r}, got {tok or 'end of input'!r}", self.pos - 1)
         return tok
 
     # -- terms --------------------------------------------------------------
 
-    def atom(self, tok: _Token) -> Term:
-        word = tok.text
-        if word.startswith("$"):
-            if len(word) == 1:
-                self.fail("variable name missing after '$'", tok)
-            return Variable(word[1:])
-        try:
-            return Number(float(word))
-        except ValueError:
-            return Symbol(word)
-
     def term(self, depth: int = 0) -> Term:
         if depth > _MAX_DEPTH:
-            self.fail("expression nested too deeply")
+            self.fail("expression nested too deeply", self.pos)
         tok = self.next()
-        if tok.kind == _ATOM:
-            return self.atom(tok)
-        if tok.kind == _LPAREN:
+        if tok == "(":
+            start = self.pos - 1
             elements = []
-            while True:
-                nxt = self.peek()
-                if nxt.kind == _RPAREN:
-                    self.next()
-                    break
-                if nxt.kind == _EOF:
-                    self.fail("unclosed '('", nxt)
-                if nxt.kind == _DOT:
-                    self.fail("'.' is only valid inside a truth pair", nxt)
+            while self.tokens[self.pos] != ")":
+                if not self.tokens[self.pos]:
+                    self.fail("unclosed '('", self.pos)
+                if self.tokens[self.pos] == ".":
+                    self.fail("'.' is only valid inside a truth pair", self.pos)
                 elements.append(self.term(depth + 1))
+            self.pos += 1
             if not elements:
-                self.fail("empty '()' is not a term", tok)
+                self.fail("empty '()' is not a term", start)
             return Compound(tuple(elements))
-        self.fail(f"unexpected {tok.text!r}", tok)
+        if tok in _NOT_ATOMS:
+            self.fail(f"unexpected {tok!r}", self.pos - 1)
+        if tok.startswith("$"):
+            if tok == "$":
+                self.fail("variable name missing after '$'", self.pos - 1)
+            return Variable(tok[1:])
+        try:
+            return Number(float(tok))
+        except ValueError:
+            return Symbol(tok)
 
     def real(self) -> float:
-        tok = self.expect(_ATOM)
+        tok = self.expect("atom")
         try:
-            return float(tok.text)
+            return float(tok)
         except ValueError:
-            self.fail(f"expected a number, got {tok.text!r}", tok)
+            self.fail(f"expected a number, got {tok!r}", self.pos - 1)
 
     def truth_pair(self) -> TruthValue:
-        self.expect(_LPAREN)
+        self.expect("(")
         a = self.real()
-        self.expect(_DOT)
+        self.expect(".")
         b = self.real()
-        self.expect(_RPAREN)
+        self.expect(")")
         return TruthValue(a, b)
 
     # -- statements ----------------------------------------------------------
@@ -197,9 +148,8 @@ class _Parser:
         return core, not flipped
 
     def statement(self) -> Statement:
-        self.expect(_LPAREN)
-        head = self.expect(_ATOM)
-        kind = head.text
+        self.expect("(")
+        kind = self.expect("atom")
         if kind == "fact":
             sentence = self.term()
             tv = self.truth_pair()
@@ -212,34 +162,35 @@ class _Parser:
             core, flipped = normalize_negation(consequence)
             stmt = RuleStatement(premise, core, negate(tv) if flipped else tv)
         elif kind == "clause":
-            self.expect(_LPAREN)
-            or_tok = self.expect(_ATOM)
-            if or_tok.text != "or":
-                self.fail(f"expected 'or', got {or_tok.text!r}", or_tok)
+            self.expect("(")
+            or_at = self.pos
+            word = self.expect("atom")
+            if word != "or":
+                self.fail(f"expected 'or', got {word!r}", or_at)
             literals = []
-            while self.peek().kind not in (_RPAREN, _EOF):
+            while self.tokens[self.pos] not in (")", ""):
                 literals.append(self.literal())
-            self.expect(_RPAREN)
+            self.expect(")")
             if not literals:
-                self.fail("clause needs at least one literal", or_tok)
+                self.fail("clause needs at least one literal", or_at)
             tv = self.truth_pair()
             stmt = ClauseStatement(tuple(literals), tv)
         elif kind == "control":
             pattern = self.term()
-            method_tok = self.expect(_ATOM)
-            if method_tok.text not in CONTROL_METHODS:
+            method = self.expect("atom")
+            if method not in CONTROL_METHODS:
                 self.fail(
-                    f"unknown method {method_tok.text!r}; expected one of {', '.join(CONTROL_METHODS)}",
-                    method_tok,
+                    f"unknown method {method!r}; expected one of {', '.join(CONTROL_METHODS)}",
+                    self.pos - 1,
                 )
-            stmt = ControlStatement(pattern, method_tok.text)
+            stmt = ControlStatement(pattern, method)
         elif kind == "setvar":
-            name = self.expect(_ATOM).text
+            name = self.expect("atom")
             value = self.real()
             stmt = SetVarStatement(name, value)
         else:
-            self.fail(f"unknown statement kind {kind!r}", head)
-        self.expect(_RPAREN)
+            self.fail(f"unknown statement kind {kind!r}", self.pos - 1)
+        self.expect(")")
         return stmt
 
 
@@ -247,27 +198,27 @@ def parse_kb(text: str) -> list[Statement]:
     """Parse a whole knowledge-base text into its statements."""
     parser = _Parser(text)
     statements = []
-    while parser.peek().kind != _EOF:
+    while parser.tokens[parser.pos]:
         statements.append(parser.statement())
     return statements
 
 
+def _parse_whole(text: str, rule, what: str):
+    parser = _Parser(text)
+    value = rule(parser)
+    if parser.tokens[parser.pos]:
+        parser.fail(f"trailing input after {what}", parser.pos)
+    return value
+
+
 def parse_sentence(text: str) -> Term:
     """Parse a single sentence/pattern, e.g. a query typed at the CLI."""
-    parser = _Parser(text)
-    term = parser.term()
-    if parser.peek().kind != _EOF:
-        parser.fail("trailing input after sentence")
-    return term
+    return _parse_whole(text, _Parser.term, "sentence")
 
 
 def parse_truth(text: str) -> TruthValue:
     """Parse a dotted truth pair like ``(0.3 . 0.2)``."""
-    parser = _Parser(text)
-    tv = parser.truth_pair()
-    if parser.peek().kind != _EOF:
-        parser.fail("trailing input after truth value")
-    return tv
+    return _parse_whole(text, _Parser.truth_pair, "truth value")
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,7 @@ class TestCutoff:
 
     def test_stale_deltas_below_cutoff_at_quiescence(self):
         from pkb.forward import premise_value
+        from pkb.terms import substitute
         from pkb.truth import delta_mass, propagate
 
         rng = random.Random(7001)
@@ -162,7 +163,8 @@ class TestCutoff:
             rules_by_id = {rule.id: rule for rule in kb.rules}
             for (rule_id, _key), j in kb._ledger.items():
                 rule = rules_by_id[rule_id]
-                fresh = propagate(premise_value(kb, rule, j.bindings), rule.rule_tv)
+                premises = [substitute(core, j.bindings) for core, _positive in rule.conjuncts]
+                fresh = propagate(premise_value(kb, rule, premises), rule.rule_tv)
                 assert delta_mass(j.contribution, fresh) < cutoff
 
 

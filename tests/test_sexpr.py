@@ -119,6 +119,44 @@ class TestParse:
             parse_kb(text)
 
 
+# One row per error site: entry point, input, message, line, column.
+ERROR_POSITIONS = [
+    (parse_kb, "(fact (foo\n  fred", "unclosed '('", 2, 7),
+    (parse_kb, "(fact (foo . fred) (0.3 . 0.2))", "'.' is only valid inside a truth pair", 1, 12),
+    (parse_kb, "(fact\n (foo $) (1 . 0))", "variable name missing after '$'", 2, 7),
+    (parse_kb, "(fact () (1 . 0))", "empty '()' is not a term", 1, 7),
+    (parse_kb, "(fact\n" + "(" * 500 + "p", "expression nested too deeply", 2, 402),
+    (parse_sentence, " )", "unexpected ')'", 1, 2),
+    (parse_kb, "(fact p (0.3 . x))", "expected a number, got 'x'", 1, 16),
+    (parse_kb, "(fact p\n\t(0.3 0.2))", "expected '.', got '0.2'", 2, 7),
+    (parse_kb, "(clause (and p) (1 . 0))", "expected 'or', got 'and'", 1, 10),
+    (parse_kb, "(clause (or) (1 . 0))", "clause needs at least one literal", 1, 10),
+    (
+        parse_kb,
+        "(control (foo $x)\n  magic)",
+        "unknown method 'magic'; expected one of lookup, backward-chain, resolution",
+        2,
+        3,
+    ),
+    (parse_kb, "; header\n(blurb x)", "unknown statement kind 'blurb'", 2, 2),
+    (parse_kb, "(fact p (1 . 0)", "expected ')', got 'end of input'", 1, 16),
+    (parse_sentence, "(foo a) (goo b)", "trailing input after sentence", 1, 9),
+    (parse_truth, "(0.3 . 0.2)\n  x", "trailing input after truth value", 2, 3),
+    # End of input after a trailing comment is the end of the text.
+    (parse_kb, "(fact p ; c", "expected '(', got 'end of input'", 1, 12),
+    (parse_kb, "(fact p (1 . 0)\n; tail", "expected ')', got 'end of input'", 2, 7),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, line, column", ERROR_POSITIONS, ids=[row[2] for row in ERROR_POSITIONS]
+)
+def test_parse_error_position(parse, text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.column) == (f"{line}:{column}: {message}", line, column)
+
+
 class TestSentenceHelpers:
     def test_parse_sentence(self):
         assert parse_sentence("(foo $x)") == compound(sym("foo"), var("x"))
