@@ -221,8 +221,21 @@ def combine(x: TruthValue, y: TruthValue) -> TruthValue:
     k = conflict(x, y)
     if k >= 1.0:
         raise TotalConflict(f"cannot combine {x} with {y}")
-    a1, b1, u1 = x.belief, x.disbelief, x.unknown
-    a2, b2, u2 = y.belief, y.disbelief, y.unknown
+    a1, b1 = x.belief, x.disbelief
+    a2, b2 = y.belief, y.disbelief
+    if a2 == 0.0 and b2 == 0.0:
+        return x
+    if a1 == 0.0 and b1 == 0.0:
+        return y
+    # 1 - a - b with the larger part taken from 1 first: that step is
+    # exact, so a tiny uncommitted mass keeps its precision through the
+    # renormalization below.
+    u1 = (1.0 - a1) - b1 if a1 >= b1 else (1.0 - b1) - a1
+    u2 = (1.0 - a2) - b2 if a2 >= b2 else (1.0 - b2) - a2
+    if u1 < 0.0:
+        u1 = 0.0
+    if u2 < 0.0:
+        u2 = 0.0
     belief = a1 * a2 + a1 * u2 + u1 * a2
     disbelief = b1 * b2 + b1 * u2 + u1 * b2
     unknown = u1 * u2

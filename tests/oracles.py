@@ -7,18 +7,28 @@ plain (belief, disbelief) float tuples.
 """
 
 import itertools
+from fractions import Fraction
 
 
 def oracle_combine(x, y):
     """Pool two evidence pairs by enumerating the 3x3 joint mass table.
 
     Each source spreads mass over {confirm, disconfirm, uncommitted};
-    cells pairing confirm with disconfirm are conflict and are
-    renormalized away. Returns None on total conflict.
+    cells pairing confirm with disconfirm are conflict and are dropped,
+    the rest renormalized by their own sum (Dempster's rule). The table
+    is summed in exact rational arithmetic over the given floats, so
+    near-total conflict, where renormalizing amplifies rounding error,
+    cannot skew the reference value. A pair whose floats sum a hair past
+    1 has no uncommitted mass. Returns None on total conflict, a unit
+    or more of conflicting mass.
     """
-    m1 = {"c": x[0], "d": x[1], "u": 1.0 - x[0] - x[1]}
-    m2 = {"c": y[0], "d": y[1], "u": 1.0 - y[0] - y[1]}
-    belief = disbelief = conflict = 0.0
+
+    def masses(pair):
+        c, d = Fraction(pair[0]), Fraction(pair[1])
+        return {"c": c, "d": d, "u": max(Fraction(0), 1 - c - d)}
+
+    m1, m2 = masses(x), masses(y)
+    belief = disbelief = uncommitted = conflict = Fraction(0)
     for k1, w1 in m1.items():
         for k2, w2 in m2.items():
             w = w1 * w2
@@ -29,9 +39,12 @@ def oracle_combine(x, y):
                 belief += w
             elif "d" in kinds:
                 disbelief += w
-    if conflict >= 1.0:
+            else:
+                uncommitted += w
+    if conflict >= 1:
         return None
-    return (belief / (1.0 - conflict), disbelief / (1.0 - conflict))
+    surviving = belief + disbelief + uncommitted
+    return (float(belief / surviving), float(disbelief / surviving))
 
 
 def oracle_conjoin(x, y):
