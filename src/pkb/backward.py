@@ -17,15 +17,15 @@ or disconfirmed to at least ``accept_as_true``, that binding is frozen
 and costs no further effort, even though more analysis might have
 revised it.
 
-Tasks for one goal are ordered by a priority heap (by default: fact
-lookups first, then rules by descending mass, so the biggest evidence
-lands first and early acceptance triggers as soon as possible). Every
-task reads and updates the live accumulation table at execution time;
-nothing works from a snapshot taken when the task was queued, so
-interleaved updates are never double-counted. Recursion into a variant
-of an ancestor goal contributes nothing (a sound, terminating reading
-of rule cycles), and subgoal results are cached for the duration of one
-top-level ``prove`` call.
+Tasks for one goal are sorted by priority, ties in the order they were
+queued (by default: fact lookups first, then rules by descending mass,
+so the biggest evidence lands first and early acceptance triggers as
+soon as possible). Every task reads and updates the live accumulation
+table at execution time; nothing works from a snapshot taken when the
+task was queued, so interleaved updates are never double-counted.
+Recursion into a variant of an ancestor goal contributes nothing (a
+sound, terminating reading of rule cycles), and subgoal results are
+cached for the duration of one top-level ``prove`` call.
 
 Every instance an agenda accumulates is ground: a fact task's instances
 are stored facts, and a rule task's premise solutions bind every premise
@@ -40,8 +40,6 @@ go through ``KnowledgeBase.trace`` and are built only when it is set:
 """
 
 from __future__ import annotations
-
-import heapq
 
 from . import resolution  # looked up per call, so a wrapper set on the module applies
 from .errors import DepthExceeded
@@ -148,8 +146,8 @@ def _run_agenda(goal, state: _State) -> list:
             return next(iter(answers.values()))
         return VACUOUS
 
-    heap = [(-state.priority_fn("fact"), 0, "fact", None)]
-    seq = 1
+    # (priority, task): None is the fact lookup, anything else a rule
+    tasks = [(state.priority_fn("fact"), None)]
     for rule in kb.rules_concluding(goal):
         if rule.rule_tv.mass < config.inference_cutoff:
             continue  # could never shift any conclusion enough to matter
@@ -159,31 +157,28 @@ def _run_agenda(goal, state: _State) -> list:
         theta = unify(consequence, goal, {})
         if theta is None:
             continue
-        heapq.heappush(
-            heap,
-            (-state.priority_fn("rule", rule), seq, "rule", (rule, consequence, conjuncts, theta)),
-        )
-        seq += 1
+        tasks.append((state.priority_fn("rule", rule), (rule, consequence, conjuncts, theta)))
+    # a stable sort: equal priorities keep the order they were added in
+    tasks.sort(key=lambda task: -task[0])
 
-    while heap:
+    for _priority, task in tasks:
         if goal_ground and accepted:
             break
-        _, _, kind, payload = heapq.heappop(heap)
         last = None
-        if kind == "fact":
+        if task is None:
             for theta, base_tv in kb.match_facts(goal, use_base=True):
                 instance = substitute(goal, theta)
                 accumulate(instance, base_tv)
                 last = instance
         else:
-            rule, consequence, conjuncts, theta = payload
+            rule, consequence, conjuncts, theta = task
             for full_theta, premise_tv in _prove_conjuncts(conjuncts, theta, state):
                 contribution = propagate(premise_tv, rule.rule_tv)
                 instance = substitute(consequence, full_theta)
                 accumulate(instance, contribution)
                 last = instance
         if kb.trace is not None:
-            source = "fact" if kind == "fact" else f"rule:{payload[0].id}"
+            source = "fact" if task is None else f"rule:{task[0].id}"
             kb._emit(f"TASK goal={goal} src={source} acc={current_acc(last)}")
 
     return list(answers.items())

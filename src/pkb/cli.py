@@ -24,7 +24,7 @@ import sys
 
 from .backward import truep
 from .errors import PkbError
-from .kb import KnowledgeBase
+from .kb import ENGINE_VARIABLES, KnowledgeBase
 from .sexpr import parse_sentence, parse_truth
 from .terms import format_bindings
 from .truth import TAG_NAMES, format_real
@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("sentence")
 
     p = sub.add_parser("setvar", help="set an engine variable for this session")
-    p.add_argument("name", choices=["inference-cutoff", "accept-as-true", "max-chain-depth"])
+    p.add_argument("name", choices=list(ENGINE_VARIABLES))
     p.add_argument("value", type=float)
 
     return parser

@@ -96,11 +96,11 @@ def _instances(kb: "KnowledgeBase", rule: "Rule", seed: tuple) -> list:
     for pattern in rule.patterns:
         extended = []
         for values in solutions:
-            for theta, _tv in kb.match_facts(pattern(values)):
-                merged = list(values)
-                for v, t in theta.items():
-                    merged[rule.variables.index(v)] = t
-                extended.append(tuple(merged))
+            for _record, found in kb._match(pattern(values), rule.variables):
+                # a ground probe finds no values; the instance stays as it is
+                extended.append(
+                    values if found is None else tuple([f if v is None else v for v, f in zip(values, found)])
+                )
         solutions = extended
     return solutions
 

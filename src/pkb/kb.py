@@ -24,10 +24,11 @@ None); no engine takes either as an argument.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import isfinite
 from operator import attrgetter
 
 from . import forward, sexpr
-from .errors import NotFound
+from .errors import NotFound, RangeError
 from .resolution import Clause, saturate_groups
 from .terms import (
     Compound,
@@ -37,7 +38,6 @@ from .terms import (
     compile_matcher,
     format_bindings,
     is_ground,
-    match,
     normalize_negation,
     rename_apart,
     unify,
@@ -57,6 +57,13 @@ from .truth import (
 )
 
 _AND = Symbol("and")
+
+# surface name of each engine variable -> its EngineConfig field
+ENGINE_VARIABLES = {
+    "inference-cutoff": "inference_cutoff",
+    "accept-as-true": "accept_as_true",
+    "max-chain-depth": "max_chain_depth",
+}
 
 
 FactRecord = namedtuple("FactRecord", "base tv")
@@ -260,32 +267,30 @@ class KnowledgeBase:
         record = self._facts.get(core)
         return record.tv if record else VACUOUS
 
-    def _candidates(self, pattern: Term):
+    def _match(self, pattern: Term, variables: tuple) -> list:
+        """(record, values) for each stored fact ``pattern`` matches: the
+        one match against the store. A ground pattern is one probe, with
+        values None; an open one is compiled and run over its index
+        bucket, giving the values of ``variables`` (None where absent)."""
+        if is_ground(pattern):
+            record = self._facts.get(pattern)
+            return [] if record is None else [(record, None)]
         key = _index_key(pattern)
-        if key is None:
-            return list(self._facts)
-        return list(self._index.get(key, ()))
+        candidates = self._facts if key is None else self._index.get(key)
+        if not candidates:
+            return []
+        matcher = compile_matcher(pattern, variables)
+        return [(self._facts[s], values) for s in candidates if (values := matcher(s)) is not None]
 
     def match_facts(self, pattern: Term, use_base: bool = False):
         """Bindings and truth values of every stored fact unifying with
-        ``pattern`` (no tag filtering).
-
-        Stored facts are ground, so a ground pattern is one probe and an
-        open one is matched one way against each candidate.
-        """
-        if is_ground(pattern):
-            record = self._facts.get(pattern)
-            if record is None:
-                return []
-            return [({}, record.base if use_base else record.tv)]
-        out = []
-        for sentence in self._candidates(pattern):
-            theta = match(pattern, sentence, {})
-            if theta is None:
-                continue
-            record = self._facts[sentence]
-            out.append((theta, record.base if use_base else record.tv))
-        return out
+        ``pattern`` (no tag filtering), through `_match`; each binding
+        dict lists the pattern's variables by name."""
+        variables = () if is_ground(pattern) else tuple(sorted(variables_in(pattern), key=attrgetter("name")))
+        return [
+            ({} if values is None else dict(zip(variables, values)), record.base if use_base else record.tv)
+            for record, values in self._match(pattern, variables)
+        ]
 
     def lookup(self, pattern: Term, tag: str = "t", cutoff: float = 1.0):
         """Stored-fact query: every binding whose tagged value reaches
@@ -441,16 +446,13 @@ class KnowledgeBase:
 
     def set_variable(self, name: str, value: float):
         """Adjust one engine threshold by its surface name."""
-        fields = {
-            "inference-cutoff": "inference_cutoff",
-            "accept-as-true": "accept_as_true",
-            "max-chain-depth": "max_chain_depth",
-        }
-        if name not in fields:
-            raise ValueError(f"unknown variable {name!r}; expected one of {', '.join(fields)}")
+        if name not in ENGINE_VARIABLES:
+            raise ValueError(f"unknown variable {name!r}; expected one of {', '.join(ENGINE_VARIABLES)}")
+        if not isfinite(value):
+            raise RangeError(f"{name} must be finite, got {value!r}")
         if name == "max-chain-depth":
             value = int(value)
-        self.config = self.config.copy(**{fields[name]: value})
+        self.config = self.config.copy(**{ENGINE_VARIABLES[name]: value})
 
     def load(self, statements):
         for stmt in statements:

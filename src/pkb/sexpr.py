@@ -9,11 +9,13 @@ runs to the end of the line. The statement forms are:
     (control <pattern> lookup|backward-chain|resolution)
     (setvar <name> <number>)
 
-Variables are written ``$name``. Truth values are dotted pairs of
-decimal reals. A fact or rule consequence wrapped in ``(not ...)`` is
-normalized at read time: the wrapper is stripped and the truth value
-swapped, so printing always emits the normalized form. Printing and
-parsing round-trip: parse(print(s)) == s for every valid statement.
+Variables are written ``$name``. A word that reads as a finite real is
+a number; any other word, ``inf`` and ``nan`` among them, is a symbol.
+Truth values are dotted pairs of decimal reals. A fact or rule
+consequence wrapped in ``(not ...)`` is normalized at read time: the
+wrapper is stripped and the truth value swapped, so printing always
+emits the normalized form. Printing and parsing round-trip:
+parse(print(s)) == s for every valid statement.
 
 One regular expression splits the text into tokens, which are plain
 strings. Tokens carry no position: a `ParseError`'s line and column are
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from math import isfinite
 
 from .errors import ParseError
 from .terms import (
@@ -120,10 +123,13 @@ class _Parser:
             if tok == "$":
                 self.fail("variable name missing after '$'", self.pos - 1)
             return Variable(tok[1:])
+        if tok[0].isalpha():  # of float spellings, only inf and nan start with a letter
+            return Symbol(tok)
         try:
-            return Number(float(tok))
+            value = float(tok)
         except ValueError:
             return Symbol(tok)
+        return Number(value) if isfinite(value) else Symbol(tok)
 
     def real(self) -> float:
         tok = self.expect("atom")

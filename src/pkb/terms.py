@@ -5,13 +5,16 @@ Sentences are s-expression terms: symbols, numbers, variables (written
 All term objects are immutable and hashable, so ground sentences can key
 dictionaries directly. Each term computes its hash once, when it is
 built, and a compound also records whether it is ground; so a dict probe
-costs no walk over the term, and `substitute`, `match` and `is_ground`
-return at once on a ground compound.
+costs no walk over the term, and `substitute` and `is_ground` return at
+once on a ground compound.
 
-Bindings are plain dicts from Variable to Term. They are triangular: a
-variable may map to a term containing variables bound elsewhere in the
-same dict, and `substitute` chases those chains, so applying a binding
-twice is the same as applying it once.
+Goal-directed work uses `unify` and `substitute` over bindings: plain
+dicts from Variable to Term. They are triangular: a variable may map to
+a term containing variables bound elsewhere in the same dict, and
+`substitute` chases those chains, so applying a binding twice is the
+same as applying it once. Matching against ground facts uses compiled
+code instead: `compile_matcher` reads a tuple of variable values off a
+ground term, and `compile_builder` builds a term from such a tuple.
 """
 
 from __future__ import annotations
@@ -185,29 +188,6 @@ def unify(t1: Term, t2: Term, bindings: Bindings | None = None) -> Bindings | No
     return None
 
 
-def match(pattern: Term, ground: Term, bindings: Bindings) -> Bindings | None:
-    """One-way unification of ``pattern`` against a ground term.
-
-    Only the pattern's variables are bound, so no occurs check is
-    needed. For ground ``ground`` this returns what
-    ``unify(pattern, ground, bindings)`` returns.
-    """
-    pattern = walk(pattern, bindings)
-    if pattern._ground:
-        return bindings if pattern == ground else None
-    if isinstance(pattern, Variable):
-        out = dict(bindings)
-        out[pattern] = ground
-        return out
-    if not isinstance(ground, Compound) or len(pattern.elements) != len(ground.elements):
-        return None
-    for p, g in zip(pattern.elements, ground.elements):
-        bindings = match(p, g, bindings)
-        if bindings is None:
-            return None
-    return bindings
-
-
 def substitute(t: Term, bindings: Bindings) -> Term:
     """Replace every bound variable, following chains; unbound ones stay."""
     t = walk(t, bindings)
@@ -232,6 +212,19 @@ def is_ground(t: Term) -> bool:
     return t._ground
 
 
+def _rename(t: Term, mapping: dict, fresh) -> Term:
+    """``t`` with each variable v replaced by ``mapping[v]``, which is
+    set to ``fresh(v)`` on first sight; ground subterms come back as
+    they are."""
+    if t._ground:
+        return t
+    if isinstance(t, Variable):
+        if t not in mapping:
+            mapping[t] = fresh(t)
+        return mapping[t]
+    return Compound(tuple(_rename(e, mapping, fresh) for e in t.elements))
+
+
 def rename_apart(terms: list[Term]) -> list[Term]:
     """Fresh-variable copies sharing no variables with the originals.
 
@@ -240,17 +233,7 @@ def rename_apart(terms: list[Term]) -> list[Term]:
     """
     suffix = next(_rename_counter)
     mapping = {}
-
-    def rec(t: Term) -> Term:
-        if isinstance(t, Variable):
-            if t not in mapping:
-                mapping[t] = Variable(f"{t.name}__{suffix}")
-            return mapping[t]
-        if isinstance(t, Compound):
-            return Compound(tuple(rec(e) for e in t.elements))
-        return t
-
-    return [rec(t) for t in terms]
+    return [_rename(t, mapping, lambda v: Variable(f"{v.name}__{suffix}")) for t in terms]
 
 
 @lru_cache(maxsize=256)
@@ -293,9 +276,10 @@ def compile_builder(shape, variables: tuple, partial: bool = False):
 
 
 def compile_matcher(pattern: Term, variables: tuple):
-    """Compile ``pattern`` into a one-way matcher of ground terms, which
-    agrees with `match` but returns the values of ``variables`` in order
-    (None for those the pattern lacks), or None for no match."""
+    """Compile ``pattern`` into a one-way matcher of ground terms. For a
+    ground term that unifies with ``pattern`` it returns the values the
+    unifier gives ``variables``, in order (None for those the pattern
+    lacks); for any other it returns None."""
     constants, tests, bound = [], [], {}
 
     def visit(t, expr):
@@ -345,26 +329,11 @@ def canonical_form(t: Term) -> Term:
     and ancestor-loop checks compare.
     """
     mapping = {}
-
-    def rec(t: Term) -> Term:
-        if isinstance(t, Variable):
-            if t not in mapping:
-                mapping[t] = Variable(f"_{len(mapping)}")
-            return mapping[t]
-        if isinstance(t, Compound):
-            return Compound(tuple(rec(e) for e in t.elements))
-        return t
-
-    return rec(t)
+    return _rename(t, mapping, lambda v: Variable(f"_{len(mapping)}"))
 
 
-def format_bindings(bindings: Bindings, restrict: set | None = None) -> str:
+def format_bindings(bindings: Bindings) -> str:
     """Render bindings as ``{$x=fred, $y=2}``, sorted by variable name."""
-    items = [
-        (v, t)
-        for v, t in bindings.items()
-        if restrict is None or v in restrict
-    ]
-    items.sort(key=lambda item: item[0].name)
+    items = sorted(bindings.items(), key=lambda item: item[0].name)
     inner = ", ".join(f"${v.name}={t}" for v, t in items)
     return "{" + inner + "}"

@@ -134,6 +134,22 @@ class TestSetvarAndLoad:
     def test_setvar_out_of_range(self, capsys):
         assert main(["setvar", "accept-as-true", "0"]) == 2
 
+    def test_setvar_non_finite_exits_two(self, capsys):
+        assert main(["setvar", "max-chain-depth", "inf"]) == 2
+        assert capsys.readouterr().err.startswith("error: max-chain-depth must be finite")
+
+    def test_non_finite_setvar_in_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.pkb"
+        path.write_text("(setvar max-chain-depth 1e400)")
+        assert main(["--kb", str(path), "query", "(foo $x)"]) == 2
+        assert capsys.readouterr().err.startswith("error: max-chain-depth must be finite")
+
+    def test_inf_word_is_a_symbol(self, tmp_path, capsys):
+        path = tmp_path / "inf.pkb"
+        path.write_text("(fact (foo inf) (1 . 0))")
+        assert main(["--kb", str(path), "query", "(foo $x)"]) == 0
+        assert capsys.readouterr().out == "{$x=inf} 1\n"
+
 
 class TestTraceAndRepl:
     def test_trace_streams_to_stderr(self, tweety_file, capsys, monkeypatch):

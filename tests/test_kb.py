@@ -1,15 +1,21 @@
 """Tests for fact storage, negation normalization, lookup and the ledger."""
 
+import math
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import pkb.kb
 from pkb.errors import NotFound, RangeError, TotalConflict
 from pkb.forward import Justification
 from pkb.kb import KnowledgeBase, make_rule, unwrap_query
 from pkb.sexpr import parse_sentence as S
-from pkb.terms import format_bindings, normalize_negation, sym, unify, var
-from pkb.truth import FALSE, TRUE, VACUOUS, TruthValue
+from pkb.terms import Compound, Number, compound, format_bindings, normalize_negation, sym, unify, var
+from pkb.truth import FALSE, TRUE, VACUOUS, TAG_NAMES, TruthValue, tagged_answers
 
+from kbgen import build_kb, random_tv, random_var_kb
 from oracles import oracle_combine
 
 TOL = 1e-9
@@ -130,6 +136,76 @@ class TestLookup:
     def test_cutoff_validation(self, two_facts):
         with pytest.raises(RangeError):
             two_facts.lookup(S("(foo $x)"), "t", 1.5)
+
+
+LEAVES = [sym("a"), sym("b"), Number(1.0), Number(2.0), compound(sym("f"), sym("a")), compound(sym("f"), Number(1.0))]
+X, Y, P = var("x"), var("y"), var("p")
+
+
+def _match_kb(seed: int) -> KnowledgeBase:
+    """A random `kbgen` KB plus facts of other shapes: two arguments,
+    nested compounds and numbers."""
+    rng = random.Random(seed)
+    kb = build_kb(*random_var_kb(rng))
+    for _ in range(rng.randrange(4, 16)):
+        head = sym(rng.choice(["e", "g", "p0_0"]))
+        args = [rng.choice(LEAVES) for _ in range(rng.randrange(1, 3))]
+        kb.stash(Compound((head, *args)), random_tv(rng))
+    return kb
+
+
+def _scan(kb, pattern, use_base=False):
+    """Reference `match_facts`: unify the pattern with every stored fact."""
+    out = []
+    for sentence, record in kb.facts():
+        theta = unify(pattern, sentence, {})
+        if theta is not None:
+            out.append((theta, record.base if use_base else record.tv))
+    return out
+
+
+@st.composite
+def open_patterns(draw):
+    head = draw(st.sampled_from([sym("e"), sym("g"), sym("p0_0"), sym("p1_0"), P]))
+    args = st.sampled_from([*LEAVES, X, Y, compound(sym("f"), X), Number(1)])
+    return Compound((head, *draw(st.lists(args, min_size=1, max_size=2))))
+
+
+NAMED_PATTERNS = [
+    compound(sym("e"), X, X),  # a repeated variable
+    compound(sym("e"), compound(sym("f"), X), Y),  # a nested compound
+    compound(sym("e"), Number(1), Y),  # Number(1) against a stored 1.0
+    compound(P, sym("a")),  # a variable head
+    compound(P, X, X),
+    X,
+]
+
+
+class TestMatchFacts:
+    @given(seed=st.integers(0, 10**6), pattern=open_patterns() | st.sampled_from(NAMED_PATTERNS), use_base=st.booleans())
+    def test_agrees_with_unify_scan(self, seed, pattern, use_base):
+        kb = _match_kb(seed)
+        assert kb.match_facts(pattern, use_base) == _scan(kb, pattern, use_base)
+
+    @given(seed=st.integers(0, 10**6), pattern=st.sampled_from(NAMED_PATTERNS), tag=st.sampled_from(TAG_NAMES))
+    def test_lookup_agrees_with_unify_scan(self, seed, pattern, tag):
+        kb = _match_kb(seed)
+        for cutoff in (0.0, 0.3):
+            assert kb.lookup(pattern, tag, cutoff) == tagged_answers(_scan(kb, pattern), tag, cutoff)
+
+    def test_named_patterns_find_their_facts(self):
+        kb = KnowledgeBase()
+        for sentence in ("(e a a)", "(e a b)", "(e (f a) 2)", "(e 1 b)", "(g a)", "(e a)"):
+            kb.stash(S(sentence), TruthValue(0.5, 0.0))
+        found = {str(pattern): sorted(format_bindings(t) for t, _ in kb.match_facts(pattern)) for pattern in NAMED_PATTERNS}
+        assert found == {
+            "(e $x $x)": ["{$x=a}"],
+            "(e (f $x) $y)": ["{$x=a, $y=2}"],
+            "(e 1 $y)": ["{$y=b}"],
+            "($p a)": ["{$p=e}", "{$p=g}"],
+            "($p $x $x)": ["{$p=e, $x=a}"],
+            "$x": sorted(f"{{$x={s}}}" for s in ("(e a a)", "(e a b)", "(e (f a) 2)", "(e 1 b)", "(g a)", "(e a)")),
+        }
 
 
 class TestUnwrapQuery:
@@ -283,3 +359,24 @@ class TestSetVariable:
     def test_out_of_range(self, kb):
         with pytest.raises(RangeError):
             kb.set_variable("accept-as-true", 0.0)
+
+    @pytest.mark.parametrize("name", ["max-chain-depth", "inference-cutoff", "accept-as-true"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_leaves_config_unchanged(self, kb, name, value):
+        before = kb.config.copy()
+        with pytest.raises(RangeError):
+            kb.set_variable(name, value)
+        assert kb.config == before
+
+    def test_non_finite_in_a_file(self, kb):
+        with pytest.raises(RangeError):
+            kb.load_text("(setvar max-chain-depth 1e400)")
+        assert kb.config.max_chain_depth == 64
+
+
+class TestNonFiniteWords:
+    def test_nan_fact_is_retrievable(self, kb):
+        kb.load_text("(fact (foo nan) (1 . 0)) (fact (foo inf) (0.5 . 0))")
+        assert kb.retrieve(S("(foo nan)")) == TruthValue(1.0, 0.0)
+        assert kb.lookup(S("(foo nan)")) == [({}, 1.0)]
+        assert sorted(str(t[X]) for t, _ in kb.lookup(S("(foo $x)"), "t", 0.5)) == ["inf", "nan"]

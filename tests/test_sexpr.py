@@ -172,6 +172,16 @@ class TestSentenceHelpers:
         got = parse_sentence("(age fred 42)")
         assert got == compound(sym("age"), sym("fred"), Number(42.0))
 
+    @pytest.mark.parametrize("word", ["inf", "nan", "NaN", "-inf", "+Infinity", "-Infinity", "1e400", "-1e400"])
+    def test_non_finite_words_are_symbols(self, word):
+        assert parse_sentence(f"(foo {word})") == compound(sym("foo"), sym(word))
+        (stmt,) = parse_kb(f"(fact (foo {word}) (1 . 0))")
+        assert print_statement(stmt) == f"(fact (foo {word}) (1 . 0))"
+
+    @pytest.mark.parametrize("word", ["1e300", "-0.5", "+7", "١٢"])
+    def test_finite_words_are_numbers(self, word):
+        assert parse_sentence(word) == Number(float(word))
+
 
 class TestRoundTrip:
     def test_golden_corpus(self):

@@ -12,10 +12,10 @@ from pkb.terms import (
     Term,
     Variable,
     canonical_form,
+    compile_matcher,
     compound,
     format_bindings,
     is_ground,
-    match,
     normalize_negation,
     rename_apart,
     substitute,
@@ -81,6 +81,13 @@ class TestUnify:
         assert (unify(t1, t2) is None) == (unify(t2, t1) is None)
 
 
+def _match(pattern, ground):
+    """``compile_matcher``'s result for ``ground`` as a binding dict, or None."""
+    variables = tuple(sorted(variables_in(pattern), key=lambda v: v.name))
+    values = compile_matcher(pattern, variables)(ground)
+    return None if values is None else dict(zip(variables, values))
+
+
 class TestMatch:
     @given(p=terms(), q=terms(), values=st.lists(terms(), min_size=3, max_size=3), same=st.booleans())
     def test_agrees_with_unify_on_ground_terms(self, p, q, values, same):
@@ -89,7 +96,7 @@ class TestMatch:
         leaves = {var(n): sym("a") for n in "xyz"}
         grounding = {var(n): substitute(v, leaves) for n, v in zip("xyz", values)}
         g = substitute(p if same else q, grounding)
-        theta = match(p, g, {})
+        theta = _match(p, g)
         unifier = unify(p, g, {})
         assert (theta is None) == (unifier is None)
         if same:
@@ -100,8 +107,9 @@ class TestMatch:
 
     def test_repeated_variable_must_bind_consistently(self):
         pattern = compound(sym("p"), var("x"), var("x"))
-        assert match(pattern, compound(sym("p"), sym("a"), sym("a")), {}) == {var("x"): sym("a")}
-        assert match(pattern, compound(sym("p"), sym("a"), sym("b")), {}) is None
+        assert _match(pattern, compound(sym("p"), sym("a"), sym("a"))) == {var("x"): sym("a")}
+        assert _match(pattern, compound(sym("p"), sym("a"), sym("b"))) is None
+        assert unify(pattern, compound(sym("p"), sym("a"), sym("b")), {}) is None
 
 
 class TestSubstitute:
@@ -276,13 +284,13 @@ class TestCompiledRules:
             assert is_ground(pattern(partial)) == is_ground(substitute(core, bound))
 
     @given(case=rules(), other=terms())
-    def test_matchers_agree_with_match(self, case, other):
+    def test_matchers_agree_with_unify(self, case, other):
         rule, values = case
         theta = dict(zip(rule.variables, values))
         grounding = {v: sym("a") for v in variables_in(other)}
         for (core, _positive), matcher in zip(rule.conjuncts, rule.matchers):
             for ground in (substitute(core, theta), substitute(other, grounding)):
-                expected = match(core, ground, {})
+                expected = unify(core, ground, {})
                 got = matcher(ground)
                 if expected is None:
                     assert got is None
