@@ -27,10 +27,15 @@ Recursion into a variant of an ancestor goal contributes nothing (a
 sound, terminating reading of rule cycles), and subgoal results are
 cached for the duration of one top-level ``prove`` call.
 
-Every instance an agenda accumulates is ground: a fact task's instances
-are stored facts, and a rule task's premise solutions bind every premise
-variable to a ground instance, which binds the consequence too (see
-`kb.make_rule`).
+Rules are proved in the compiled form forward chaining uses (see
+`kb.Rule`): an instance is a tuple of rule-variable values, so a rule's
+variables never clash with a goal's and nothing is renamed apart. A rule
+task is seeded with what the goal's ground subterms fix. Conjunct i's
+subgoal is ``rule.patterns[i]`` under the values so far (open variables
+keep the rule's names); ``rule.matchers[i]`` reads values off each
+answer. A complete instance gives a ground consequence (see
+`kb.make_rule`), which an open goal keeps only if it matches: no seed
+can demand a repeated goal variable, or a goal compound's variables.
 
 Settings are read from ``kb.config``. Trace lines, like every engine's,
 go through ``KnowledgeBase.trace`` and are built only when it is set:
@@ -41,6 +46,8 @@ go through ``KnowledgeBase.trace`` and are built only when it is set:
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from . import resolution  # looked up per call, so a wrapper set on the module applies
 from .errors import DepthExceeded
 from .kb import KnowledgeBase, unwrap_query
@@ -48,9 +55,8 @@ from .terms import (
     canonical_form,
     is_ground,
     normalize_negation,
-    rename_apart,
-    substitute,
-    unify,
+    seed_values,
+    variables_in,
 )
 from .truth import (
     VACUOUS,
@@ -99,21 +105,16 @@ def _solve(goal, state: _State) -> list:
     return result
 
 
-def _prove_conjuncts(conjuncts, theta, state: _State) -> list:
-    """All premise solutions: complete bindings with conjoined values.
-
-    Conjuncts are (core, positive) pairs; solving threads bindings left
-    to right, so variables bound by one conjunct narrow the next.
-    """
-    solutions = [(theta, TruthValue(1.0, 0.0))]
-    for core, positive in conjuncts:
+def _prove_conjuncts(rule, seed: tuple, state: _State) -> list:
+    """(values, premise tv) for each complete instance of ``rule``
+    extending ``seed`` (None for an open variable), solving conjuncts
+    left to right so that values one fixes narrow the next."""
+    solutions = [(seed, TruthValue(1.0, 0.0))]
+    for pattern, matcher, (_core, positive) in zip(rule.patterns, rule.matchers, rule.conjuncts):
         extended = []
-        for binding, acc in solutions:
-            subgoal = substitute(core, binding)
-            for instance, tv in _solve(subgoal, state):
-                merged = unify(subgoal, instance, binding)
-                if merged is None:
-                    continue
+        for values, acc in solutions:
+            for instance, tv in _solve(pattern(values), state):
+                merged = tuple([f if v is None else v for v, f in zip(values, matcher(instance))])
                 extended.append((merged, conjoin(acc, tv if positive else negate(tv))))
         solutions = extended
     return solutions
@@ -125,6 +126,7 @@ def _run_agenda(goal, state: _State) -> list:
     answers: dict = {}
     accepted: set = set()
     goal_ground = is_ground(goal)
+    goal_variables = () if goal_ground else tuple(variables_in(goal))
 
     def accumulate(instance, contribution):
         if instance in accepted or contribution.is_vacuous():
@@ -151,13 +153,10 @@ def _run_agenda(goal, state: _State) -> list:
     for rule in kb.rules_concluding(goal):
         if rule.rule_tv.mass < config.inference_cutoff:
             continue  # could never shift any conclusion enough to matter
-        renamed = rename_apart([rule.consequence] + [core for core, _ in rule.conjuncts])
-        consequence = renamed[0]
-        conjuncts = list(zip(renamed[1:], (pos for _, pos in rule.conjuncts)))
-        theta = unify(consequence, goal, {})
-        if theta is None:
+        seed = seed_values(rule.consequence, goal, rule.variables)
+        if seed is None:
             continue
-        tasks.append((state.priority_fn("rule", rule), (rule, consequence, conjuncts, theta)))
+        tasks.append((state.priority_fn("rule", rule), (rule, seed)))
     # a stable sort: equal priorities keep the order they were added in
     tasks.sort(key=lambda task: -task[0])
 
@@ -166,17 +165,16 @@ def _run_agenda(goal, state: _State) -> list:
             break
         last = None
         if task is None:
-            for theta, base_tv in kb.match_facts(goal, use_base=True):
-                instance = substitute(goal, theta)
-                accumulate(instance, base_tv)
+            for instance, record, _values in kb._match(goal, ()):
+                accumulate(instance, record.base)
                 last = instance
         else:
-            rule, consequence, conjuncts, theta = task
-            for full_theta, premise_tv in _prove_conjuncts(conjuncts, theta, state):
-                contribution = propagate(premise_tv, rule.rule_tv)
-                instance = substitute(consequence, full_theta)
-                accumulate(instance, contribution)
-                last = instance
+            rule, seed = task
+            for values, premise_tv in _prove_conjuncts(rule, seed, state):
+                instance = rule.instantiate(values)[1]
+                if goal_ground or seed_values(goal, instance, goal_variables) is not None:
+                    accumulate(instance, propagate(premise_tv, rule.rule_tv))
+                    last = instance
         if kb.trace is not None:
             source = "fact" if task is None else f"rule:{task[0].id}"
             kb._emit(f"TASK goal={goal} src={source} acc={current_acc(last)}")
@@ -187,20 +185,16 @@ def _run_agenda(goal, state: _State) -> list:
 def prove(kb: KnowledgeBase, goal, priority_fn=None) -> list:
     """Accumulated truth values for every binding of ``goal``.
 
-    Returns a list of (bindings, tv) pairs, the bindings restricted to
-    the goal's own variables. A goal wrapped in ``(not ...)`` is proved
-    through its core with the answers swapped.
+    Returns a list of (bindings, tv) pairs, the bindings a dict from
+    each of the goal's own variables to its value. A goal wrapped in
+    ``(not ...)`` is proved through its core with the answers swapped.
     """
     core, flipped = normalize_negation(goal)
-    state = _State(kb, priority_fn)
-    results = _solve(core, state)
-    answers = []
-    for instance, tv in results:
-        theta = unify(core, instance, {})
-        if theta is None:
-            continue
-        answers.append((theta, negate(tv) if flipped else tv))
-    return answers
+    variables = tuple(sorted(variables_in(core), key=attrgetter("name")))
+    return [
+        (dict(zip(variables, seed_values(core, instance, variables))), negate(tv) if flipped else tv)
+        for instance, tv in _solve(core, _State(kb, priority_fn))
+    ]
 
 
 def truep(kb: KnowledgeBase, goal, tag: str = "t", cutoff: float = 1.0, method: str | None = None) -> list:

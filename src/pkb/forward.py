@@ -96,7 +96,7 @@ def _instances(kb: "KnowledgeBase", rule: "Rule", seed: tuple) -> list:
     for pattern in rule.patterns:
         extended = []
         for values in solutions:
-            for _record, found in kb._match(pattern(values), rule.variables):
+            for _sentence, _record, found in kb._match(pattern(values), rule.variables):
                 # a ground probe finds no values; the instance stays as it is
                 extended.append(
                     values if found is None else tuple([f if v is None else v for v, f in zip(values, found)])

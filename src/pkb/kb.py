@@ -34,12 +34,12 @@ from .terms import (
     Compound,
     Symbol,
     Term,
+    canonical_form,
     compile_builder,
     compile_matcher,
     format_bindings,
     is_ground,
     normalize_negation,
-    rename_apart,
     unify,
     variables_in,
 )
@@ -183,8 +183,8 @@ class KnowledgeBase:
         # (clause count, config copy, saturated clause groups)
         self._saturation: tuple | None = None
         self.control_entries: list[ControlEntry] = []
-        # each entry's pattern renamed apart once, so dispatch unifies
-        # without a fresh copy per goal
+        # each entry's pattern in canonical form, whose variables no
+        # parsed goal can share, so dispatch unifies it with goals as is
         self._dispatch: list[tuple[Term, str]] = []
         # (rule id, instance values) -> justification; see _ledger_key
         self._ledger: dict[tuple, forward.Justification] = {}
@@ -268,28 +268,28 @@ class KnowledgeBase:
         return record.tv if record else VACUOUS
 
     def _match(self, pattern: Term, variables: tuple) -> list:
-        """(record, values) for each stored fact ``pattern`` matches: the
-        one match against the store. A ground pattern is one probe, with
-        values None; an open one is compiled and run over its index
+        """(sentence, record, values) for each stored fact ``pattern``
+        matches: the one match against the store. A ground pattern is one
+        probe, with values None; an open one is compiled and run over its
         bucket, giving the values of ``variables`` (None where absent)."""
         if is_ground(pattern):
             record = self._facts.get(pattern)
-            return [] if record is None else [(record, None)]
+            return [] if record is None else [(pattern, record, None)]
         key = _index_key(pattern)
         candidates = self._facts if key is None else self._index.get(key)
         if not candidates:
             return []
         matcher = compile_matcher(pattern, variables)
-        return [(self._facts[s], values) for s in candidates if (values := matcher(s)) is not None]
+        return [(s, self._facts[s], values) for s in candidates if (values := matcher(s)) is not None]
 
-    def match_facts(self, pattern: Term, use_base: bool = False):
+    def match_facts(self, pattern: Term):
         """Bindings and truth values of every stored fact unifying with
         ``pattern`` (no tag filtering), through `_match`; each binding
         dict lists the pattern's variables by name."""
         variables = () if is_ground(pattern) else tuple(sorted(variables_in(pattern), key=attrgetter("name")))
         return [
-            ({} if values is None else dict(zip(variables, values)), record.base if use_base else record.tv)
-            for record, values in self._match(pattern, variables)
+            ({} if values is None else dict(zip(variables, values)), record.tv)
+            for _sentence, record, values in self._match(pattern, variables)
         ]
 
     def lookup(self, pattern: Term, tag: str = "t", cutoff: float = 1.0):
@@ -346,7 +346,7 @@ class KnowledgeBase:
     def add_control(self, pattern: Term, method: str) -> ControlEntry:
         entry = ControlEntry(pattern, method)
         self.control_entries.append(entry)
-        self._dispatch.append((rename_apart([pattern])[0], method))
+        self._dispatch.append((canonical_form(pattern), method))
         return entry
 
     def dispatch(self, goal: Term) -> str | None:
@@ -451,6 +451,8 @@ class KnowledgeBase:
         if not isfinite(value):
             raise RangeError(f"{name} must be finite, got {value!r}")
         if name == "max-chain-depth":
+            if value != int(value):
+                raise RangeError(f"{name} must be a whole number, got {value!r}")
             value = int(value)
         self.config = self.config.copy(**{ENGINE_VARIABLES[name]: value})
 

@@ -8,22 +8,25 @@ built, and a compound also records whether it is ground; so a dict probe
 costs no walk over the term, and `substitute` and `is_ground` return at
 once on a ground compound.
 
-Goal-directed work uses `unify` and `substitute` over bindings: plain
-dicts from Variable to Term. They are triangular: a variable may map to
-a term containing variables bound elsewhere in the same dict, and
-`substitute` chases those chains, so applying a binding twice is the
-same as applying it once. Matching against ground facts uses compiled
-code instead: `compile_matcher` reads a tuple of variable values off a
-ground term, and `compile_builder` builds a term from such a tuple.
+Matching and building go through instances: tuples of ground values,
+one per variable of a pattern. `compile_matcher` reads one off a ground
+term, `compile_builder` builds a term from one, and `seed_values` reads
+what a goal fixes of a pattern. Nothing is renamed apart.
+
+`unify` and `substitute` work over bindings: plain dicts from Variable
+to Term. They are triangular: a variable may map to a term containing
+variables bound elsewhere in the same dict, and `substitute` chases
+those chains, so applying a binding twice is the same as applying it
+once. They serve goal-level checks (`KnowledgeBase.dispatch` and
+`KnowledgeBase.why`) and the tests, which check compiled code against
+them.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from operator import attrgetter
 
-_rename_counter = itertools.count(1)
 _set = object.__setattr__
 
 
@@ -89,7 +92,8 @@ class Number(Term):
     value = Term._payload
 
     def __str__(self):
-        if self.value == int(self.value):
+        # repr writes integral floats from 1e16 up with an exponent
+        if self.value == int(self.value) and abs(self.value) < 1e16:
             return str(int(self.value))
         return repr(self.value)
 
@@ -212,30 +216,6 @@ def is_ground(t: Term) -> bool:
     return t._ground
 
 
-def _rename(t: Term, mapping: dict, fresh) -> Term:
-    """``t`` with each variable v replaced by ``mapping[v]``, which is
-    set to ``fresh(v)`` on first sight; ground subterms come back as
-    they are."""
-    if t._ground:
-        return t
-    if isinstance(t, Variable):
-        if t not in mapping:
-            mapping[t] = fresh(t)
-        return mapping[t]
-    return Compound(tuple(_rename(e, mapping, fresh) for e in t.elements))
-
-
-def rename_apart(terms: list[Term]) -> list[Term]:
-    """Fresh-variable copies sharing no variables with the originals.
-
-    The input terms are renamed consistently with each other (the same
-    variable maps to the same fresh variable across the list).
-    """
-    suffix = next(_rename_counter)
-    mapping = {}
-    return [_rename(t, mapping, lambda v: Variable(f"{v.name}__{suffix}")) for t in terms]
-
-
 @lru_cache(maxsize=256)
 def _code(source: str):
     return compile(source, "<rule>", "exec")
@@ -301,6 +281,32 @@ def compile_matcher(pattern: Term, variables: tuple):
     return _define(f"def f(g):\n{body}    return ({result})\n", constants)
 
 
+def seed_values(pattern: Term, goal: Term, variables: tuple):
+    """For each of ``variables``, the ground subterm of ``goal`` it meets
+    in ``pattern`` (None where it meets none); None when the two clash
+    there. A variable of ``goal`` matches anything and fixes nothing, so
+    the two never share one, and what it demands (such as a repeated
+    variable) is left to the caller. For a ground ``goal`` this is the
+    one-way match `compile_matcher` compiles."""
+    values = [None] * len(variables)
+    return tuple(values) if _seed(pattern, goal, variables, values) else None
+
+
+def _seed(p: Term, g: Term, variables: tuple, values: list) -> bool:
+    if type(g) is Variable or p == g:
+        return True
+    if type(p) is Variable:
+        if not g._ground:
+            return True
+        i = variables.index(p)
+        if values[i] is None:
+            values[i] = g
+        return values[i] == g
+    if type(p) is Compound and type(g) is Compound and len(p.elements) == len(g.elements):
+        return all(_seed(a, b, variables, values) for a, b in zip(p.elements, g.elements))
+    return False
+
+
 _NOT = Symbol("not")
 
 
@@ -326,10 +332,21 @@ def canonical_form(t: Term) -> Term:
 
     Two terms that are variants of each other (equal up to a renaming of
     variables) share one canonical form, which is what goal memoization
-    and ancestor-loop checks compare.
+    and ancestor-loop checks compare. A placeholder's name starts with a
+    space, which no ``$`` word can hold, so no parsed term shares one.
     """
     mapping = {}
-    return _rename(t, mapping, lambda v: Variable(f"_{len(mapping)}"))
+
+    def rename(t):
+        if t._ground:
+            return t
+        if isinstance(t, Variable):
+            if t not in mapping:
+                mapping[t] = Variable(f" {len(mapping)}")
+            return mapping[t]
+        return Compound(tuple(map(rename, t.elements)))
+
+    return rename(t)
 
 
 def format_bindings(bindings: Bindings) -> str:

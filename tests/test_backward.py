@@ -9,7 +9,7 @@ from pkb.backward import prove, truep
 from pkb.errors import DepthExceeded, RangeError
 from pkb.kb import KnowledgeBase
 from pkb.sexpr import parse_sentence as S
-from pkb.terms import sym, var
+from pkb.terms import format_bindings, sym, var
 from pkb.truth import TRUE, EngineConfig, TruthValue, combine
 
 from kbgen import build_kb, ground_rules_to_terms, random_ground_kb
@@ -116,6 +116,27 @@ class TestProve:
         answers = prove(kb, S("(grandparent alice $z)"))
         assert len(answers) == 1
         assert answers[0][0][var("z")] == sym("carol")
+
+    @pytest.mark.parametrize(
+        "goal, answers",
+        [
+            ("(r $u $u)", {"{$u=a}": 0.9}),  # a repeated goal variable
+            ("(r (f $u) $w)", {"{$u=a, $w=a}": 0.9, "{$u=a, $w=b}": 0.9}),  # a compound with a variable inside
+        ],
+    )
+    def test_open_goal_keeps_only_answers_that_match_it(self, goal, answers):
+        kb = KnowledgeBase()
+        kb.load_text(
+            """
+            (rule (and (p $x) (q $y)) (r $x $y) (0.9 . 0))
+            (fact (p a) (1 . 0))
+            (fact (p (f a)) (1 . 0))
+            (fact (q a) (1 . 0))
+            (fact (q b) (1 . 0))
+            """
+        )
+        got = {format_bindings(theta): tv.belief for theta, tv in prove(kb, S(goal))}
+        assert got == pytest.approx(answers)
 
     def test_cycle_terminates_and_contributes_vacuously(self):
         kb = KnowledgeBase()
@@ -316,13 +337,13 @@ class TestConsequenceIndex:
 
     def test_unrelated_rules_add_no_work(self, monkeypatch):
         calls = []
-        original = pkb.backward.rename_apart
+        original = pkb.backward.seed_values
 
-        def counting(terms):
-            calls.append(terms)
-            return original(terms)
+        def counting(pattern, goal, variables):
+            calls.append(pattern)
+            return original(pattern, goal, variables)
 
-        monkeypatch.setattr(pkb.backward, "rename_apart", counting)
+        monkeypatch.setattr(pkb.backward, "seed_values", counting)
 
         def run(n_unrelated):
             kb = KnowledgeBase()

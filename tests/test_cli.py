@@ -1,5 +1,10 @@
 """CLI behavior: output format, exit codes, golden agreement with the library."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pkb.backward import truep
@@ -10,6 +15,14 @@ from pkb.sexpr import parse_sentence as S
 FOO_KB = """
 (fact (foo fred) (0.3 . 0.2))
 (fact (foo harry) (0.7 . 0.0))
+"""
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CLASH_KB = """
+(rule (and (p $x) (q $y)) (r $x $y) (0.9 . 0))
+(fact (p a) (1 . 0))
+(fact (q b) (1 . 0))
 """
 
 TWEETY_KB = """
@@ -144,6 +157,11 @@ class TestSetvarAndLoad:
         assert main(["--kb", str(path), "query", "(foo $x)"]) == 2
         assert capsys.readouterr().err.startswith("error: max-chain-depth must be finite")
 
+    @pytest.mark.parametrize("value", ["2.7", "0.5"])
+    def test_setvar_fractional_depth_exits_two(self, value, capsys):
+        assert main(["setvar", "max-chain-depth", value]) == 2
+        assert capsys.readouterr().err == f"error: max-chain-depth must be a whole number, got {float(value)!r}\n"
+
     def test_inf_word_is_a_symbol(self, tmp_path, capsys):
         path = tmp_path / "inf.pkb"
         path.write_text("(fact (foo inf) (1 . 0))")
@@ -182,3 +200,24 @@ class TestTraceAndRepl:
         monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
         code = main([])
         assert code == 0
+
+
+class TestFreshProcess:
+    """Runs ``python -m pkb`` in a new interpreter, so that the names a
+    clash needs cannot depend on what earlier tests in this process ran."""
+
+    @pytest.mark.parametrize(
+        "goal, answer",
+        [("(r $y__1 $x__1)", "{$x__1=b, $y__1=a} 0.9"), ("(r $u $v)", "{$u=a, $v=b} 0.9")],
+    )
+    def test_query_variables_never_clash_with_rule_variables(self, tmp_path, goal, answer):
+        path = tmp_path / "clash.pkb"
+        path.write_text(CLASH_KB)
+        result = subprocess.run(
+            [sys.executable, "-m", "pkb", "--kb", str(path), "query", "--method", "bc", "--cutoff", "0.5", goal],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, answer + "\n", "")

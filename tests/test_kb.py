@@ -1,7 +1,11 @@
 """Tests for fact storage, negation normalization, lookup and the ledger."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -154,13 +158,13 @@ def _match_kb(seed: int) -> KnowledgeBase:
     return kb
 
 
-def _scan(kb, pattern, use_base=False):
+def _scan(kb, pattern):
     """Reference `match_facts`: unify the pattern with every stored fact."""
     out = []
     for sentence, record in kb.facts():
         theta = unify(pattern, sentence, {})
         if theta is not None:
-            out.append((theta, record.base if use_base else record.tv))
+            out.append((theta, record.tv))
     return out
 
 
@@ -182,10 +186,10 @@ NAMED_PATTERNS = [
 
 
 class TestMatchFacts:
-    @given(seed=st.integers(0, 10**6), pattern=open_patterns() | st.sampled_from(NAMED_PATTERNS), use_base=st.booleans())
-    def test_agrees_with_unify_scan(self, seed, pattern, use_base):
+    @given(seed=st.integers(0, 10**6), pattern=open_patterns() | st.sampled_from(NAMED_PATTERNS))
+    def test_agrees_with_unify_scan(self, seed, pattern):
         kb = _match_kb(seed)
-        assert kb.match_facts(pattern, use_base) == _scan(kb, pattern, use_base)
+        assert kb.match_facts(pattern) == _scan(kb, pattern)
 
     @given(seed=st.integers(0, 10**6), pattern=st.sampled_from(NAMED_PATTERNS), tag=st.sampled_from(TAG_NAMES))
     def test_lookup_agrees_with_unify_scan(self, seed, pattern, tag):
@@ -336,6 +340,24 @@ class TestControl:
         kb.add_control(S("(foo $x b)"), "lookup")
         assert kb.dispatch(S("(foo a $x)")) == "lookup"
 
+    def test_pattern_variables_never_clash_with_goal_variables(self):
+        # in a new interpreter, so that the names a clash needs cannot
+        # depend on what earlier tests in this process ran
+        program = (
+            "from pkb import KnowledgeBase, parse_sentence as S\n"
+            "kb = KnowledgeBase()\n"
+            "kb.load_text('(control (r $x a) resolution)')\n"
+            "print(kb.dispatch(S('(r b $x__1)')), kb.dispatch(S('(r b $z)')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", program],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (result.stdout, result.stderr) == ("resolution resolution\n", "")
+
     def test_non_matching_entry_changes_nothing(self, kb):
         kb.add_control(S("(foo $x)"), "resolution")
         before = kb.dispatch(S("(foo fred)"))
@@ -366,6 +388,13 @@ class TestSetVariable:
         before = kb.config.copy()
         with pytest.raises(RangeError):
             kb.set_variable(name, value)
+        assert kb.config == before
+
+    @pytest.mark.parametrize("value", [2.7, 0.5])
+    def test_fractional_depth_leaves_config_unchanged(self, kb, value):
+        before = kb.config.copy()
+        with pytest.raises(RangeError, match="whole number"):
+            kb.set_variable("max-chain-depth", value)
         assert kb.config == before
 
     def test_non_finite_in_a_file(self, kb):

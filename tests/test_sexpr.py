@@ -196,6 +196,25 @@ class TestRoundTrip:
         (stmt,) = parse_kb("(rule (foo $x) (not (goo $x)) (1 . 0))")
         assert print_statement(stmt) == "(rule (foo $x) (goo $x) (0 . 1))"
 
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (0.0, "0"),
+            (-7.0, "-7"),
+            (2.0**53, "9007199254740992"),
+            (9999999999999998.0, "9999999999999998"),
+            (1e16, "1e+16"),
+            (-1e17, "-1e+17"),
+            (1e300, "1e+300"),
+            (1.7976931348623157e308, "1.7976931348623157e+308"),
+        ],
+    )
+    def test_integral_numbers_round_trip(self, value, text):
+        sentence = compound(sym("foo"), Number(value))
+        assert str(sentence) == f"(foo {text})"
+        back = parse_sentence(str(sentence))
+        assert back == sentence and isinstance(back.elements[1], Number)
+
     def test_variable_prints_with_dollar(self):
         assert str(var("x")) == "$x"
 

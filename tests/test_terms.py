@@ -17,7 +17,7 @@ from pkb.terms import (
     format_bindings,
     is_ground,
     normalize_negation,
-    rename_apart,
+    seed_values,
     substitute,
     sym,
     unify,
@@ -112,6 +112,40 @@ class TestMatch:
         assert unify(pattern, compound(sym("p"), sym("a"), sym("b")), {}) is None
 
 
+XYZ = (var("x"), var("y"), var("z"))
+# the goal's own variables, named apart from the pattern's x, y and z
+GOAL_NAMES = {var("x"): var("u"), var("y"): var("w"), var("z"): var("z2")}
+
+
+class TestSeedValues:
+    @given(p=terms(), q=terms(), values=st.lists(terms(), min_size=3, max_size=3), same=st.booleans())
+    def test_agrees_with_compile_matcher_on_ground_goals(self, p, q, values, same):
+        leaves = {var(n): sym("a") for n in "xyz"}
+        grounding = {var(n): substitute(v, leaves) for n, v in zip("xyz", values)}
+        g = substitute(p if same else q, grounding)
+        assert seed_values(p, g, XYZ) == compile_matcher(p, XYZ)(g)
+
+    @given(p=terms(), q=terms())
+    def test_open_goal_fixes_only_what_the_unifier_fixes(self, p, q):
+        goal = substitute(q, GOAL_NAMES)
+        seed = seed_values(p, goal, XYZ)
+        unifier = unify(p, goal, {})
+        if unifier is not None:
+            assert seed is not None
+            for v, value in zip(XYZ, seed):
+                if value is not None:
+                    assert substitute(v, unifier) == value
+        elif seed is not None:
+            # a clash that only the goal's own variables make
+            assert variables_in(goal)
+
+    def test_goal_variables_match_anything_and_fix_nothing(self):
+        pattern = compound(sym("r"), var("x"), var("x"))
+        assert seed_values(pattern, compound(sym("r"), sym("a"), sym("b")), (var("x"),)) is None
+        assert seed_values(pattern, compound(sym("r"), var("x"), sym("b")), (var("x"),)) == (sym("b"),)
+        assert seed_values(pattern, compound(sym("r"), var("u"), var("u")), (var("x"),)) == (None,)
+
+
 class TestSubstitute:
     def test_steals_example(self):
         pattern = compound(sym("steals"), var("person"), var("object"))
@@ -146,25 +180,6 @@ class TestNormalizeNegation:
     def test_core_is_fixed_point(self):
         core, _ = normalize_negation(compound(sym("not"), FOO_FRED))
         assert normalize_negation(core) == (core, False)
-
-
-class TestRenameApart:
-    def test_shares_no_variables(self):
-        original = compound(sym("p"), var("x"), var("y"))
-        (renamed,) = rename_apart([original])
-        assert variables_in(renamed) & variables_in(original) == set()
-
-    def test_consistent_across_terms(self):
-        t1 = compound(sym("p"), var("x"))
-        t2 = compound(sym("q"), var("x"))
-        r1, r2 = rename_apart([t1, t2])
-        assert r1.elements[1] == r2.elements[1]
-
-    def test_renaming_preserves_unification(self):
-        goal = compound(sym("p"), sym("a"))
-        pattern = compound(sym("p"), var("x"))
-        (renamed,) = rename_apart([pattern])
-        assert (unify(pattern, goal) is None) == (unify(renamed, goal) is None)
 
 
 class TestCanonicalForm:
