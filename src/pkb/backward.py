@@ -27,15 +27,8 @@ Recursion into a variant of an ancestor goal contributes nothing (a
 sound, terminating reading of rule cycles), and subgoal results are
 cached for the duration of one top-level ``prove`` call.
 
-Rules are proved in the compiled form forward chaining uses (see
-`kb.Rule`): an instance is a tuple of rule-variable values, so a rule's
-variables never clash with a goal's and nothing is renamed apart. A rule
-task is seeded with what the goal's ground subterms fix. Conjunct i's
-subgoal is ``rule.patterns[i]`` under the values so far (open variables
-keep the rule's names); ``rule.matchers[i]`` reads values off each
-answer. A complete instance gives a ground consequence (see
-`kb.make_rule`), which an open goal keeps only if it matches: no seed
-can demand a repeated goal variable, or a goal compound's variables.
+Rules are proved on instances in the compiled form forward chaining
+uses (see `kb.Rule` and `_prove_conjuncts`), so nothing is renamed apart.
 
 Settings are read from ``kb.config``. Trace lines, like every engine's,
 go through ``KnowledgeBase.trace`` and are built only when it is set:
@@ -53,9 +46,11 @@ from .errors import DepthExceeded
 from .kb import KnowledgeBase, unwrap_query
 from .terms import (
     canonical_form,
+    compile_matcher,
     is_ground,
     normalize_negation,
-    seed_values,
+    substitute,
+    unify,
     variables_in,
 )
 from .truth import (
@@ -98,35 +93,51 @@ def _solve(goal, state: _State) -> list:
         raise DepthExceeded(goal, len(state.stack))
     state.stack.append(key)
     try:
-        result = _run_agenda(goal, state)
+        result = _run_agenda(goal, key, state)
     finally:
         state.stack.pop()
     state.memo[key] = result
     return result
 
 
+def _values(variables: tuple, theta) -> tuple:
+    """The instance ``theta`` gives ``variables``, None where one is free."""
+    return tuple([None if (t := substitute(v, theta)) == v else t for v in variables])
+
+
 def _prove_conjuncts(rule, seed: tuple, state: _State) -> list:
     """(values, premise tv) for each complete instance of ``rule``
-    extending ``seed`` (None for an open variable), solving conjuncts
-    left to right so that values one fixes narrow the next."""
+    extending ``seed``, solving conjuncts left to right so that values
+    one fixes narrow the next. A seed from an open goal may hold open
+    values, over free rule variables and the goal's canonical ones
+    (which never clash with the rule's); then fixing one value can
+    narrow others, so each answer's values are unified in."""
+    linked = not all(v is None or v._ground for v in seed)
     solutions = [(seed, TruthValue(1.0, 0.0))]
     for pattern, matcher, (_core, positive) in zip(rule.patterns, rule.matchers, rule.conjuncts):
         extended = []
         for values, acc in solutions:
             for instance, tv in _solve(pattern(values), state):
-                merged = tuple([f if v is None else v for v, f in zip(values, matcher(instance))])
+                found = matcher(instance)
+                if linked:
+                    theta = {v: t for v, t in zip(rule.variables, values) if t is not None}
+                    for v, f in zip(rule.variables, found):
+                        if f is not None:
+                            theta = unify(v, f, theta)
+                    merged = _values(rule.variables, theta)
+                else:
+                    merged = tuple([f if v is None else v for v, f in zip(values, found)])
                 extended.append((merged, conjoin(acc, tv if positive else negate(tv))))
         solutions = extended
     return solutions
 
 
-def _run_agenda(goal, state: _State) -> list:
+def _run_agenda(goal, key, state: _State) -> list:
     kb = state.kb
     config = state.config
     answers: dict = {}
     accepted: set = set()
     goal_ground = is_ground(goal)
-    goal_variables = () if goal_ground else tuple(variables_in(goal))
 
     def accumulate(instance, contribution):
         if instance in accepted or contribution.is_vacuous():
@@ -153,7 +164,11 @@ def _run_agenda(goal, state: _State) -> list:
     for rule in kb.rules_concluding(goal):
         if rule.rule_tv.mass < config.inference_cutoff:
             continue  # could never shift any conclusion enough to matter
-        seed = seed_values(rule.consequence, goal, rule.variables)
+        if goal_ground:
+            seed = rule.head(goal)
+        else:
+            theta = unify(key, rule.consequence, {})
+            seed = None if theta is None else _values(rule.variables, theta)
         if seed is None:
             continue
         tasks.append((state.priority_fn("rule", rule), (rule, seed)))
@@ -165,16 +180,14 @@ def _run_agenda(goal, state: _State) -> list:
             break
         last = None
         if task is None:
-            for instance, record, _values in kb._match(goal, ()):
+            for instance, record, _found in kb._match(goal, ()):
                 accumulate(instance, record.base)
                 last = instance
         else:
             rule, seed = task
             for values, premise_tv in _prove_conjuncts(rule, seed, state):
-                instance = rule.instantiate(values)[1]
-                if goal_ground or seed_values(goal, instance, goal_variables) is not None:
-                    accumulate(instance, propagate(premise_tv, rule.rule_tv))
-                    last = instance
+                last = rule.instantiate(values)[1]
+                accumulate(last, propagate(premise_tv, rule.rule_tv))
         if kb.trace is not None:
             source = "fact" if task is None else f"rule:{task[0].id}"
             kb._emit(f"TASK goal={goal} src={source} acc={current_acc(last)}")
@@ -190,10 +203,12 @@ def prove(kb: KnowledgeBase, goal, priority_fn=None) -> list:
     ``(not ...)`` is proved through its core with the answers swapped.
     """
     core, flipped = normalize_negation(goal)
+    results = _solve(core, _State(kb, priority_fn))
     variables = tuple(sorted(variables_in(core), key=attrgetter("name")))
+    match = compile_matcher(core, variables) if variables and results else None
     return [
-        (dict(zip(variables, seed_values(core, instance, variables))), negate(tv) if flipped else tv)
-        for instance, tv in _solve(core, _State(kb, priority_fn))
+        (dict(zip(variables, match(instance))) if match else {}, negate(tv) if flipped else tv)
+        for instance, tv in results
     ]
 
 

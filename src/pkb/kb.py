@@ -71,7 +71,7 @@ FactRecord.__doc__ = "One stored sentence: direct evidence and the pooled value.
 
 
 Rule = namedtuple(
-    "Rule", "id premise consequence rule_tv conjuncts variables matchers patterns instantiate"
+    "Rule", "id premise consequence rule_tv conjuncts variables matchers patterns instantiate head"
 )
 Rule.__doc__ = """A conditional ``premise -> consequence`` carrying its own truth pair.
 
@@ -83,7 +83,8 @@ outright; partial premises scale it down. A consequence written as
 of ``variables``, the premise variables in name order. For conjunct i,
 ``matchers[i]`` gives the instance values a ground atom fixes (None for
 the rest) and ``patterns[i]`` the conjunct under a partial instance;
-``instantiate`` gives an instance's ground premise atoms and consequence."""
+``instantiate`` gives an instance's ground premise atoms and consequence,
+and ``head`` the values a ground goal fixes of the consequence."""
 
 ControlEntry = namedtuple("ControlEntry", "pattern method")
 ControlEntry.__doc__ = """Meta-level directive: goals matching ``pattern`` use ``method``.
@@ -120,6 +121,7 @@ def make_rule(rule_id: str, premise: Term, consequence: Term, rule_tv: TruthValu
         tuple(compile_matcher(core, variables) for core in cores),
         tuple(compile_builder(core, variables, partial=True) for core in cores),
         compile_builder((cores, cons_core), variables),
+        compile_matcher(cons_core, variables),
     )
 
 

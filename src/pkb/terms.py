@@ -8,18 +8,13 @@ built, and a compound also records whether it is ground; so a dict probe
 costs no walk over the term, and `substitute` and `is_ground` return at
 once on a ground compound.
 
-Matching and building go through instances: tuples of ground values,
-one per variable of a pattern. `compile_matcher` reads one off a ground
-term, `compile_builder` builds a term from one, and `seed_values` reads
-what a goal fixes of a pattern. Nothing is renamed apart.
-
-`unify` and `substitute` work over bindings: plain dicts from Variable
-to Term. They are triangular: a variable may map to a term containing
-variables bound elsewhere in the same dict, and `substitute` chases
-those chains, so applying a binding twice is the same as applying it
-once. They serve goal-level checks (`KnowledgeBase.dispatch` and
-`KnowledgeBase.why`) and the tests, which check compiled code against
-them.
+Goal-directed work uses `unify` and `substitute` over bindings: plain
+dicts from Variable to Term. They are triangular: a variable may map to
+a term containing variables bound elsewhere in the same dict, and
+`substitute` chases those chains, so applying a binding twice is the
+same as applying it once. Matching against ground facts uses compiled
+code instead: `compile_matcher` reads a tuple of variable values off a
+ground term, and `compile_builder` builds a term from such a tuple.
 """
 
 from __future__ import annotations
@@ -235,7 +230,7 @@ def compile_builder(shape, variables: tuple, partial: bool = False):
     """Compile ``shape``, a term or nested tuple of terms, into a function
     from a tuple of ground values, one per variable of ``variables``, to
     what `substitute` makes of ``shape`` under them. With ``partial`` a
-    value may be None, which leaves its variable in place."""
+    value may be open, or None, which leaves its variable in place."""
     constants = []
 
     def constant(t):
@@ -279,32 +274,6 @@ def compile_matcher(pattern: Term, variables: tuple):
     body = "".join(f"    if {test}: return None\n" for test in tests)
     result = "".join(f"{bound.get(v, 'None')}, " for v in variables)
     return _define(f"def f(g):\n{body}    return ({result})\n", constants)
-
-
-def seed_values(pattern: Term, goal: Term, variables: tuple):
-    """For each of ``variables``, the ground subterm of ``goal`` it meets
-    in ``pattern`` (None where it meets none); None when the two clash
-    there. A variable of ``goal`` matches anything and fixes nothing, so
-    the two never share one, and what it demands (such as a repeated
-    variable) is left to the caller. For a ground ``goal`` this is the
-    one-way match `compile_matcher` compiles."""
-    values = [None] * len(variables)
-    return tuple(values) if _seed(pattern, goal, variables, values) else None
-
-
-def _seed(p: Term, g: Term, variables: tuple, values: list) -> bool:
-    if type(g) is Variable or p == g:
-        return True
-    if type(p) is Variable:
-        if not g._ground:
-            return True
-        i = variables.index(p)
-        if values[i] is None:
-            values[i] = g
-        return values[i] == g
-    if type(p) is Compound and type(g) is Compound and len(p.elements) == len(g.elements):
-        return all(_seed(a, b, variables, values) for a, b in zip(p.elements, g.elements))
-    return False
 
 
 _NOT = Symbol("not")

@@ -42,6 +42,12 @@ def tweety_kb():
     return kb
 
 
+JOIN = """
+(rule (and (p $x) (q $y)) (r $x $y) (0.9 . 0))
+(fact (p a) (1 . 0)) (fact (p (f a)) (1 . 0)) (fact (q a) (1 . 0)) (fact (q b) (1 . 0))
+"""
+
+
 class TestProve:
     def test_tweety_accumulates_both_rules(self, tweety_kb):
         got = prove_one(tweety_kb, "(flies Tweety)")
@@ -118,23 +124,58 @@ class TestProve:
         assert answers[0][0][var("z")] == sym("carol")
 
     @pytest.mark.parametrize(
-        "goal, answers",
+        "text, goal, twin, answers",
         [
-            ("(r $u $u)", {"{$u=a}": 0.9}),  # a repeated goal variable
-            ("(r (f $u) $w)", {"{$u=a, $w=a}": 0.9, "{$u=a, $w=b}": 0.9}),  # a compound with a variable inside
+            (  # the rule's subgoal (r $u $u) is a variant of the goal
+                "(rule (r $y $x) (r $x $y) (1 . 0)) (fact (r a a) (0.5 . 0))",
+                "(r $u $u)", "(r a a)", {"{$u=a}": 0.5},
+            ),
+            (  # through (t (f $u)) back to a variant of the goal
+                "(rule (t $x) (r $x) (1 . 0)) (rule (r $y) (t $y) (1 . 0)) (fact (r (f a)) (0.5 . 0))",
+                "(r (f $u))", "(r (f a))", {"{$u=a}": 0.5},
+            ),
+            (
+                "(rule (r $y $x) (r $x $y) (1 . 0)) (fact (r (f a) b) (0.5 . 0)) (fact (r b (f a)) (0.5 . 0))",
+                "(r (f $u) $w)", "(r (f a) b)", {"{$u=a, $w=b}": 0.75},
+            ),
         ],
     )
-    def test_open_goal_keeps_only_answers_that_match_it(self, goal, answers):
+    def test_open_goal_on_a_cycle_counts_its_evidence_once(self, text, goal, twin, answers):
         kb = KnowledgeBase()
-        kb.load_text(
-            """
-            (rule (and (p $x) (q $y)) (r $x $y) (0.9 . 0))
-            (fact (p a) (1 . 0))
-            (fact (p (f a)) (1 . 0))
-            (fact (q a) (1 . 0))
-            (fact (q b) (1 . 0))
-            """
-        )
+        kb.load_text(text)
+        got = {format_bindings(theta): tv.belief for theta, tv in prove(kb, S(goal))}
+        assert got == pytest.approx(answers)
+        assert [tv.belief for _theta, tv in prove(kb, S(twin))] == pytest.approx(list(answers.values()))
+
+    @pytest.mark.parametrize(
+        "text, goal, answers",
+        [
+            (  # a repeated goal variable
+                JOIN, "(r $u $u)", {"{$u=a}": 0.9},
+            ),
+            (  # a goal compound with a variable inside
+                JOIN, "(r (f $u) $w)", {"{$u=a, $w=a}": 0.9, "{$u=a, $w=b}": 0.9},
+            ),
+            (  # $x fixed by (p $x) makes the second subgoal (r a a), not (r $u a)
+                "(rule (and (p $x) (r $y $x)) (r $x $y) (0.8 . 0)) (fact (p a) (1 . 0))"
+                " (fact (r a a) (0.5 . 0)) (fact (r b a) (0.4 . 0))",
+                "(r $u $u)", {"{$u=a}": 0.7},
+            ),
+            (  # the goal's $u meets (f $x) in the head, so $z's subgoal holds (f $x)
+                "(fact (r (f a) (f a)) (0.5 . 0)) (fact (r (f b) (f a)) (0.4 . 0))"
+                " (rule (and (r (f $x) $z) (p $x)) (r $z (f $x)) (0.8 . 0)) (fact (p a) (1 . 0))",
+                "(r $u $u)", {"{$u=(f a)}": 0.7},
+            ),
+            (  # (r (f $x) $z) meets the head as (r (f $x) (f $x2)), no variant of an ancestor
+                "(fact (r (f a) (f a)) (0.5 . 0)) (fact (r (f b) (f a)) (0.4 . 0))"
+                " (rule (and (r (f $x) $z) (p $x)) (r $z (f $x)) (0.8 . 0)) (fact (p a) (1 . 0))",
+                "(r $u $w)", {"{$u=(f a), $w=(f a)}": 0.78, "{$u=(f b), $w=(f a)}": 0.4},
+            ),
+        ],
+    )
+    def test_open_goal_structure_narrows_every_subgoal(self, text, goal, answers):
+        kb = KnowledgeBase()
+        kb.load_text(text)
         got = {format_bindings(theta): tv.belief for theta, tv in prove(kb, S(goal))}
         assert got == pytest.approx(answers)
 
@@ -337,13 +378,14 @@ class TestConsequenceIndex:
 
     def test_unrelated_rules_add_no_work(self, monkeypatch):
         calls = []
-        original = pkb.backward.seed_values
+        original = KnowledgeBase.rules_concluding
 
-        def counting(pattern, goal, variables):
-            calls.append(pattern)
-            return original(pattern, goal, variables)
+        def counting(self, goal):
+            candidates = list(original(self, goal))
+            calls.extend(candidates)
+            return candidates
 
-        monkeypatch.setattr(pkb.backward, "seed_values", counting)
+        monkeypatch.setattr(KnowledgeBase, "rules_concluding", counting)
 
         def run(n_unrelated):
             kb = KnowledgeBase()

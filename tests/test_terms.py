@@ -17,7 +17,6 @@ from pkb.terms import (
     format_bindings,
     is_ground,
     normalize_negation,
-    seed_values,
     substitute,
     sym,
     unify,
@@ -110,40 +109,6 @@ class TestMatch:
         assert _match(pattern, compound(sym("p"), sym("a"), sym("a"))) == {var("x"): sym("a")}
         assert _match(pattern, compound(sym("p"), sym("a"), sym("b"))) is None
         assert unify(pattern, compound(sym("p"), sym("a"), sym("b")), {}) is None
-
-
-XYZ = (var("x"), var("y"), var("z"))
-# the goal's own variables, named apart from the pattern's x, y and z
-GOAL_NAMES = {var("x"): var("u"), var("y"): var("w"), var("z"): var("z2")}
-
-
-class TestSeedValues:
-    @given(p=terms(), q=terms(), values=st.lists(terms(), min_size=3, max_size=3), same=st.booleans())
-    def test_agrees_with_compile_matcher_on_ground_goals(self, p, q, values, same):
-        leaves = {var(n): sym("a") for n in "xyz"}
-        grounding = {var(n): substitute(v, leaves) for n, v in zip("xyz", values)}
-        g = substitute(p if same else q, grounding)
-        assert seed_values(p, g, XYZ) == compile_matcher(p, XYZ)(g)
-
-    @given(p=terms(), q=terms())
-    def test_open_goal_fixes_only_what_the_unifier_fixes(self, p, q):
-        goal = substitute(q, GOAL_NAMES)
-        seed = seed_values(p, goal, XYZ)
-        unifier = unify(p, goal, {})
-        if unifier is not None:
-            assert seed is not None
-            for v, value in zip(XYZ, seed):
-                if value is not None:
-                    assert substitute(v, unifier) == value
-        elif seed is not None:
-            # a clash that only the goal's own variables make
-            assert variables_in(goal)
-
-    def test_goal_variables_match_anything_and_fix_nothing(self):
-        pattern = compound(sym("r"), var("x"), var("x"))
-        assert seed_values(pattern, compound(sym("r"), sym("a"), sym("b")), (var("x"),)) is None
-        assert seed_values(pattern, compound(sym("r"), var("x"), sym("b")), (var("x"),)) == (sym("b"),)
-        assert seed_values(pattern, compound(sym("r"), var("u"), var("u")), (var("x"),)) == (None,)
 
 
 class TestSubstitute:
