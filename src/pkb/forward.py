@@ -18,9 +18,16 @@ disturbed. Instances whose contribution would shift the consequence by
 less mass than the configured inference cutoff are left alone: the old
 result stands and the rule is not re-fired.
 
-If inverting a contribution hits a numerical corner (certain
-contributions are not invertible), the consequence is rebuilt from its
-base evidence plus all other live contributions, which is always exact.
+A contribution with no uncommitted mass (a certain one, or a
+(0.9 . 0.1) rule at a certain premise) cannot be divided out; then the
+consequence is rebuilt, exactly, from its base plus all other live
+contributions.
+
+A cycle's output is fed back in as fresh evidence. With
+``(a $x) -> (b $x)`` and ``(b $x) -> (a $x)`` at (0.9 . 0) and ``(a k)``
+at (0.5 . 0), (a k) settles at 0.8403 and (b k) at 0.7563 (backward
+gives 0.5 and 0.45) after 82 chain steps; a (1 . 0) 2-cycle reaches
+(1 . 0) after 108. Both exceed the default depth of 64.
 
 Every rule instance is ground. Stored facts are ground, each premise
 conjunct is matched against them, and `kb.make_rule` rejects a rule

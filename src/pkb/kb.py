@@ -435,13 +435,12 @@ class KnowledgeBase:
 
     def why(self, sentence: Term):
         """Live justifications whose consequence matches the sentence,
-        by rule id and then bindings. A ground sentence is one probe of
-        the consequence index; a pattern is unified with every entry."""
+        by rule id and then bindings, read off the consequence index of
+        each stored fact it matches (a live consequence is stored)."""
         core, _ = normalize_negation(sentence)
-        if is_ground(core):
-            found = self._justifications_for(core)
-        else:
-            found = [j for j in self._ledger.values() if unify(core, j.consequence, {}) is not None]
+        found = []
+        for stored, _record, _values in self._match(core, ()):
+            found += self._justifications_for(stored)
         return sorted(found, key=lambda j: (j.rule_id, format_bindings(j.bindings)))
 
     # -- loading ----------------------------------------------------------------

@@ -20,6 +20,7 @@ ground term, and `compile_builder` builds a term from such a tuple.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isfinite
 from operator import attrgetter
 
 _set = object.__setattr__
@@ -85,6 +86,15 @@ class Number(Term):
     __slots__ = ()
     _field = "value"
     value = Term._payload
+
+    def __init__(self, value):
+        try:
+            number = float(value)  # so Number(1) == Number(1.0)
+        except OverflowError as exc:
+            raise ValueError(f"a number must be a finite real: {exc}") from None
+        if not isfinite(number):
+            raise ValueError(f"a number must be a finite real, got {number!r}")
+        super().__init__(number)
 
     def __str__(self):
         # repr writes integral floats from 1e16 up with an exponent

@@ -12,10 +12,11 @@ two-outcome Dempster rule: each source distributes mass over
 {confirms, disconfirms, uncommitted}, the product masses of the nine
 cells are intersected, the two contradictory cells are discarded, and
 the rest is renormalized. The rule is commutative, associative, has the
-vacuous pair (0 . 0) as identity, and is invertible: `uncombine` removes
-one source's contribution from a pooled value without disturbing the
-others, which is what makes exact retraction possible elsewhere in the
-package.
+vacuous pair (0 . 0) as identity, and multiplies commonalities: so
+`uncombine` divides one source's contribution out of a pooled value,
+which is what makes exact retraction possible elsewhere in the package.
+A source with no uncommitted mass, such as a (0.9 . 0.1) rule at a
+certain premise, cannot be divided out; its value is rebuilt instead.
 
 `propagate` pushes a premise value through a rule pair, `conjoin` pools
 conjunct values inside a premise, and the six tag functions project a
@@ -212,6 +213,14 @@ def conflict(x: TruthValue, y: TruthValue) -> float:
     return x.belief * y.disbelief + x.disbelief * y.belief
 
 
+def _uncommitted(a: float, b: float) -> float:
+    """1 - a - b, at least 0, with the larger part taken from 1 first:
+    that step is exact, so a tiny uncommitted mass keeps its precision
+    through a renormalization or a division by it."""
+    u = (1.0 - a) - b if a >= b else (1.0 - b) - a
+    return u if u > 0.0 else 0.0
+
+
 def combine(x: TruthValue, y: TruthValue) -> TruthValue:
     """Pool two independent evidence sources about one sentence.
 
@@ -227,15 +236,8 @@ def combine(x: TruthValue, y: TruthValue) -> TruthValue:
         return x
     if a1 == 0.0 and b1 == 0.0:
         return y
-    # 1 - a - b with the larger part taken from 1 first: that step is
-    # exact, so a tiny uncommitted mass keeps its precision through the
-    # renormalization below.
-    u1 = (1.0 - a1) - b1 if a1 >= b1 else (1.0 - b1) - a1
-    u2 = (1.0 - a2) - b2 if a2 >= b2 else (1.0 - b2) - a2
-    if u1 < 0.0:
-        u1 = 0.0
-    if u2 < 0.0:
-        u2 = 0.0
+    u1 = _uncommitted(a1, b1)
+    u2 = _uncommitted(a2, b2)
     belief = a1 * a2 + a1 * u2 + u1 * a2
     disbelief = b1 * b2 + b1 * u2 + u1 * b2
     unknown = u1 * u2
@@ -249,54 +251,30 @@ def combine(x: TruthValue, y: TruthValue) -> TruthValue:
 def uncombine(total: TruthValue, component: TruthValue) -> TruthValue:
     """Invert `combine`: the residual r with combine(r, component) = total.
 
-    The defining equations are linear in r once the component is fixed,
-    so this is a 2x2 solve. A certain component is not removable (the
-    system degenerates), and when the solved residual falls outside the
-    valid region, or the system is singular with no recoverable point,
-    NoValidResidual is raised so the caller can rebuild the accumulation
-    from its parts instead.
+    A commonality q sums the masses of the focal sets that contain its
+    set: q(t) = belief + unknown, q(not) = disbelief + unknown, q(both)
+    = unknown. `combine` multiplies them, so the residual's q is the
+    total's over the component's, up to one normalizing factor, and its
+    masses are their differences. A certain component raises
+    NotCertainRemovable. One with no uncommitted mass, such as
+    (0.9 . 0.1), has no unique residual, so it raises NoValidResidual,
+    as does a total no residual reaches; the caller then rebuilds.
     """
     if component.is_certain():
         raise NotCertainRemovable(f"cannot remove certain component {component}")
     ac, bc = component.belief, component.disbelief
-    uc = component.unknown
     at, bt = total.belief, total.disbelief
-
-    m11 = at * bc + uc
-    m12 = ac * (at - 1.0)
-    m21 = bc * (bt - 1.0)
-    m22 = bt * ac + uc
-    r1 = at - ac
-    r2 = bt - bc
-    det = m11 * m22 - m12 * m21
-
-    if abs(det) > DRIFT_TOLERANCE:
-        ar = (r1 * m22 - m12 * r2) / det
-        br = (m11 * r2 - r1 * m21) / det
-    else:
-        # Singular system (the component carries full mass): the valid
-        # residuals form a line. Take the least-norm point on it.
-        p, q, rhs = max(((m11, m12, r1), (m21, m22, r2)), key=lambda row: row[0] ** 2 + row[1] ** 2)
-        n2 = p * p + q * q
-        if n2 <= DRIFT_TOLERANCE:
-            ar, br = 0.0, 0.0
-        else:
-            ar = p * rhs / n2
-            br = q * rhs / n2
-
-    # Clamp the solved point into the simplex; whether it is genuinely
-    # a residual is decided by recombining below, so a solution pushed
-    # slightly outside by an ill-conditioned solve is not rejected.
-    ar = min(max(ar, 0.0), 1.0)
-    br = min(max(br, 0.0), 1.0)
-    if ar + br > 1.0:
-        scale = ar + br
-        ar, br = ar / scale, br / scale
-    try:
-        residual = TruthValue(ar, br)
-        check = combine(residual, component)
-    except TotalConflict as exc:
-        raise NoValidResidual(f"no residual for {component} inside {total}") from exc
+    uc = _uncommitted(ac, bc)
+    if uc <= DRIFT_TOLERANCE:
+        raise NoValidResidual(f"component {component} has no uncommitted mass")
+    ut = _uncommitted(at, bt)
+    z = ut / uc
+    belief = max((at + ut) / (ac + uc) - z, 0.0)
+    disbelief = max((bt + ut) / (bc + uc) - z, 0.0)
+    # positive for any valid total: with z = 0, at + bt = 1
+    norm = belief + disbelief + z
+    residual = _shaved(belief / norm, disbelief / norm)
+    check = combine(residual, component)
     if (
         abs(check.belief - total.belief) > _RESIDUAL_CHECK
         or abs(check.disbelief - total.disbelief) > _RESIDUAL_CHECK

@@ -4,14 +4,15 @@ Predicates are stratified into levels; rule premises only mention
 predicates of strictly lower levels than their consequence, so every
 generated rule set is acyclic by construction. Base facts live on
 level 0. Truth-value masses stay away from 1 so no random run can
-stumble into total conflict or the non-invertible boundary.
+stumble into total conflict or, unless asked for, the full-mass
+boundary where `uncombine` has no unique residual.
 """
 
 import random
 
 from pkb.kb import KnowledgeBase
 from pkb.terms import Compound, Symbol, Variable
-from pkb.truth import EngineConfig, TruthValue
+from pkb.truth import TRUE, EngineConfig, TruthValue
 
 CONSTANTS = [Symbol("a"), Symbol("b"), Symbol("c")]
 X = Variable("x")
@@ -21,6 +22,12 @@ def random_tv(rng: random.Random, max_mass: float = 0.9) -> TruthValue:
     mass = rng.uniform(0.0, max_mass)
     belief = rng.uniform(0.0, mass)
     return TruthValue(belief, mass - belief)
+
+
+def full_mass_tv(rng: random.Random) -> TruthValue:
+    """A pair with no uncommitted mass, a + b = 1, that is not certain."""
+    belief = rng.uniform(0.01, 0.99)
+    return TruthValue(belief, 1.0 - belief)
 
 
 def _pred(level: int, i: int) -> Symbol:
@@ -59,19 +66,22 @@ def random_ground_kb(rng: random.Random, levels: int = 3, preds_per_level: int =
     return facts, rules
 
 
-def random_var_kb(rng: random.Random, levels: int = 3, preds_per_level: int = 2):
+def random_var_kb(rng: random.Random, levels: int = 3, preds_per_level: int = 2, full_mass: bool = False):
     """Facts plus rules that may quantify over one variable.
 
     Returns (facts, rules): rules are (premise_term, consequence_term,
     rule_tv) ready for KnowledgeBase.add_rule; a premise conjunct is
     either ground or applies its predicate to $x, in which case the
-    consequence uses $x too.
+    consequence uses $x too. With ``full_mass``, about half the rule
+    pairs come from `full_mass_tv` and half the facts are (1 . 0), so a
+    rule firing on certain premises contributes a full-mass pair.
     """
     facts = {}
     for i in range(preds_per_level):
         for const in CONSTANTS:
             if rng.random() < 0.6:
-                facts[Compound((_pred(0, i), const))] = random_tv(rng)
+                tv = TRUE if full_mass and rng.random() < 0.5 else random_tv(rng)
+                facts[Compound((_pred(0, i), const))] = tv
 
     rules = []
     for level in range(1, levels):
@@ -99,7 +109,8 @@ def random_var_kb(rng: random.Random, levels: int = 3, preds_per_level: int = 2)
             cons_pred = _pred(level, rng.randrange(preds_per_level))
             cons_arg = X if use_var else rng.choice(CONSTANTS)
             consequence = Compound((cons_pred, cons_arg))
-            rules.append((premise, consequence, random_tv(rng)))
+            tv = full_mass_tv(rng) if full_mass and rng.random() < 0.5 else random_tv(rng)
+            rules.append((premise, consequence, tv))
     return facts, rules
 
 

@@ -47,6 +47,29 @@ def oracle_combine(x, y):
     return (float(belief / surviving), float(disbelief / surviving))
 
 
+def oracle_uncombine(total, component):
+    """The residual r with combine(r, component) = total, solved exactly.
+
+    Clearing the normalizer from combine's belief and disbelief
+    equations leaves two equations linear in r's masses; they are solved
+    by Cramer's rule in rational arithmetic over the given floats. The
+    result may lie outside the simplex when no residual reaches the
+    total. Returns None when the system is singular, as it is for a
+    component with no uncommitted mass.
+    """
+    at, bt = Fraction(total[0]), Fraction(total[1])
+    ac, bc = Fraction(component[0]), Fraction(component[1])
+    uc = 1 - ac - bc
+    # belief:    ar*ac + ar*uc + ur*ac = at*(1 - ar*bc - br*ac), ur = 1 - ar - br
+    # disbelief: br*bc + br*uc + ur*bc = bt*(1 - ar*bc - br*ac)
+    m11, m12, r1 = at * bc + uc, ac * (at - 1), at - ac
+    m21, m22, r2 = bc * (bt - 1), bt * ac + uc, bt - bc
+    det = m11 * m22 - m12 * m21
+    if det == 0:
+        return None
+    return (float((r1 * m22 - m12 * r2) / det), float((m11 * r2 - r1 * m21) / det))
+
+
 def oracle_conjoin(x, y):
     """Conjunction value by enumerating the four models of two atoms.
 

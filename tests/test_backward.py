@@ -131,11 +131,13 @@ class TestProve:
                 "(r $u $u)", "(r a a)", {"{$u=a}": 0.5},
             ),
             (  # through (t (f $u)) back to a variant of the goal
-                "(rule (t $x) (r $x) (1 . 0)) (rule (r $y) (t $y) (1 . 0)) (fact (r (f a)) (0.5 . 0))",
+                "(setvar max-chain-depth 1000)"
+                " (rule (t $x) (r $x) (1 . 0)) (rule (r $y) (t $y) (1 . 0)) (fact (r (f a)) (0.5 . 0))",
                 "(r (f $u))", "(r (f a))", {"{$u=a}": 0.5},
             ),
             (
-                "(rule (r $y $x) (r $x $y) (1 . 0)) (fact (r (f a) b) (0.5 . 0)) (fact (r b (f a)) (0.5 . 0))",
+                "(setvar max-chain-depth 1000)"
+                " (rule (r $y $x) (r $x $y) (1 . 0)) (fact (r (f a) b) (0.5 . 0)) (fact (r b (f a)) (0.5 . 0))",
                 "(r (f $u) $w)", "(r (f a) b)", {"{$u=a, $w=b}": 0.75},
             ),
         ],

@@ -116,6 +116,15 @@ class TestRetraction:
         kb.set_truth(S("(foo fred)"), VACUOUS)
         assert tv_close(kb.retrieve(S("(goo fred)")), TruthValue(0.3, 0.0))
 
+    def test_full_mass_contribution_keeps_base_evidence(self):
+        # (0.9 . 0.1) at a certain premise leaves (q k) no uncommitted
+        # mass to divide by; the rebuild keeps the base (0.4 . 0.4)
+        kb = KnowledgeBase()
+        kb.load_text("(rule (p $x) (q $x) (0.9 . 0.1)) (fact (q k) (0.4 . 0.4)) (fact (p k) (1 . 0))")
+        kb.set_truth(S("(p k)"), TruthValue(0.5, 0.0))
+        assert tv_close(kb.retrieve(S("(q k)")), TruthValue(0.5875, 0.2875))
+        assert tv_close(kb.retrieve(S("(q k)")), kb.pooled_value(S("(q k)")))
+
     def test_downstream_consequences_update(self):
         kb = KnowledgeBase()
         kb.add_rule(S("(p $x)"), S("(q $x)"), TruthValue(0.8, 0.0))
@@ -191,6 +200,23 @@ class TestRebuildEquivalence:
                     final_base[sentence] = tv
             fresh = build_kb(final_base, rules)
             assert_kb_equal(kb, fresh)
+
+    def test_full_mass_updates_equal_fresh_kb(self):
+        rng = random.Random(52005)
+        for _ in range(300):
+            facts, rules = random_var_kb(rng, full_mass=True)
+            kb = build_kb(facts, rules)
+            final_base = dict(facts)
+            for _round in range(3):
+                for sentence in rng.sample(list(facts), len(facts)):
+                    tv = TRUE if rng.random() < 0.5 else random_tv_for(rng)
+                    kb.set_truth(sentence, tv)
+                    final_base[sentence] = tv
+                # values, not stored keys: retracting a last contribution
+                # may leave float drift such as (0 . 1.1e-16) stored
+                fresh = build_kb(final_base, rules)
+                for sentence in dict(kb.facts()).keys() | dict(fresh.facts()).keys():
+                    assert tv_close(kb.retrieve(sentence), fresh.retrieve(sentence)), sentence
 
     def test_order_independence(self):
         rng = random.Random(52002)
@@ -295,6 +321,25 @@ class TestCyclesAndDepth:
         kb.add_rule(S("(q $x)"), S("(p $x)"), TruthValue(0.95, 0.0))
         with pytest.raises(DepthExceeded):
             kb.stash(S("(p a)"), TruthValue(0.9, 0.0))
+
+    def test_cycles_settle_at_their_forward_limit(self):
+        # Forward chaining feeds a cycle's output back in as fresh
+        # evidence, so values climb to the fixed point of that feedback.
+        one = "(rule (p $x) (q $x) (1 . 0)) (rule (q $x) (p $x) (1 . 0)) (fact (p k) (0.5 . 0))"
+        with pytest.raises(DepthExceeded):
+            KnowledgeBase().load_text(one)
+        kb = KnowledgeBase()
+        kb.load_text("(setvar max-chain-depth 1000) " + one)
+        assert kb.retrieve(S("(p k)")) == kb.retrieve(S("(q k)")) == TRUE
+
+        nine = "(rule (a $x) (b $x) (0.9 . 0)) (rule (b $x) (a $x) (0.9 . 0)) (fact (a k) (0.5 . 0))"
+        with pytest.raises(DepthExceeded):
+            KnowledgeBase().load_text("(setvar max-chain-depth 81) " + nine)
+        kb = KnowledgeBase()
+        kb.load_text("(setvar max-chain-depth 82) " + nine)
+        # a = 0.5 (+) 0.9 b and b = 0.9 a, so a = 0.5 / 0.595
+        assert tv_close(kb.retrieve(S("(a k)")), TruthValue(0.5 / 0.595, 0.0), tol=1e-12)
+        assert tv_close(kb.retrieve(S("(b k)")), TruthValue(0.45 / 0.595, 0.0), tol=1e-12)
 
     def test_cutoff_contracts_cycles(self):
         kb = KnowledgeBase(config=EngineConfig(inference_cutoff=0.05, max_chain_depth=64))

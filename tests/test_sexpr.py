@@ -207,6 +207,7 @@ class TestRoundTrip:
             (-1e17, "-1e+17"),
             (1e300, "1e+300"),
             (1.7976931348623157e308, "1.7976931348623157e+308"),
+            (10**17 + 1, "1e+17"),  # an int payload is kept as its float
         ],
     )
     def test_integral_numbers_round_trip(self, value, text):

@@ -215,6 +215,13 @@ class TestTermObjects:
         assert compound(sym("p"), Number(2)) == compound(sym("p"), Number(2.0))
         assert Number(1) != Symbol("1") and Symbol("x") != Variable("x")
 
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), float("inf"), float("nan")], ids=["1e400", "-1e400", "inf", "nan"]
+    )
+    def test_numbers_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="finite real"):
+            Number(value)
+
     @given(t=terms())
     def test_terms_are_immutable(self, t):
         for name in ("name", "value", "elements", "_payload", "_hash", "_ground", "other"):

@@ -25,7 +25,7 @@ from pkb.truth import (
     uncombine,
 )
 
-from oracles import oracle_combine, oracle_conjoin
+from oracles import oracle_combine, oracle_conjoin, oracle_uncombine
 
 TOL = 1e-9
 
@@ -184,6 +184,30 @@ class TestUncombine:
         total = combine(x, y)
         back = uncombine(total, y)
         assert close(back, x, tol=1e-7)
+
+    @given(x=truth_values(), y=truth_values())
+    @settings(max_examples=500)
+    def test_matches_exact_inverse(self, x, y):
+        assume(1.0 - y.belief - y.disbelief >= 1e-6)
+        total = combine(x, y)
+        exact = oracle_uncombine((total.belief, total.disbelief), (y.belief, y.disbelief))
+        assume(exact is not None and min(exact) >= 0.0 and sum(exact) <= 1.0)
+        got = uncombine(total, y)
+        assert abs(got.belief - exact[0]) + abs(got.disbelief - exact[1]) <= 1e-12
+
+    @given(total=truth_values())
+    def test_certain_component_raises(self, total):
+        for certain in (TRUE, FALSE):
+            with pytest.raises(NotCertainRemovable):
+                uncombine(total, certain)
+
+    @given(total=truth_values(), a=_unit, gap=st.floats(min_value=0.0, max_value=0.9e-12))
+    def test_component_without_uncommitted_mass_raises(self, total, a, gap):
+        # every residual on a line recombines to the total; none is returned
+        component = TruthValue(a, max(1.0 - a - gap, 0.0))
+        assume(not component.is_certain())
+        with pytest.raises(NoValidResidual):
+            uncombine(total, component)
 
 
 class TestPropagate:
