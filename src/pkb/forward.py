@@ -21,12 +21,14 @@ result stands and the rule is not re-fired.
 A contribution with no uncommitted mass (a certain one, or a
 (0.9 . 0.1) rule at a certain premise) cannot be divided out; then the
 consequence is rebuilt, exactly, from its base plus all other live
-contributions.
+contributions. The last live contribution to a consequence is not
+divided out either: what remains is the stored base, exactly, so no
+float drift is left behind as a value with no evidence under it.
 
 A cycle's output is fed back in as fresh evidence. With
 ``(a $x) -> (b $x)`` and ``(b $x) -> (a $x)`` at (0.9 . 0) and ``(a k)``
 at (0.5 . 0), (a k) settles at 0.8403 and (b k) at 0.7563 (backward
-gives 0.5 and 0.45) after 82 chain steps; a (1 . 0) 2-cycle reaches
+gives 0.5 and 0.45) after 81 chain steps; a (1 . 0) 2-cycle reaches
 (1 . 0) after 108. Both exceed the default depth of 64.
 
 Every rule instance is ground. Stored facts are ground, each premise
@@ -149,10 +151,14 @@ def _apply_instance(kb, rule, values: tuple, depth: int):
             _trace(kb, "SKIP", rule, values, contribution)
             return
         old_tv = kb.retrieve_core(consequence)
-        try:
-            residual = uncombine(old_tv, existing.contribution)
-        except (NotCertainRemovable, NoValidResidual):
+        if len(kb._by_consequence[consequence]) == 1:
+            # the last live contribution: the residual is the base, exactly
             residual = kb.pooled_value(consequence, exclude=existing)
+        else:
+            try:
+                residual = uncombine(old_tv, existing.contribution)
+            except (NotCertainRemovable, NoValidResidual):
+                residual = kb.pooled_value(consequence, exclude=existing)
         _trace(kb, "RETRACT", rule, values, existing.contribution)
         kb.retract_justification(rule.id, values)
     elif contribution.is_vacuous():

@@ -24,11 +24,12 @@ None); no engine takes either as an argument.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from math import isfinite
 from operator import attrgetter
 
 from . import forward, sexpr
-from .errors import NotFound, RangeError
+from .errors import IterationBoundExceeded, NotFound, RangeError
 from .resolution import Clause, saturate_groups
 from .terms import (
     Compound,
@@ -57,6 +58,9 @@ from .truth import (
 )
 
 _AND = Symbol("and")
+
+# compiled matchers of open patterns, by (pattern, variables)
+_open_matcher = lru_cache(maxsize=256)(compile_matcher)
 
 # surface name of each engine variable -> its EngineConfig field
 ENGINE_VARIABLES = {
@@ -160,6 +164,30 @@ def _ledger_key(rule_id: str, bindings) -> tuple:
     return rule_id, bindings
 
 
+def _components(clauses) -> list[tuple]:
+    """``clauses`` split into connected components, two clauses being
+    connected when they share an atom: tuples of clauses in list order,
+    ordered by their first clause."""
+    root = list(range(len(clauses)))  # union-find; a root is its set's least position
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    first: dict = {}  # atom -> position of the first clause holding it
+    for i, clause in enumerate(clauses):
+        for atom, _positive in clause.literals:
+            a, b = find(i), find(first.setdefault(atom, i))
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    components: dict = {}
+    for i, clause in enumerate(clauses):
+        components.setdefault(find(i), []).append(clause)
+    return [tuple(component) for component in components.values()]
+
+
 def _index_key(sentence: Term):
     if isinstance(sentence, Compound) and isinstance(sentence.elements[0], Symbol):
         return (sentence.elements[0].name, len(sentence.elements))
@@ -182,7 +210,9 @@ class KnowledgeBase:
         self._rules_by_key: dict = {}
         self._rules_by_consequence: dict = {}
         self.clauses: list = []
-        # (clause count, config copy, saturated clause groups)
+        # (clause count, config copy, {component: its closed groups},
+        # every component's groups merged); the count is None after a
+        # component failed to settle
         self._saturation: tuple | None = None
         self.control_entries: list[ControlEntry] = []
         # each entry's pattern in canonical form, whose variables no
@@ -272,8 +302,9 @@ class KnowledgeBase:
     def _match(self, pattern: Term, variables: tuple) -> list:
         """(sentence, record, values) for each stored fact ``pattern``
         matches: the one match against the store. A ground pattern is one
-        probe, with values None; an open one is compiled and run over its
-        bucket, giving the values of ``variables`` (None where absent)."""
+        probe, with values None; an open one is compiled (once while it
+        stays in a bounded cache) and run over its bucket, giving the
+        values of ``variables`` (None where absent)."""
         if is_ground(pattern):
             record = self._facts.get(pattern)
             return [] if record is None else [(pattern, record, None)]
@@ -281,7 +312,7 @@ class KnowledgeBase:
         candidates = self._facts if key is None else self._index.get(key)
         if not candidates:
             return []
-        matcher = compile_matcher(pattern, variables)
+        matcher = _open_matcher(pattern, variables)
         return [(s, self._facts[s], values) for s in candidates if (values := matcher(s)) is not None]
 
     def match_facts(self, pattern: Term):
@@ -331,19 +362,48 @@ class KnowledgeBase:
         """The clause set closed under resolution with ``self.config``,
         as literal set -> derivations (see `resolution.saturate_groups`).
 
-        Computed on first use and kept until a clause is added or the
-        config changes. A saturation that raises is not kept. Callers
-        must not modify the result.
+        Clauses that share an atom are connected, and each connected
+        component is closed on its own: a resolvent's atoms come from its
+        parents, so no clause outside a component ever meets one inside
+        it, and the merged closures equal the closure of the whole set.
+        Each component's closure is kept until the component changes (a
+        clause is added to it or joins it to another) or the config
+        changes; a query after `add_clause` closes only the component
+        the new clause touches. The merged map is replaced whole, never
+        modified, and callers must not modify it either.
+
+        A component that does not settle within the round bound is not
+        kept and is tried again on the next call; the components that
+        settled stay kept. The IterationBoundExceeded raised then holds,
+        as ``partial``, every component's groups: the closure of each
+        that settled and the groups so far of each that did not, as one
+        loop over the whole set would have left them.
         """
-        # Keyed on the clause count rather than cleared by add_clause:
-        # freeing a stale closure is then paid by the query that
-        # replaces it, not by the write.
+        # Keyed on the clause count rather than updated by add_clause:
+        # the write stays a plain append, and the query that needs the
+        # closure pays for the partition.
         config = self.config
         cached = self._saturation
-        if cached is None or cached[0] != len(self.clauses) or cached[1] != config:
-            cached = (len(self.clauses), config.copy(), saturate_groups(self.clauses, config))
-            self._saturation = cached
-        return cached[2]
+        if cached is not None and cached[0] == len(self.clauses) and cached[1] == config:
+            return cached[3]
+        closures = cached[2] if cached is not None and cached[1] == config else {}
+        kept, merged, failure = {}, {}, None
+        for component in _components(self.clauses):
+            groups = closures.get(component)
+            if groups is None:
+                try:
+                    groups = saturate_groups(component, config)
+                except IterationBoundExceeded as exc:
+                    failure = failure or exc
+                    merged.update(exc.partial)
+                    continue
+            kept[component] = groups
+            merged.update(groups)
+        if failure is not None:
+            self._saturation = (None, config.copy(), kept, None)
+            raise IterationBoundExceeded(str(failure), partial=merged)
+        self._saturation = (len(self.clauses), config.copy(), kept, merged)
+        return merged
 
     def add_control(self, pattern: Term, method: str) -> ControlEntry:
         entry = ControlEntry(pattern, method)

@@ -77,7 +77,11 @@ each, otherwise it is dropped. A dropped or replaced derivation is
 offered again in the round after a clause of its literal set is
 replaced, if both its parents are still alive, so at the fixpoint no
 live support-disjoint pair yields an admissible resolvent.
-`KnowledgeBase.saturation` keeps the result until a clause is added.
+`KnowledgeBase.saturation` closes each connected component of a KB's
+clause set (clauses linked by shared atoms) on its own, which gives
+the same groups, since the loop pairs clauses only through shared
+atoms; it keeps each component's closure until a clause is added to
+that component.
 
 Termination, when every input support is nonempty: n input clauses
 leave finitely many derivation trees, each with at most n leaves. An

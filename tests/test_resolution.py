@@ -616,3 +616,127 @@ class TestSaturationCache:
             assert resolve_calls
         monkeypatch.setattr(pkb.kb, "saturate_groups", saturate_groups)
         assert _kb_answers(kb) == expected
+
+
+def _bits(groups):
+    """Each group's derivations as (literals, belief, disbelief, support),
+    so equal means equal bit for bit and in order."""
+    return {
+        lits: [(c.literals, c.tv.belief, c.tv.disbelief, c.support) for c in group]
+        for lits, group in groups.items()
+    }
+
+
+def _add_chains(kb, n_chains, links):
+    """Add a unit (link ci s0) and links (or (not (link ci sK)) (link ci sK+1))
+    per chain to ``kb``, dyadic values as in `_chain`."""
+    for c in range(n_chains):
+        kb.add_clause([(S(f"(link c{c} s0)"), True)], TruthValue(0.75, 0.125))
+        for k in range(links):
+            link = [(S(f"(link c{c} s{k})"), False), (S(f"(link c{c} s{k + 1})"), True)]
+            kb.add_clause(link, TruthValue(0.75, 0.0))
+    return kb
+
+
+def _resolved_chains(calls):
+    """The chains, c0, c1, ..., of the atoms `resolve` was called on."""
+    return {atom.elements[1].name for _c1, _c2, atom in calls}
+
+
+class TestComponentClosures:
+    def test_equals_whole_set_saturation(self):
+        # Clauses drawn from disjoint atom pools fall into several
+        # components, which merge as clauses link them within a pool.
+        rng = random.Random(3013)
+        several = 0  # checks made with more than one component
+        for _ in range(100):
+            pools = [[sym(f"a{p}_{i}") for i in range(3)] for p in range(rng.randint(2, 4))]
+            kb = KnowledgeBase()
+            for _step in range(14):
+                move = rng.random()
+                if move < 0.6:
+                    atoms = rng.sample(rng.choice(pools), rng.randrange(1, 4))
+                    a, b = _random_mass(rng)
+                    kb.add_clause([(atom, rng.random() < 0.5) for atom in atoms], TruthValue(a, b))
+                elif move < 0.8 and kb.clauses:
+                    prove_by_resolution(kb, rng.choice(rng.choice(pools)), "t", 0.0)
+                elif move < 0.9:
+                    kb.config = EngineConfig(inference_cutoff=rng.choice((0.0, 0.02, 0.05)))
+                else:
+                    kb.config.inference_cutoff = rng.choice((0.0, 0.05))
+                if kb.clauses:
+                    several += len(pkb.kb._components(kb.clauses)) > 1
+                    assert _bits(kb.saturation()) == _bits(saturate_groups(kb.clauses, kb.config))
+        assert several > 1000
+
+    def test_added_link_resolves_only_its_chain(self, resolve_calls):
+        kb = _add_chains(KnowledgeBase(), 3, 3)
+        before = [prove_by_resolution(kb, S(f"(link c{c} s3)"), "t", 0.0) for c in range(3)]
+        assert _resolved_chains(resolve_calls) == {"c0", "c1", "c2"}
+        resolve_calls.clear()
+        kb.add_clause([(S("(link c1 s3)"), False), (S("(link c1 s4)"), True)], TruthValue(0.5, 0.0))
+        assert resolve_calls == []
+        (answer,) = prove_by_resolution(kb, S("(link c1 s4)"), "t", 0.0)
+        assert answer[1] == 0.75**4 * 0.5
+        assert _resolved_chains(resolve_calls) == {"c1"}
+        resolve_calls.clear()
+        assert [prove_by_resolution(kb, S(f"(link c{c} s3)"), "t", 0.0) for c in range(3)] == before
+        assert resolve_calls == []
+
+    def test_bridging_clause_merges_components(self):
+        kb = _add_chains(KnowledgeBase(), 2, 2)
+        atoms = [S(f"(link c{c} s{k})") for c in range(2) for k in range(3)]
+        (before,) = prove_by_resolution(kb, atoms[3], "not", 0.0)
+        assert len(pkb.kb._components(kb.clauses)) == 2
+        kb.add_clause([(atoms[2], False), (atoms[3], False)], TruthValue(0.5, 0.25))
+        assert len(pkb.kb._components(kb.clauses)) == 1
+        fresh = KnowledgeBase()
+        for c in kb.clauses:
+            fresh.add_clause(c.literals, c.tv)
+        assert _bits(kb.saturation()) == _bits(fresh.saturation())
+        answers = [prove_by_resolution(kb, atom, tag, 0.0) for atom in atoms for tag in ("t", "not")]
+        assert answers == [prove_by_resolution(fresh, atom, tag, 0.0) for atom in atoms for tag in ("t", "not")]
+        # the bridge carries disbelief from one chain's end to the other's start
+        assert prove_by_resolution(kb, atoms[3], "not", 0.0)[0][1] > before[1]
+
+    def test_component_that_raises_is_tried_again(self, monkeypatch, resolve_calls):
+        # These ten clauses need 11 rounds; the chain after them settles
+        # in a few.
+        slow = [
+            ([(W, False)], 0.01650929613724973, 0.10687939294653519),
+            ([(R, True), (X, False)], 0.1675137884120426, 0.5726966997690979),
+            ([(W, True), (X, False), (Y, True)], 0.4435743657385948, 0.0018658121533308147),
+            ([(R, False)], 0.19694321422147026, 0.06910110183907547),
+            ([(W, True)], 0.4459058167602453, 0.056679427334282106),
+            ([(P, True), (Q, False), (Y, True)], 0.0354373038729823, 0.4575889517936922),
+            ([(P, False)], 0.14041324463119279, 0.1748493025008642),
+            ([(R, True), (W, True), (X, True)], 0.2933560594068728, 0.4197357038102857),
+            ([(Q, True), (X, True)], 0.054946973082866224, 0.17301522517312842),
+            ([(W, True), (X, True)], 0.1343146845725723, 0.02938575464453283),
+        ]
+        kb = KnowledgeBase()
+        for lits, a, b in slow:
+            kb.add_clause(lits, TruthValue(a, b))
+        _add_chains(kb, 1, 3)
+        bounded = functools.partial(saturate_groups, max_rounds=10)
+        with pytest.raises(IterationBoundExceeded) as whole:
+            bounded(kb.clauses, kb.config)
+        monkeypatch.setattr(pkb.kb, "saturate_groups", bounded)
+        slow_atoms = {P, Q, R, W, X, Y}
+        resolve_calls.clear()
+        with pytest.raises(IterationBoundExceeded) as err:
+            prove_by_resolution(kb, S("(link c0 s3)"), "t", 0.0)
+        # the partial holds what one loop over the whole set left
+        assert _bits(err.value.partial) == _bits(whole.value.partial)
+        assert {atom in slow_atoms for _c1, _c2, atom in resolve_calls} == {True, False}
+        resolve_calls.clear()
+        with pytest.raises(IterationBoundExceeded):
+            prove_by_resolution(kb, S("(link c0 s3)"), "t", 0.0)
+        assert resolve_calls
+        assert all(atom in slow_atoms for _c1, _c2, atom in resolve_calls)
+        monkeypatch.setattr(pkb.kb, "saturate_groups", saturate_groups)
+        resolve_calls.clear()
+        groups = kb.saturation()
+        assert resolve_calls
+        assert all(atom in slow_atoms for _c1, _c2, atom in resolve_calls)
+        assert _bits(groups) == _bits(saturate_groups(kb.clauses, kb.config))
