@@ -33,6 +33,9 @@ unknown):
                    (D,U) disbelief if sub2
     every other pair decides nothing.
 
+`resolve` sums these cells in closed form and divides belief and
+disbelief by the consistent mass, 1 minus the conflict.
+
 This is exact because the parents are ground and the resolvent
 rest1 | rest2 holds no complementary pair. A disbelief focal is a cube
 (the pivot literal negated and the negated rest), and a cube entails
@@ -164,55 +167,25 @@ def resolve(c1: Clause, c2: Clause, on: Term) -> Clause:
         seen.add(atom)
 
     opposite = ((on, True) in c1.literals) != ((on, True) in c2.literals)
-    cells = _FOCAL_CELLS[opposite, rest1 <= rest2, rest2 <= rest1]
-    tv = _joint_frame_tv(c1, c2, cells)
+    tv = _resolvent_tv(c1, c2, opposite, rest1 <= rest2, rest2 <= rest1)
     return Clause(resolvent, tv, c1.support | c2.support)
 
 
-_BELIEF, _DISBELIEF, _CONFLICT = range(3)
-
-
-def _focal_cells(opposite: bool, sub1: bool, sub2: bool) -> tuple:
-    """The table of the module docstring for one class of parent pairs.
-
-    Returns (i, j, outcome) for each focal pair that decides something,
-    i and j indexing (belief, disbelief, unknown) of parent 1 and 2, in
-    row-major order.
-    """
+def _resolvent_tv(c1: Clause, c2: Clause, opposite: bool, sub1: bool, sub2: bool) -> TruthValue:
+    """The module docstring's table in closed form, each sum taken in
+    row-major (i, j) order; a cell a sum leaves out adds +0.0 to it."""
+    a1, b1, u1 = c1.tv.belief, c1.tv.disbelief, c1.tv.unknown
+    a2, b2, u2 = c2.tv.belief, c2.tv.disbelief, c2.tv.unknown
+    bd, db = a1 * b2, b1 * a2
+    # (B,D) if rest1 <= rest2, (D,B) if rest2 <= rest1
+    covered = (bd if sub1 else 0.0) + (db if sub2 else 0.0)
+    du = b1 * u2 if sub2 else 0.0
+    ud = u1 * b2 if sub1 else 0.0
     if opposite:
-        cells = {(0, 0): _BELIEF, (1, 1): _CONFLICT}
-        if sub1:
-            cells[0, 1] = _DISBELIEF
-        if sub2:
-            cells[1, 0] = _DISBELIEF
+        belief, disbelief, conflict = a1 * a2, covered + du + ud, b1 * b2
     else:
-        cells = {
-            (0, 1): _CONFLICT if sub1 else _BELIEF,
-            (1, 0): _CONFLICT if sub2 else _BELIEF,
-            (1, 1): _DISBELIEF,
-        }
-    if sub1:
-        cells[2, 1] = _DISBELIEF
-    if sub2:
-        cells[1, 2] = _DISBELIEF
-    return tuple((i, j, cells[i, j]) for i, j in sorted(cells))
-
-
-_FOCAL_CELLS = {key: _focal_cells(*key) for key in itertools.product((False, True), repeat=3)}
-
-
-def _joint_frame_tv(c1: Clause, c2: Clause, cells) -> TruthValue:
-    """Mass-product combination of the parents over the deciding cells.
-
-    A focal pair of zero weight adds +0.0, which leaves every sum as it
-    was, so none is skipped.
-    """
-    masses1 = (c1.tv.belief, c1.tv.disbelief, c1.tv.unknown)
-    masses2 = (c2.tv.belief, c2.tv.disbelief, c2.tv.unknown)
-    sums = [0.0, 0.0, 0.0]
-    for i, j, outcome in cells:
-        sums[outcome] += masses1[i] * masses2[j]
-    belief, disbelief, conflict = sums
+        belief = (0.0 if sub1 else bd) + (0.0 if sub2 else db)
+        disbelief, conflict = b1 * b2 + du + ud, covered
     if conflict >= 1.0:
         raise TotalConflict(f"resolving {c1} with {c2} leaves no consistent mass")
     norm = 1.0 - conflict

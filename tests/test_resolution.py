@@ -132,8 +132,8 @@ class TestResolve:
     def test_matches_model_oracle_on_random_pairs(self):
         # The second draw adds certain, vacuous and mass-1 parents, so
         # total conflict occurs; every (pivot sign, rest1 <= rest2,
-        # rest2 <= rest1) class, hence every cell of resolve's focal
-        # table, is met.
+        # rest2 <= rest1) class, hence every row of the docstring's
+        # table and every term of resolve's closed form, is met.
         rng = random.Random(3002)
         classes = set()
         conflicts = 0
