@@ -33,8 +33,9 @@ unknown):
                    (D,U) disbelief if sub2
     every other pair decides nothing.
 
-`resolve` sums these cells in closed form and divides belief and
-disbelief by the consistent mass, 1 minus the conflict.
+`resolve` sums these cells in closed form. It divides belief and
+disbelief by the consistent mass, 1 minus the conflict, summed from
+nonnegative parts so that it keeps its precision near total conflict.
 
 This is exact because the parents are ground and the resolvent
 rest1 | rest2 holds no complementary pair. A disbelief focal is a cube
@@ -109,7 +110,7 @@ from .errors import (
     TotalConflict,
 )
 from .terms import Term, is_ground, normalize_negation
-from .truth import VACUOUS, EngineConfig, TruthValue, combine, negate, tagged_answers
+from .truth import VACUOUS, EngineConfig, TruthValue, _uncommitted, combine, negate, tagged_answers
 
 
 class Clause(namedtuple("Clause", "literals tv support")):
@@ -174,21 +175,22 @@ def resolve(c1: Clause, c2: Clause, on: Term) -> Clause:
 def _resolvent_tv(c1: Clause, c2: Clause, opposite: bool, sub1: bool, sub2: bool) -> TruthValue:
     """The module docstring's table in closed form, each sum taken in
     row-major (i, j) order; a cell a sum leaves out adds +0.0 to it."""
-    a1, b1, u1 = c1.tv.belief, c1.tv.disbelief, c1.tv.unknown
-    a2, b2, u2 = c2.tv.belief, c2.tv.disbelief, c2.tv.unknown
+    a1, b1 = c1.tv.belief, c1.tv.disbelief
+    a2, b2 = c2.tv.belief, c2.tv.disbelief
+    u1, u2 = _uncommitted(a1, b1), _uncommitted(a2, b2)
     bd, db = a1 * b2, b1 * a2
-    # (B,D) if rest1 <= rest2, (D,B) if rest2 <= rest1
-    covered = (bd if sub1 else 0.0) + (db if sub2 else 0.0)
     du = b1 * u2 if sub2 else 0.0
     ud = u1 * b2 if sub1 else 0.0
     if opposite:
-        belief, disbelief, conflict = a1 * a2, covered + du + ud, b1 * b2
+        belief = a1 * a2
+        disbelief = (bd if sub1 else 0.0) + (db if sub2 else 0.0) + du + ud
+        norm = (1.0 - b1) + b1 * (1.0 - b2)
     else:
         belief = (0.0 if sub1 else bd) + (0.0 if sub2 else db)
-        disbelief, conflict = b1 * b2 + du + ud, covered
-    if conflict >= 1.0:
+        disbelief = b1 * b2 + du + ud
+        norm = u1 + (a1 * (1.0 - b2) if sub1 else a1) + (b1 * (1.0 - a2) if sub2 else b1)
+    if norm == 0.0:
         raise TotalConflict(f"resolving {c1} with {c2} leaves no consistent mass")
-    norm = 1.0 - conflict
     return TruthValue(belief / norm, disbelief / norm)
 
 

@@ -99,7 +99,10 @@ def oracle_resolvent_tv(lits1, tv1, lits2, tv2, resolvent):
     """Joint-frame resolution value by full 2^n model enumeration.
 
     Clauses are collections of (atom, positive) pairs over hashable
-    atoms. Returns None on total conflict.
+    atoms. As in `oracle_combine`, the table is summed in exact rational
+    arithmetic over the given floats and renormalized by its consistent
+    cells' own sum, and a pair whose floats sum a hair past 1 has no
+    uncommitted mass. Returns None on total conflict.
     """
     atoms = sorted({a for a, _ in lits1} | {a for a, _ in lits2}, key=repr)
     models = []
@@ -113,26 +116,28 @@ def oracle_resolvent_tv(lits1, tv1, lits2, tv2, resolvent):
                 out.append(i)
         return frozenset(out)
 
+    def focals(lits, tv):
+        s, c, d = model_set(lits), Fraction(tv[0]), Fraction(tv[1])
+        return ((s, c), (everything - s, d), (everything, max(Fraction(0), 1 - c - d)))
+
     everything = frozenset(range(len(models)))
-    s1 = model_set(lits1)
-    s2 = model_set(lits2)
     res = model_set(resolvent)
-    focals1 = ((s1, tv1[0]), (everything - s1, tv1[1]), (everything, 1 - tv1[0] - tv1[1]))
-    focals2 = ((s2, tv2[0]), (everything - s2, tv2[1]), (everything, 1 - tv2[0] - tv2[1]))
-    belief = disbelief = conflict = 0.0
-    for set1, w1 in focals1:
-        for set2, w2 in focals2:
+    belief = disbelief = conflict = consistent = Fraction(0)
+    for set1, w1 in focals(lits1, tv1):
+        for set2, w2 in focals(lits2, tv2):
             w = w1 * w2
             cell = set1 & set2
             if not cell:
                 conflict += w
-            elif cell <= res:
+                continue
+            consistent += w
+            if cell <= res:
                 belief += w
             elif cell <= (everything - res):
                 disbelief += w
-    if conflict >= 1.0:
+    if conflict >= 1:
         return None
-    return (belief / (1.0 - conflict), disbelief / (1.0 - conflict))
+    return (float(belief / consistent), float(disbelief / consistent))
 
 
 def oracle_bottom_up(base_facts, rules, cutoff=0.0):

@@ -197,6 +197,41 @@ class TestResolve:
                 assert got.tv.belief == pytest.approx(b1 * a2 / norm, abs=TOL)
                 assert got.tv.disbelief == pytest.approx((1 - a1) * b2 / norm, abs=TOL)
 
+    def test_near_total_conflict_matches_exact_oracle(self):
+        # Parents within 1e-3 to 1e-12 of certain leave a tiny consistent
+        # mass to renormalize by, where 1 - conflict loses the digits
+        # that matter and could push the pair out of the simplex.
+        rng = random.Random(3004)
+        conflicts = checked = 0
+        while checked < 1000:
+            c1, c2, atom = _random_pair(rng, _near_certain_mass)
+            rest = frozenset(lit for c in (c1, c2) for lit in c.literals if lit[0] != atom)
+            if not rest or len({a for a, _ in rest}) < len(rest):
+                continue
+            expected = oracle_resolvent_tv(
+                c1.literals, (c1.tv.belief, c1.tv.disbelief),
+                c2.literals, (c2.tv.belief, c2.tv.disbelief),
+                rest,
+            )
+            checked += 1
+            if expected is None:
+                with pytest.raises(TotalConflict):
+                    resolve(c1, c2, atom)
+                conflicts += 1
+                continue
+            got = resolve(c1, c2, atom).tv
+            assert abs(got.belief - expected[0]) + abs(got.disbelief - expected[1]) <= 1e-12
+        assert conflicts > 0
+
+    def test_near_total_conflict_resolvent_is_derived(self):
+        kb = KnowledgeBase()
+        kb.load_text(
+            "(clause (or p q) (0.9999731618308351 . 3.916621665699683e-06))\n"
+            "(clause (or p q) (0 . 1))\n"
+        )
+        assert resolve(*kb.clauses, P).tv == TruthValue(0.0, 1.0)
+        assert prove_by_resolution(kb, Q, "not", 0.0) == [({}, 1.0)]
+
 
 def _random_mass(rng):
     mass = rng.uniform(0.0, 0.95)
@@ -217,6 +252,13 @@ def _edge_mass(rng):
         belief = rng.random()
         return belief, 1.0 - belief
     return _random_mass(rng)
+
+
+def _near_certain_mass(rng):
+    """Certain, or within 1e-3 to 1e-12 of certain, on either side."""
+    gap = 10 ** -rng.uniform(3, 12)
+    pair = rng.choice(((1.0 - gap, rng.random() * gap), (1.0 - gap, 0.0), (1.0, 0.0)))
+    return pair if rng.random() < 0.5 else pair[::-1]
 
 
 _ATOMS = [P, Q, R, W]
@@ -439,13 +481,15 @@ class TestGivenClauseLoop:
         # With disbelief on the links, same-sign steps yield resolvents
         # too. Parents that share a base clause are never resolved, which
         # keeps the calls to a few hundred; sharing ones would add
-        # thousands without changing the unit (a14).
+        # thousands without changing the unit (a14). The exact count
+        # moves with last-bit differences between equal derivations,
+        # which decide heaviest-wins replacements.
         n = 14
         atoms, clauses = _chain(n, unit=(0.8, 0.1), link=(0.9, 0.05))
         groups = saturate_groups(clauses, EngineConfig())
         (unit,) = groups[frozenset({(atoms[n], True)})]
-        assert unit.tv == TruthValue(0.18971394077639406, 0.04772751981656383)
-        assert 0 < len(resolve_calls) <= 601
+        assert unit.tv == TruthValue(0.1897139407763941, 0.04772751981656383)
+        assert 0 < len(resolve_calls) <= 603
 
     def test_every_random_set_settles_closed(self, resolve_calls):
         # A derivation that reused its own base clauses could displace a
