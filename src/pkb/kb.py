@@ -156,14 +156,6 @@ def unwrap_query(pattern: Term, tag: str = "t") -> tuple[Term, str]:
     return pattern, tag
 
 
-def _ledger_key(rule_id: str, bindings) -> tuple:
-    """(rule id, instance values) for a ground binding dict, or for the
-    instance values already in the order `make_rule` gives variables."""
-    if isinstance(bindings, dict):
-        bindings = tuple([t for _v, t in sorted(bindings.items(), key=lambda item: item[0].name)])
-    return rule_id, bindings
-
-
 def _components(clauses) -> list[tuple]:
     """``clauses`` split into connected components, two clauses being
     connected when they share an atom: tuples of clauses in list order,
@@ -218,7 +210,8 @@ class KnowledgeBase:
         # each entry's pattern in canonical form, whose variables no
         # parsed goal can share, so dispatch unifies it with goals as is
         self._dispatch: list[tuple[Term, str]] = []
-        # (rule id, instance values) -> justification; see _ledger_key
+        # (rule id, instance values in the order of the rule's
+        # variables) -> justification
         self._ledger: dict[tuple, forward.Justification] = {}
         # consequence, and ground premise atom -> {ledger key: None}, in
         # ledger order
@@ -338,12 +331,10 @@ class KnowledgeBase:
 
     # -- rules, clauses, control ----------------------------------------------
 
-    def add_rule(self, premise: Term, consequence: Term, rule_tv: TruthValue, rule_id: str | None = None) -> Rule:
+    def add_rule(self, premise: Term, consequence: Term, rule_tv: TruthValue) -> Rule:
         """Store a rule and fire it on everything already present."""
-        if rule_id is None:
-            self._rule_count += 1
-            rule_id = f"r{self._rule_count}"
-        rule = make_rule(rule_id, premise, consequence, rule_tv)
+        self._rule_count += 1
+        rule = make_rule(f"r{self._rule_count}", premise, consequence, rule_tv)
         position = len(self.rules)
         for key in {_index_key(core) for core, _ in rule.conjuncts}:
             self._rules_by_key.setdefault(key, []).append(position)
@@ -444,25 +435,23 @@ class KnowledgeBase:
 
     # -- justification ledger -------------------------------------------------
 
-    def record_justification(self, j: forward.Justification, values: tuple | None = None):
-        """File a firing record under its rule and instance values, which
-        are read from ``j.bindings`` unless given."""
-        key = _ledger_key(j.rule_id, j.bindings if values is None else values)
+    def record_justification(self, j: forward.Justification, values: tuple):
+        """File a firing record under its rule and instance values."""
+        key = (j.rule_id, values)
         self._ledger[key] = j
         for index, atom in self._filings(j):
             index.setdefault(atom, {})[key] = None
 
-    def find_justification(self, rule_id: str, bindings) -> forward.Justification | None:
-        """The live record of a rule instance, given as a binding dict or
-        as its instance values."""
-        return self._ledger.get(_ledger_key(rule_id, bindings))
+    def find_justification(self, rule_id: str, values: tuple) -> forward.Justification | None:
+        """The live record of a rule instance, given by its instance values."""
+        return self._ledger.get((rule_id, values))
 
-    def retract_justification(self, rule_id: str, bindings) -> TruthValue:
+    def retract_justification(self, rule_id: str, values: tuple) -> TruthValue:
         """Remove a firing record, returning its contribution for inversion."""
-        key = _ledger_key(rule_id, bindings)
+        key = (rule_id, values)
         j = self._ledger.pop(key, None)
         if j is None:
-            raise NotFound(f"no justification for {rule_id} at {key[1]}")
+            raise NotFound(f"no justification for {rule_id} at {values}")
         for index, atom in self._filings(j):
             refs = index.get(atom)
             if refs is not None:

@@ -109,8 +109,12 @@ class TestAssertSetWhy:
         code = main(["assert", "(foo fred)", "(0.4 . 0.1)"])
         assert code == 0
 
-    def test_bad_truth_value_exits_two(self, capsys):
-        code = main(["assert", "(foo fred)", "(0.9 . 0.3)"])
+    def test_set_replaces_evidence(self, tweety_file):
+        assert main(["--kb", tweety_file, "set", "(bird Tweety)", "(0 . 0)"]) == 0
+
+    @pytest.mark.parametrize("command", ["assert", "set"])
+    def test_bad_truth_value_exits_two(self, command, capsys):
+        code = main([command, "(foo fred)", "(0.9 . 0.3)"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pkb.kb
+from pkb.backward import prove
 from pkb.errors import NotFound, RangeError, TotalConflict
 from pkb.forward import Justification
 from pkb.kb import KnowledgeBase, make_rule, unwrap_query
@@ -20,7 +21,7 @@ from pkb.terms import Compound, Number, compound, format_bindings, normalize_neg
 from pkb.truth import FALSE, TRUE, VACUOUS, TAG_NAMES, TruthValue, tagged_answers
 
 from kbgen import build_kb, random_tv, random_var_kb
-from oracles import oracle_combine
+from oracles import oracle_bottom_up, oracle_combine
 
 TOL = 1e-9
 
@@ -61,6 +62,11 @@ class TestStash:
         with pytest.raises(ValueError):
             kb.stash(S("(foo $x)"), TRUE)
 
+    @pytest.mark.parametrize("text", ["5", "((f) a)"])
+    def test_non_sentence_rejected(self, kb, text):
+        with pytest.raises(ValueError, match="not a sentence"):
+            kb.stash(S(text), TRUE)
+
     def test_one_value_per_sentence_and_negation(self, kb):
         kb.stash(S("(foo fred)"), TruthValue(0.3, 0.2))
         direct = kb.retrieve(S("(foo fred)"))
@@ -93,6 +99,43 @@ class TestSetTruth:
         kb.set_truth(S("(foo fred)"), VACUOUS)
         assert kb.facts() == []
         assert kb.retrieve(S("(foo fred)")) == VACUOUS
+
+
+PROPOSITIONAL_KB = """
+(rule raining wet (0.9 . 0))
+(rule (and wet cold) icy (0.8 . 0))
+(fact raining (0.5 . 0))
+(fact cold (1 . 0))
+"""
+
+PROPOSITIONAL_RULES = [
+    ([(S("raining"), True)], S("wet"), (0.9, 0.0)),
+    ([(S("wet"), True), (S("cold"), True)], S("icy"), (0.8, 0.0)),
+]
+
+
+class TestPropositionalSentences:
+    """Bare symbols as sentences, indexed under (name, 0)."""
+
+    def test_engines_match_bottom_up_oracle(self, kb):
+        kb.load_text(PROPOSITIONAL_KB)
+        expected = oracle_bottom_up({S("raining"): (0.5, 0.0), S("cold"): (1.0, 0.0)}, PROPOSITIONAL_RULES)
+        assert set(expected) == {S("raining"), S("wet"), S("cold"), S("icy")}
+        for sentence, pair in expected.items():
+            assert close(kb.retrieve(sentence), pair)
+            assert kb.lookup(sentence, "t", 0.0) == [({}, kb.retrieve(sentence).belief)]
+            ((bindings, tv),) = prove(kb, sentence)
+            assert bindings == {} and close(tv, pair)
+        (j,) = kb.why(S("icy"))
+        assert (j.rule_id, j.premises) == ("r2", (S("wet"), S("cold")))
+        assert close(j.contribution, expected[S("icy")])
+
+    def test_vacuous_premise_drops_its_consequences(self, kb):
+        kb.load_text(PROPOSITIONAL_KB)
+        kb.set_truth(S("raining"), VACUOUS)
+        expected = oracle_bottom_up({S("cold"): (1.0, 0.0)}, PROPOSITIONAL_RULES)
+        assert [s for s, _record in kb.facts()] == list(expected) == [S("cold")]
+        assert kb.retrieve(S("icy")) == VACUOUS and kb.why(S("icy")) == []
 
 
 class TestRetrieve:
@@ -228,6 +271,9 @@ class TestUnwrapQuery:
     def test_not_around_keyword_uses_dual(self):
         assert unwrap_query(S("(not (poss (foo fred)))"), "t") == (S("(foo fred)"), "poss-not")
 
+    def test_stops_at_wrapper_it_cannot_fold(self):
+        assert unwrap_query(S("(poss (unknown p))"), "t") == (S("(unknown p)"), "poss")
+
 
 class TestRules:
     def test_negated_consequence_normalized(self, kb):
@@ -243,6 +289,10 @@ class TestRules:
         with pytest.raises(ValueError):
             make_rule("r1", S("(p $x)"), S("(q $y)"), TRUE)
 
+    def test_empty_and_premise_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            make_rule("r1", S("(and)"), S("(q)"), TRUE)
+
     def test_auto_ids(self, kb):
         r1 = kb.add_rule(S("(p $x)"), S("(q $x)"), TRUE)
         r2 = kb.add_rule(S("(q $x)"), S("(r $x)"), TRUE)
@@ -251,32 +301,30 @@ class TestRules:
 
 class TestLedger:
     def test_round_trip(self, kb):
-        theta = {var("x"): sym("fred")}
-        j = Justification("r1", theta, TRUE, TruthValue(0.7, 0.0), S("(goo fred)"))
-        kb.record_justification(j)
-        assert kb.find_justification("r1", theta) is j
+        j = Justification("r1", {var("x"): sym("fred")}, TRUE, TruthValue(0.7, 0.0), S("(goo fred)"))
+        kb.record_justification(j, (sym("fred"),))
+        assert kb.find_justification("r1", (sym("fred"),)) is j
 
     def test_find_on_empty_ledger(self, kb):
-        assert kb.find_justification("r1", {var("x"): sym("fred")}) is None
+        assert kb.find_justification("r1", (sym("fred"),)) is None
 
     def test_distinct_bindings_kept_apart(self, kb):
         ja = Justification("r1", {var("x"): sym("a")}, TRUE, TruthValue(0.5, 0.0), S("(goo a)"))
         jb = Justification("r1", {var("x"): sym("b")}, TRUE, TruthValue(0.6, 0.0), S("(goo b)"))
-        kb.record_justification(ja)
-        kb.record_justification(jb)
-        assert kb.find_justification("r1", {var("x"): sym("a")}) is ja
-        assert kb.find_justification("r1", {var("x"): sym("b")}) is jb
+        kb.record_justification(ja, (sym("a"),))
+        kb.record_justification(jb, (sym("b"),))
+        assert kb.find_justification("r1", (sym("a"),)) is ja
+        assert kb.find_justification("r1", (sym("b"),)) is jb
 
     def test_retract_returns_contribution(self, kb):
-        theta = {var("x"): sym("fred")}
-        j = Justification("r1", theta, TRUE, TruthValue(0.7, 0.0), S("(goo fred)"))
-        kb.record_justification(j)
-        assert kb.retract_justification("r1", theta) == TruthValue(0.7, 0.0)
-        assert kb.find_justification("r1", theta) is None
+        j = Justification("r1", {var("x"): sym("fred")}, TRUE, TruthValue(0.7, 0.0), S("(goo fred)"))
+        kb.record_justification(j, (sym("fred"),))
+        assert kb.retract_justification("r1", (sym("fred"),)) == TruthValue(0.7, 0.0)
+        assert kb.find_justification("r1", (sym("fred"),)) is None
 
     def test_retract_missing_raises(self, kb):
         with pytest.raises(NotFound):
-            kb.retract_justification("r9", {})
+            kb.retract_justification("r9", ())
 
     def test_at_most_one_live_justification_per_key(self, kb):
         kb.add_rule(S("(foo $x)"), S("(goo $x)"), TruthValue(0.8, 0.0))

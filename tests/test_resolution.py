@@ -294,6 +294,7 @@ class TestSaturate:
         ]
         got = saturate(clauses, [(Q, True)])
         assert tv_close(got, (1.0, 0.0))
+        assert saturate(clauses, clause([(Q, True)], 0.0, 0.0)) == got
 
     def test_single_opposite_step(self):
         clauses = [

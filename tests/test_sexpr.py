@@ -178,6 +178,10 @@ class TestSentenceHelpers:
         (stmt,) = parse_kb(f"(fact (foo {word}) (1 . 0))")
         assert print_statement(stmt) == f"(fact (foo {word}) (1 . 0))"
 
+    @pytest.mark.parametrize("word", ["-x", "+y", "1st"])
+    def test_words_that_are_not_numbers_are_symbols(self, word):
+        assert parse_sentence(f"(foo {word})") == compound(sym("foo"), sym(word))
+
     @pytest.mark.parametrize("word", ["1e300", "-0.5", "+7", "١٢"])
     def test_finite_words_are_numbers(self, word):
         assert parse_sentence(word) == Number(float(word))
