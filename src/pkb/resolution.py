@@ -33,9 +33,9 @@ unknown):
                    (D,U) disbelief if sub2
     every other pair decides nothing.
 
-`resolve` sums these cells in closed form. It divides belief and
-disbelief by the consistent mass, 1 minus the conflict, summed from
-nonnegative parts so that it keeps its precision near total conflict.
+`resolve` sums these cells in closed form and divides by the consistent
+mass: 1 - b1*b2 for opposite signs if b1*b2 <= 1/2, else the sum of
+the consistent cells, which stays precise near total conflict.
 
 This is exact because the parents are ground and the resolvent
 rest1 | rest2 holds no complementary pair. A disbelief focal is a cube
@@ -110,7 +110,7 @@ from .errors import (
     TotalConflict,
 )
 from .terms import Term, is_ground, normalize_negation
-from .truth import VACUOUS, EngineConfig, TruthValue, _uncommitted, combine, negate, tagged_answers
+from .truth import VACUOUS, EngineConfig, TruthValue, combine, negate, tagged_answers, uncommitted
 
 
 class Clause(namedtuple("Clause", "literals tv support")):
@@ -177,18 +177,18 @@ def _resolvent_tv(c1: Clause, c2: Clause, opposite: bool, sub1: bool, sub2: bool
     row-major (i, j) order; a cell a sum leaves out adds +0.0 to it."""
     a1, b1 = c1.tv.belief, c1.tv.disbelief
     a2, b2 = c2.tv.belief, c2.tv.disbelief
-    u1, u2 = _uncommitted(a1, b1), _uncommitted(a2, b2)
+    u1, u2 = uncommitted(a1, b1), uncommitted(a2, b2)
     bd, db = a1 * b2, b1 * a2
     du = b1 * u2 if sub2 else 0.0
     ud = u1 * b2 if sub1 else 0.0
     if opposite:
         belief = a1 * a2
         disbelief = (bd if sub1 else 0.0) + (db if sub2 else 0.0) + du + ud
-        norm = (1.0 - b1) + b1 * (1.0 - b2)
+        norm = 1.0 - b1 * b2 if b1 * b2 <= 0.5 else (a1 + u1) + b1 * (a2 + u2)
     else:
         belief = (0.0 if sub1 else bd) + (0.0 if sub2 else db)
         disbelief = b1 * b2 + du + ud
-        norm = u1 + (a1 * (1.0 - b2) if sub1 else a1) + (b1 * (1.0 - a2) if sub2 else b1)
+        norm = u1 + (a1 * (a2 + u2) if sub1 else a1) + (b1 * (b2 + u2) if sub2 else b1)
     if norm == 0.0:
         raise TotalConflict(f"resolving {c1} with {c2} leaves no consistent mass")
     return TruthValue(belief / norm, disbelief / norm)

@@ -213,7 +213,7 @@ def conflict(x: TruthValue, y: TruthValue) -> float:
     return x.belief * y.disbelief + x.disbelief * y.belief
 
 
-def _uncommitted(a: float, b: float) -> float:
+def uncommitted(a: float, b: float) -> float:
     """1 - a - b, at least 0, with the larger part taken from 1 first:
     that step is exact, so a tiny uncommitted mass keeps its precision
     through a renormalization or a division by it."""
@@ -236,8 +236,8 @@ def combine(x: TruthValue, y: TruthValue) -> TruthValue:
         return x
     if a1 == 0.0 and b1 == 0.0:
         return y
-    u1 = _uncommitted(a1, b1)
-    u2 = _uncommitted(a2, b2)
+    u1 = uncommitted(a1, b1)
+    u2 = uncommitted(a2, b2)
     belief = a1 * a2 + a1 * u2 + u1 * a2
     disbelief = b1 * b2 + b1 * u2 + u1 * b2
     unknown = u1 * u2
@@ -264,10 +264,10 @@ def uncombine(total: TruthValue, component: TruthValue) -> TruthValue:
         raise NotCertainRemovable(f"cannot remove certain component {component}")
     ac, bc = component.belief, component.disbelief
     at, bt = total.belief, total.disbelief
-    uc = _uncommitted(ac, bc)
+    uc = uncommitted(ac, bc)
     if uc <= DRIFT_TOLERANCE:
         raise NoValidResidual(f"component {component} has no uncommitted mass")
-    ut = _uncommitted(at, bt)
+    ut = uncommitted(at, bt)
     z = ut / uc
     belief = max((at + ut) / (ac + uc) - z, 0.0)
     disbelief = max((bt + ut) / (bc + uc) - z, 0.0)

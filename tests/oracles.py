@@ -102,7 +102,8 @@ def oracle_resolvent_tv(lits1, tv1, lits2, tv2, resolvent):
     atoms. As in `oracle_combine`, the table is summed in exact rational
     arithmetic over the given floats and renormalized by its consistent
     cells' own sum, and a pair whose floats sum a hair past 1 has no
-    uncommitted mass. Returns None on total conflict.
+    uncommitted mass. Returns None on total conflict, when no cell is
+    consistent.
     """
     atoms = sorted({a for a, _ in lits1} | {a for a, _ in lits2}, key=repr)
     models = []
@@ -122,20 +123,19 @@ def oracle_resolvent_tv(lits1, tv1, lits2, tv2, resolvent):
 
     everything = frozenset(range(len(models)))
     res = model_set(resolvent)
-    belief = disbelief = conflict = consistent = Fraction(0)
+    belief = disbelief = consistent = Fraction(0)
     for set1, w1 in focals(lits1, tv1):
         for set2, w2 in focals(lits2, tv2):
             w = w1 * w2
             cell = set1 & set2
             if not cell:
-                conflict += w
                 continue
             consistent += w
             if cell <= res:
                 belief += w
             elif cell <= (everything - res):
                 disbelief += w
-    if conflict >= 1:
+    if not consistent:
         return None
     return (float(belief / consistent), float(disbelief / consistent))
 

@@ -109,8 +109,15 @@ class TestAssertSetWhy:
         code = main(["assert", "(foo fred)", "(0.4 . 0.1)"])
         assert code == 0
 
-    def test_set_replaces_evidence(self, tweety_file):
+    def test_set_replaces_evidence(self, tweety_file, capsys, monkeypatch):
         assert main(["--kb", tweety_file, "set", "(bird Tweety)", "(0 . 0)"]) == 0
+        query = 'query "(flies Tweety)" --cutoff 0.5'
+        lines = iter([query, 'set "(ostrich Tweety)" "(0 . 0)"', query, "quit"])
+        monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+        capsys.readouterr()
+        assert main(["--kb", tweety_file]) == 0
+        # (0 . 1) from the ostrich rule hides the answer until it is unset
+        assert capsys.readouterr().out.splitlines()[1:] == ["{} 0.7"]
 
     @pytest.mark.parametrize("command", ["assert", "set"])
     def test_bad_truth_value_exits_two(self, command, capsys):
