@@ -24,8 +24,25 @@ soon as possible). Every task reads and updates the live accumulation
 table at execution time; nothing works from a snapshot taken when the
 task was queued, so interleaved updates are never double-counted.
 Recursion into a variant of an ancestor goal contributes nothing (a
-sound, terminating reading of rule cycles), and subgoal results are
-cached for the duration of one top-level ``prove`` call.
+sound, terminating reading of rule cycles).
+
+Results are tabled (SLG resolution, Chen & Warren 1996, without its
+completion step). Within one top-level call every goal solved is kept
+and reused as is. A result is clean when its evaluation cut no goal and
+reused nothing unclean; clean results also go to the knowledge base's
+goal table (`KnowledgeBase.goal_table`), with the goals their
+evaluation visited and the depth it reached, and outlive the call. A
+later call reuses an entry only where solving its goal afresh would
+give the same: no goal it visited is on the stack, and its depth still
+fits under ``max_chain_depth`` from there. The goals it visited then
+count as solved for the rest of that call, as solving it would have
+left them. Otherwise the goal is solved again. Backward chaining reads
+nothing of the store but base evidence, so `stash` and `set_truth`
+drop the entries that visited the sentence written or an open goal
+over its index bucket (incremental tabling, Saha & Ramakrishnan 2003),
+and a new rule, config or priority function empties the table. A
+result whose proof reaches a rule cycle is never clean, so such an
+answer is what one call gives, whatever was asked before.
 
 Rules are proved on instances in the compiled form forward chaining
 uses (see `kb.Rule` and `_prove_conjuncts`), so nothing is renamed apart.
@@ -43,7 +60,7 @@ from operator import attrgetter
 
 from . import resolution  # looked up per call, so a wrapper set on the module applies
 from .errors import DepthExceeded
-from .kb import KnowledgeBase, unwrap_query
+from .kb import GoalEntry, KnowledgeBase, unwrap_query
 from .terms import (
     canonical_form,
     compile_matcher,
@@ -74,30 +91,69 @@ def default_priority(kind: str, rule=None) -> float:
 
 
 class _State:
+    """One top-level call's view of the goal table, its memo and its
+    stack, and what the goal being solved has visited so far."""
+
     def __init__(self, kb, priority_fn):
         self.kb = kb
         self.config = kb.config
         self.priority_fn = priority_fn or default_priority
-        self.memo = {}
+        self.table = kb.goal_table(self.priority_fn)
+        self.memo = {}  # goal key -> GoalEntry, for every goal solved or reused
+        self.unclean = set()  # memo keys whose result is not clean
         self.stack = []
+        # of the goal being solved: keys visited, the deepest subgoal's
+        # depth, and whether it is clean so far
+        self.visited, self.depth, self.clean = set(), 0, True
+
+
+def _reusable(entry: GoalEntry, state: _State) -> bool:
+    """Whether solving a tabled goal here would give its entry: no goal
+    it visited would be cut, and it would stay within the depth bound."""
+    return len(state.stack) + entry.depth <= state.config.max_chain_depth and entry.visited.isdisjoint(state.stack)
 
 
 def _solve(goal, state: _State) -> list:
     """Prove a (non-negated) goal; returns [(ground instance, tv)]."""
     key = canonical_form(goal)
-    if key in state.memo:
-        return state.memo[key]
-    if key in state.stack:
-        return []  # variant of an ancestor goal: this branch adds nothing
+    entry = state.memo.get(key)
+    if entry is None:
+        entry = state.table.get(key)
+        if entry is not None and _reusable(entry, state):
+            if state.stack:  # solving it would have kept every goal it visited
+                for seen in entry.visited:
+                    state.memo[seen] = state.table[seen]
+        elif key in state.stack:
+            state.clean = False
+            return []  # variant of an ancestor goal: this branch adds nothing
+        else:
+            entry = _evaluate(goal, key, state)
+    state.visited |= entry.visited
+    state.depth = max(state.depth, entry.depth)
+    if key in state.unclean:
+        state.clean = False
+    return entry.answers
+
+
+def _evaluate(goal, key, state: _State) -> GoalEntry:
+    """Run a goal's agenda; table the result if it is clean."""
     if len(state.stack) >= state.config.max_chain_depth:
         raise DepthExceeded(goal, len(state.stack))
+    outer = state.visited, state.depth, state.clean
+    state.visited, state.depth, state.clean = {key}, 0, True
     state.stack.append(key)
     try:
-        result = _run_agenda(goal, key, state)
+        answers = _run_agenda(goal, key, state)
     finally:
         state.stack.pop()
-    state.memo[key] = result
-    return result
+    entry = GoalEntry(answers, state.visited, state.depth + 1)
+    if state.clean:
+        state.kb.table_goal(key, entry)
+    else:
+        state.unclean.add(key)
+    state.memo[key] = entry
+    state.visited, state.depth, state.clean = outer
+    return entry
 
 
 def _values(variables: tuple, theta) -> tuple:
@@ -201,6 +257,12 @@ def prove(kb: KnowledgeBase, goal, priority_fn=None) -> list:
     Returns a list of (bindings, tv) pairs, the bindings a dict from
     each of the goal's own variables to its value. A goal wrapped in
     ``(not ...)`` is proved through its core with the answers swapped.
+
+    Clean results are kept in ``kb``'s goal table for later calls, which
+    reuse one only where solving afresh would give the same answers and
+    raise the same errors (see the module docstring). Writing a sentence
+    drops the entries that read it, and a new rule, config or
+    ``priority_fn`` drops them all. A reused result emits no trace lines.
     """
     core, flipped = normalize_negation(goal)
     results = _solve(core, _State(kb, priority_fn))

@@ -90,6 +90,15 @@ the rest) and ``patterns[i]`` the conjunct under a partial instance;
 ``instantiate`` gives an instance's ground premise atoms and consequence,
 and ``head`` the values a ground goal fixes of the consequence."""
 
+GoalEntry = namedtuple("GoalEntry", "answers visited depth")
+GoalEntry.__doc__ = """One proved goal, as backward chaining keeps it.
+
+``answers`` are its (ground instance, tv) pairs; ``visited`` holds the
+canonical key of every goal its evaluation solved or reused, its own
+included; ``depth`` is the height of that evaluation with every reused
+result unfolded, the goal itself counting one. None of them is ever
+modified."""
+
 ControlEntry = namedtuple("ControlEntry", "pattern method")
 ControlEntry.__doc__ = """Meta-level directive: goals matching ``pattern`` use ``method``.
 
@@ -206,6 +215,12 @@ class KnowledgeBase:
         # every component's groups merged); the count is None after a
         # component failed to settle
         self._saturation: tuple | None = None
+        # (config copy, priority function, {goal key: GoalEntry}), or None
+        # until a goal is tabled or after add_rule; see goal_table
+        self._goals: tuple | None = None
+        # what a tabled evaluation read of the store (a ground goal, or
+        # an open goal's index key) -> {goal key: the GoalEntry filed}
+        self._goal_readers: dict = {}
         self.control_entries: list[ControlEntry] = []
         # each entry's pattern in canonical form, whose variables no
         # parsed goal can share, so dispatch unifies it with goals as is
@@ -250,6 +265,7 @@ class KnowledgeBase:
         core, tv = self._normalize(sentence, tv)
         if tv.is_vacuous():
             return
+        self._forget(core)
         record = self._facts.get(core)
         if record is None:
             record = FactRecord(VACUOUS, VACUOUS)
@@ -266,6 +282,7 @@ class KnowledgeBase:
         contributions, and the change is propagated forward.
         """
         core, tv = self._normalize(sentence, tv)
+        self._forget(core)
         record = self._facts.get(core)
         old = record.tv if record else VACUOUS
         new = self.pooled_value(core, tv)
@@ -340,6 +357,7 @@ class KnowledgeBase:
             self._rules_by_key.setdefault(key, []).append(position)
         self._rules_by_consequence.setdefault(_index_key(rule.consequence), []).append(position)
         self.rules.append(rule)
+        self._goals = None
         forward.fire_rule(self, rule)
         return rule
 
@@ -395,6 +413,49 @@ class KnowledgeBase:
             raise IterationBoundExceeded(str(failure), partial=merged)
         self._saturation = (len(self.clauses), config.copy(), kept, merged)
         return merged
+
+    # -- goal table -------------------------------------------------------------
+
+    def goal_table(self, priority_fn) -> dict:
+        """Backward chaining's proved goals under ``self.config`` and
+        ``priority_fn``: canonical goal key -> GoalEntry.
+
+        Backward chaining reads only rules, the config, the agenda order
+        and base evidence, so an entry stays right until one of them
+        changes. A new rule, a different config (however it was set) or
+        a different priority function starts an empty table; `stash` and
+        `set_truth`, the only writers of base evidence, drop the entries
+        that read the sentence written (see `_forget`). The caller files
+        entries with `table_goal` and must not modify them.
+        """
+        goals = self._goals
+        if goals is None or goals[1] != priority_fn or goals[0] != self.config:
+            goals = self._goals = (self.config.copy(), priority_fn, {})
+            self._goal_readers = {}
+        return goals[2]
+
+    def table_goal(self, key: Term, entry: GoalEntry):
+        """File ``entry`` in the table `goal_table` last returned, under
+        each read its visited goals make: a ground goal reads its own
+        record, an open one its index bucket (the whole store when its
+        head is a variable, filed under None)."""
+        self._goals[2][key] = entry
+        readers = self._goal_readers
+        for goal in entry.visited:
+            readers.setdefault(goal if is_ground(goal) else _index_key(goal), {})[key] = entry
+
+    def _forget(self, core: Term):
+        """Drop the tabled goals that read the base evidence of ``core``.
+
+        A filing is never removed when its entry goes, so one may name
+        an entry since replaced: only the entry it filed is dropped."""
+        if self._goals is None:
+            return
+        table, readers = self._goals[2], self._goal_readers
+        for read in (core, _index_key(core), None):
+            for key, entry in readers.pop(read, {}).items():
+                if table.get(key) is entry:
+                    del table[key]
 
     def add_control(self, pattern: Term, method: str) -> ControlEntry:
         entry = ControlEntry(pattern, method)

@@ -287,12 +287,12 @@ def saturate_groups(clauses, config: EngineConfig, max_rounds: int = 100) -> dic
                 if not p.support & clause.support
             }
             for partner in sorted(partners.values(), key=key):
-                if not _alive(groups, partner):
-                    continue
+                if not _alive(groups, partner) or len(clause.literals) == len(partner.literals) == 1:
+                    continue  # two units on one atom resolve to the empty clause
                 for atom in sorted(atoms(clause) & atoms(partner), key=str):
                     try:
                         candidate = resolve(clause, partner, atom)
-                    except (TautologicalResolvent, TotalConflict, ValueError):
+                    except (TautologicalResolvent, TotalConflict):
                         continue
                     if candidate.tv.mass == 0.0 or candidate.tv.mass < config.inference_cutoff:
                         continue

@@ -207,6 +207,8 @@ def substitute(t: Term, bindings: Bindings) -> Term:
 
 def variables_in(t: Term) -> set:
     """All variables occurring anywhere in a term."""
+    if t._ground:
+        return set()
     if isinstance(t, Variable):
         return {t}
     if isinstance(t, Compound):

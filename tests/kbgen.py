@@ -1,9 +1,9 @@
-"""Random acyclic knowledge bases for engine stress tests.
+"""Random knowledge bases for engine stress tests.
 
 Predicates are stratified into levels; rule premises only mention
 predicates of strictly lower levels than their consequence, so every
-generated rule set is acyclic by construction. Base facts live on
-level 0. Truth-value masses stay away from 1 so no random run can
+generated rule set is acyclic by construction, except those of
+`random_cyclic_kb`. Base facts live on level 0. Truth-value masses stay away from 1 so no random run can
 stumble into total conflict or, unless asked for, the full-mass
 boundary where `uncombine` has no unique residual.
 """
@@ -111,6 +111,36 @@ def random_var_kb(rng: random.Random, levels: int = 3, preds_per_level: int = 2,
             consequence = Compound((cons_pred, cons_arg))
             tv = full_mass_tv(rng) if full_mass and rng.random() < 0.5 else random_tv(rng)
             rules.append((premise, consequence, tv))
+    return facts, rules
+
+
+def random_cyclic_kb(rng: random.Random, n_preds: int = 3, n_rules: int = 4):
+    """Facts and rules over ``n_preds`` unstratified predicates, so that
+    rule sets often hold cycles through two or more goals.
+
+    Returns (facts, rules) shaped as `random_var_kb`'s. Any predicate
+    may hold facts and conclude rules; a premise conjunct names any
+    predicate but its rule's consequence's, since a rule concluding its
+    own premise is a cycle every goal cuts at once.
+    """
+    preds = [Symbol(f"c{i}") for i in range(n_preds)]
+    facts = {
+        Compound((pred, const)): random_tv(rng) for pred in preds for const in CONSTANTS if rng.random() < 0.4
+    }
+    rules = []
+    for _ in range(n_rules):
+        head = rng.choice(preds)
+        use_var = rng.random() < 0.8
+        conjunct_terms = []
+        for k in range(rng.randrange(1, 3)):
+            arg = X if use_var and (k == 0 or rng.random() < 0.7) else rng.choice(CONSTANTS)
+            atom = Compound((rng.choice([p for p in preds if p != head]), arg))
+            if rng.random() < 0.15:
+                atom = Compound((Symbol("not"), atom))
+            conjunct_terms.append(atom)
+        premise = conjunct_terms[0] if len(conjunct_terms) == 1 else Compound((Symbol("and"), *conjunct_terms))
+        consequence = Compound((head, X if use_var else rng.choice(CONSTANTS)))
+        rules.append((premise, consequence, random_tv(rng)))
     return facts, rules
 
 

@@ -3,16 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pkb.backward
 from pkb.backward import prove, truep
-from pkb.errors import DepthExceeded, RangeError
+from pkb.errors import DepthExceeded, PkbError, RangeError
 from pkb.kb import KnowledgeBase
 from pkb.sexpr import parse_sentence as S
 from pkb.terms import format_bindings, sym, var
-from pkb.truth import TRUE, EngineConfig, TruthValue, combine
+from pkb.truth import TAG_NAMES, TRUE, VACUOUS, EngineConfig, TruthValue, combine
 
-from kbgen import build_kb, ground_rules_to_terms, random_ground_kb
+from kbgen import CONSTANTS, build_kb, ground_rules_to_terms, random_cyclic_kb, random_ground_kb, random_tv, random_var_kb
 from oracles import oracle_bottom_up, oracle_combine
 
 TOL = 1e-9
@@ -493,3 +495,186 @@ class TestTruep:
             truep(kb, S("(d k)"), "t", 0.5, method="backward-chain")
         with pytest.raises(RangeError, match="cutoff must be in"):
             truep(kb, S("(d k)"), "t", 2.0, method=method)
+
+
+CYCLE = """
+(setvar max-chain-depth 1000)
+(rule (a $x) (b $x) (0.9 . 0))
+(rule (b $x) (a $x) (0.9 . 0))
+(rule (and (a $x) (b $x)) (g $x) (1 . 0))
+(rule (and (b $x) (a $x)) (h $x) (1 . 0))
+(fact (a k) (0.5 . 0))
+"""
+
+
+# engine variable -> values the history-independence property sets
+SETTINGS = {"inference-cutoff": [0.0, 0.2], "accept-as-true": [0.3, 0.6, 1.0], "max-chain-depth": [2, 3, 64]}
+
+
+def _outcome(call, kb):
+    """What ``call(kb)`` returned, or the type of the error it raised."""
+    try:
+        return call(kb)
+    except PkbError as exc:
+        return type(exc)
+
+
+class TestGoalTable:
+    def test_tabled_goal_is_reused_until_a_fact_it_read_changes(self):
+        events = []
+        kb = KnowledgeBase()
+        kb.load_text("(rule (and (p $x) (q $x)) (r $x) (0.9 . 0)) (fact (p a) (1 . 0)) (fact (q a) (0.5 . 0))")
+        kb.trace = events.append
+        first = prove(kb, S("(r a)"))
+        assert events and prove(kb, S("(not (r a))")) == [({}, TruthValue(0.0, 0.45))]
+        events.clear()
+        assert prove(kb, S("(r a)")) == first
+        assert events == []  # a reused result runs no task
+        kb.stash(S("(q b)"), TRUE)  # read by no tabled goal
+        assert prove(kb, S("(r a)")) == first and events == []
+        kb.set_truth(S("(q a)"), TRUE)
+        assert prove(kb, S("(r a)")) == [({}, TruthValue(0.9, 0.0))]
+        assert events
+
+    def test_depth_bound_holds_where_a_tabled_goal_is_reused(self):
+        kb = KnowledgeBase()
+        kb.load_text(
+            "(rule (p4 $x) (p3 $x) (0.9 . 0)) (rule (p3 $x) (p2 $x) (0.9 . 0))"
+            " (rule (p2 $x) (p1 $x) (0.9 . 0)) (fact (p4 k) (0.5 . 0)) (setvar max-chain-depth 3)"
+        )
+        assert prove_one(kb, "(p3 k)") == TruthValue(0.45, 0.0)
+        # (p3 k) proved two deep from the top; under (p1 k) (p2 k) it
+        # would reach (p4 k) at depth 3, as solving it afresh does
+        with pytest.raises(DepthExceeded):
+            prove(kb, S("(p1 k)"))
+
+    def test_reused_goal_keeps_what_it_visited_for_the_rest_of_the_call(self):
+        text = (
+            "(rule (v $x) (b $x) (0.9 . 0)) (rule (v $x) (y2 $x) (0.9 . 0)) (rule (y2 $x) (y $x) (0.9 . 0))"
+            " (rule (and (b $x) (y $x)) (t $x) (1 . 0)) (fact (v k) (0.5 . 0)) (setvar max-chain-depth 3)"
+        )
+        fresh = KnowledgeBase()
+        fresh.load_text(text)
+        kb = KnowledgeBase()
+        kb.load_text(text)
+        prove(kb, S("(b k)"))
+        # (v k), proved under (b k), is met again three deep under (y2 k):
+        # solved in this call already, it is reused there, not re-proved
+        assert prove(kb, S("(t k)")) == prove(fresh, S("(t k)")) != []
+
+    def test_open_goal_gains_a_stashed_constant(self):
+        kb = KnowledgeBase()
+        kb.load_text("(rule (and (w $x) (p $x)) (v $x) (0.5 . 0)) (fact (w a) (1 . 0)) (fact (p a) (1 . 0)) (fact (p b) (1 . 0))")
+        assert [theta[var("x")] for theta, _tv in prove(kb, S("(v $x)"))] == [sym("a")]
+        kb.stash(S("(w b)"), TruthValue(0.8, 0.0))
+        assert {theta[var("x")]: tv for theta, tv in prove(kb, S("(v $x)"))} == {
+            sym("a"): TruthValue(0.5, 0.0),
+            sym("b"): TruthValue(0.4, 0.0),
+        }
+
+    def test_new_rule_changes_a_tabled_answer(self, tweety_kb):
+        assert prove_one(tweety_kb, "(flies Tweety)") == TruthValue(0.0, 1.0)
+        assert prove(tweety_kb, S("(swims Tweety)")) == []
+        tweety_kb.add_rule(S("(ostrich $x)"), S("(swims $x)"), TruthValue(0.3, 0.0))
+        assert prove_one(tweety_kb, "(swims Tweety)") == TruthValue(0.3, 0.0)
+
+    def test_config_change_drops_the_table(self):
+        kb = KnowledgeBase()
+        kb.load_text("(rule (p $x) (q $x) (0.5 . 0)) (fact (p a) (1 . 0)) (fact (q a) (0.4 . 0))")
+        assert prove_one(kb, "(q a)") == TruthValue(0.7, 0.0)
+        kb.config.accept_as_true = 0.3  # the fact alone is accepted
+        assert prove_one(kb, "(q a)") == TruthValue(0.4, 0.0)
+        kb.config = EngineConfig()
+        assert prove_one(kb, "(q a)") == TruthValue(0.7, 0.0)
+
+    def test_write_spares_an_entry_refiled_since_it_read_the_sentence(self):
+        kb, fresh = KnowledgeBase(), KnowledgeBase()
+        for each in (kb, fresh):
+            each.load_text(
+                "(rule (and (w $x) (p $x)) (v $x) (0.5 . 0)) (rule (v $y) (t k) (0.8 . 0)) (rule (t $x) (u $x) (1 . 0))"
+                " (fact (w a) (1 . 0)) (fact (p a) (1 . 0)) (fact (p b) (1 . 0))"
+            )
+            if each is kb:
+                prove(kb, S("(v $x)"))  # reads (p a)
+            each.set_truth(S("(w a)"), VACUOUS)
+            each.stash(S("(w b)"), TRUE)
+            if each is kb:
+                prove(kb, S("(t k)"))  # (v $x) again, now reading (p b), under (t k)
+            each.stash(S("(p a)"), TruthValue(0.5, 0.0))  # read by neither any more
+        # dropping (v $x) here would leave (t k), which visited it, to a
+        # nested reuse that finds it missing
+        assert prove(kb, S("(u k)")) == prove(fresh, S("(u k)")) != []
+
+    @pytest.mark.parametrize("asked", [[], ["(a k)", "(b k)"], ["(b k)"], ["(h k)", "(a $y)"], ["(g $y)", "(b k)", "(a k)"]])
+    def test_cycle_answers_do_not_depend_on_earlier_queries(self, asked):
+        def answers(kb):
+            return {goal: prove(kb, S(goal)) for goal in ("(g k)", "(h k)", "(a k)", "(b k)", "(g $y)")}
+
+        fresh = KnowledgeBase()
+        fresh.load_text(CYCLE)
+        # the conjunct order still decides (g k) against (h k): a
+        # cyclic answer is never tabled, so it stays what one call gives
+        assert answers(fresh)["(g k)"] == [] and answers(fresh)["(h k)"] == [({}, TruthValue(0.225, 0.0))]
+        kb = KnowledgeBase()
+        kb.load_text(CYCLE)
+        for goal in asked:
+            prove(kb, S(goal))
+        assert answers(kb) == answers(fresh)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), cyclic=st.booleans())
+    def test_answers_do_not_depend_on_earlier_queries(self, seed, cyclic):
+        # Every query on a KB that has answered others must equal the same
+        # query on a fresh KB built by the same mutations, bit for bit,
+        # down to the type of the error it raises.
+        rng = random.Random(seed)
+        facts, rules = (random_cyclic_kb if cyclic else random_var_kb)(rng)
+        preds = sorted({atom.elements[0] for atom in facts} | {c.elements[0] for _p, c, _tv in rules}, key=str)
+        atoms = [S(f"({pred} {c})") for pred in preds for c in CONSTANTS]
+        # a few goals, so that they repeat
+        goals = atoms + [S(f"({pred} $x)") for pred in preds]
+        goals = rng.sample(goals, min(5, len(goals)))
+
+        def mutation():
+            kind = rng.choice(["stash", "set_truth", "rule", "setvar", "config", "field"])
+            if kind in ("stash", "set_truth"):
+                atom, tv = rng.choice(atoms), rng.choice([random_tv(rng), VACUOUS])
+                return lambda kb: getattr(kb, kind)(atom, tv)
+            if kind == "rule":
+                premise, consequence, tv = rng.choice(rules)
+                return lambda kb: kb.add_rule(premise, consequence, tv)
+            name = rng.choice(list(SETTINGS))
+            value = rng.choice(SETTINGS[name])
+            if kind == "setvar":
+                return lambda kb: kb.set_variable(name, value)
+            field = name.replace("-", "_")
+            if kind == "config":
+                return lambda kb: setattr(kb, "config", kb.config.copy(**{field: value}))
+            return lambda kb: setattr(kb.config, field, value)
+
+        def query():
+            goal = rng.choice(goals)
+            if rng.random() < 0.2:
+                goal = S(f"(not {goal})")
+            if rng.random() < 0.5:
+                priority_fn = rng.choice([None, _fifo_priority, _reversed_priority])
+                return lambda kb: prove(kb, goal, priority_fn=priority_fn)
+            tag, cutoff, method = rng.choice(TAG_NAMES), rng.choice([0.0, 0.3]), rng.choice([None, "backward-chain"])
+            return lambda kb: truep(kb, goal, tag, cutoff, method=method)
+
+        history = [lambda kb, r=r: kb.add_rule(*r) for r in rules[: rng.randrange(len(rules) + 1)]]
+        facts.update((atom, random_tv(rng)) for atom in rng.sample(atoms, min(4, len(atoms))))  # any level
+        history += [lambda kb, s=s, tv=tv: kb.stash(s, tv) for s, tv in facts.items()]
+        kb = KnowledgeBase()
+        for step in history:
+            _outcome(step, kb)
+        for _ in range(40):
+            if rng.random() < 0.25:
+                history.append(mutation())
+                _outcome(history[-1], kb)
+                continue
+            call = query()
+            fresh = KnowledgeBase()
+            for step in history:
+                _outcome(step, fresh)
+            assert _outcome(call, kb) == _outcome(call, fresh)

@@ -502,6 +502,17 @@ class TestGivenClauseLoop:
         assert resolve_calls
         assert all(not (c1.support & c2.support) for c1, c2, _atom in resolve_calls)
 
+    def test_out_of_range_resolvent_is_not_swallowed(self, monkeypatch):
+        # Only a tautological or totally conflicting resolvent is skipped;
+        # an arithmetic slip that leaves a pair out of range surfaces.
+        def out_of_range(*_args):
+            raise RangeError("disbelief = 1.000000000001624 is above 1")
+
+        monkeypatch.setattr(resolution, "_resolvent_tv", out_of_range)
+        clauses = [clause([(P, True), (Q, True)], 0.5, 0.0, ("1",)), clause([(P, False), (R, True)], 0.5, 0.0, ("2",))]
+        with pytest.raises(RangeError, match="above 1"):
+            saturate_groups(clauses, EngineConfig())
+
     def test_empty_support_is_rejected_before_any_work(self, resolve_calls):
         # An empty support meets no other, so a clause with one could be
         # reused without limit: with no labels these three ran into the
