@@ -60,10 +60,9 @@ from operator import attrgetter
 
 from . import resolution  # looked up per call, so a wrapper set on the module applies
 from .errors import DepthExceeded
-from .kb import GoalEntry, KnowledgeBase, unwrap_query
+from .kb import GoalEntry, KnowledgeBase, open_matcher, unwrap_query
 from .terms import (
     canonical_form,
-    compile_matcher,
     is_ground,
     normalize_negation,
     substitute,
@@ -267,7 +266,7 @@ def prove(kb: KnowledgeBase, goal, priority_fn=None) -> list:
     core, flipped = normalize_negation(goal)
     results = _solve(core, _State(kb, priority_fn))
     variables = tuple(sorted(variables_in(core), key=attrgetter("name")))
-    match = compile_matcher(core, variables) if variables and results else None
+    match = open_matcher(core, variables) if variables and results else None
     return [
         (dict(zip(variables, match(instance))) if match else {}, negate(tv) if flipped else tv)
         for instance, tv in results

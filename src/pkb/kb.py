@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import isfinite
 from operator import attrgetter
 
 from . import forward, sexpr
-from .errors import IterationBoundExceeded, NotFound, RangeError
+from .errors import IterationBoundExceeded, NotFound
 from .resolution import Clause, saturate_groups
 from .terms import (
     Compound,
@@ -60,14 +59,10 @@ from .truth import (
 _AND = Symbol("and")
 
 # compiled matchers of open patterns, by (pattern, variables)
-_open_matcher = lru_cache(maxsize=256)(compile_matcher)
+open_matcher = lru_cache(maxsize=256)(compile_matcher)
 
 # surface name of each engine variable -> its EngineConfig field
-ENGINE_VARIABLES = {
-    "inference-cutoff": "inference_cutoff",
-    "accept-as-true": "accept_as_true",
-    "max-chain-depth": "max_chain_depth",
-}
+ENGINE_VARIABLES = {field.replace("_", "-"): field for field in EngineConfig._fields}
 
 
 FactRecord = namedtuple("FactRecord", "base tv")
@@ -201,7 +196,6 @@ class KnowledgeBase:
     """Facts, rules, clauses, control entries and the justification ledger."""
 
     def __init__(self, config: EngineConfig | None = None, trace=None):
-        self.config = config or EngineConfig()
         self.trace = trace  # callable taking one line of text, or None
         self._facts: dict[Term, FactRecord] = {}
         self._index: dict = {}
@@ -211,16 +205,17 @@ class KnowledgeBase:
         self._rules_by_key: dict = {}
         self._rules_by_consequence: dict = {}
         self.clauses: list = []
-        # (clause count, config copy, {component: its closed groups},
-        # every component's groups merged); the count is None after a
-        # component failed to settle
+        # (clause count, {component: its closed groups}, every
+        # component's groups merged); the count is None after a component
+        # failed to settle
         self._saturation: tuple | None = None
-        # (config copy, priority function, {goal key: GoalEntry}), or None
-        # until a goal is tabled or after add_rule; see goal_table
+        # (priority function, {goal key: GoalEntry}, what an evaluation
+        # read of the store (a ground goal, or an open goal's index key)
+        # -> {goal key: the GoalEntry filed}); None until a goal is tabled
+        # and after add_rule or a config change (see goal_table)
         self._goals: tuple | None = None
-        # what a tabled evaluation read of the store (a ground goal, or
-        # an open goal's index key) -> {goal key: the GoalEntry filed}
-        self._goal_readers: dict = {}
+        self._config = None
+        self.config = EngineConfig() if config is None else config
         self.control_entries: list[ControlEntry] = []
         # each entry's pattern in canonical form, whose variables no
         # parsed goal can share, so dispatch unifies it with goals as is
@@ -232,8 +227,21 @@ class KnowledgeBase:
         # ledger order
         self._by_consequence: dict[Term, dict] = {}
         self._by_premise: dict[Term, dict] = {}
-        self._rule_count = 0
-        self._clause_count = 0
+
+    @property
+    def config(self) -> EngineConfig:
+        """The thresholds every engine reads. Setting a different config
+        drops the goal table and the saturation closures, derived under
+        the old one."""
+        return self._config
+
+    @config.setter
+    def config(self, config: EngineConfig):
+        if not isinstance(config, EngineConfig):
+            raise TypeError(f"config must be an EngineConfig, got {config!r}")
+        if config != self._config:
+            self._saturation = self._goals = None
+        self._config = config
 
     # -- storage ------------------------------------------------------------
 
@@ -322,7 +330,7 @@ class KnowledgeBase:
         candidates = self._facts if key is None else self._index.get(key)
         if not candidates:
             return []
-        matcher = _open_matcher(pattern, variables)
+        matcher = open_matcher(pattern, variables)
         return [(s, self._facts[s], values) for s in candidates if (values := matcher(s)) is not None]
 
     def match_facts(self, pattern: Term):
@@ -350,8 +358,7 @@ class KnowledgeBase:
 
     def add_rule(self, premise: Term, consequence: Term, rule_tv: TruthValue) -> Rule:
         """Store a rule and fire it on everything already present."""
-        self._rule_count += 1
-        rule = make_rule(f"r{self._rule_count}", premise, consequence, rule_tv)
+        rule = make_rule(f"r{len(self.rules) + 1}", premise, consequence, rule_tv)
         position = len(self.rules)
         for key in {_index_key(core) for core, _ in rule.conjuncts}:
             self._rules_by_key.setdefault(key, []).append(position)
@@ -362,8 +369,7 @@ class KnowledgeBase:
         return rule
 
     def add_clause(self, literals, tv: TruthValue):
-        self._clause_count += 1
-        clause = Clause.make(literals, tv, support=frozenset({f"c{self._clause_count}"}))
+        clause = Clause.make(literals, tv, support=frozenset({f"c{len(self.clauses) + 1}"}))
         self.clauses.append(clause)
         return clause
 
@@ -376,9 +382,9 @@ class KnowledgeBase:
         parents, so no clause outside a component ever meets one inside
         it, and the merged closures equal the closure of the whole set.
         Each component's closure is kept until the component changes (a
-        clause is added to it or joins it to another) or the config
-        changes; a query after `add_clause` closes only the component
-        the new clause touches. The merged map is replaced whole, never
+        clause is added to it or joins it to another) or a different
+        config is set; a query after `add_clause` closes only the
+        component the new clause touches. The merged map is replaced whole, never
         modified, and callers must not modify it either.
 
         A component that does not settle within the round bound is not
@@ -393,9 +399,9 @@ class KnowledgeBase:
         # closure pays for the partition.
         config = self.config
         cached = self._saturation
-        if cached is not None and cached[0] == len(self.clauses) and cached[1] == config:
-            return cached[3]
-        closures = cached[2] if cached is not None and cached[1] == config else {}
+        if cached is not None and cached[0] == len(self.clauses):
+            return cached[2]
+        closures = cached[1] if cached is not None else {}
         kept, merged, failure = {}, {}, None
         for component in _components(self.clauses):
             groups = closures.get(component)
@@ -409,9 +415,9 @@ class KnowledgeBase:
             kept[component] = groups
             merged.update(groups)
         if failure is not None:
-            self._saturation = (None, config.copy(), kept, None)
+            self._saturation = (None, kept, None)
             raise IterationBoundExceeded(str(failure), partial=merged)
-        self._saturation = (len(self.clauses), config.copy(), kept, merged)
+        self._saturation = (len(self.clauses), kept, merged)
         return merged
 
     # -- goal table -------------------------------------------------------------
@@ -422,25 +428,24 @@ class KnowledgeBase:
 
         Backward chaining reads only rules, the config, the agenda order
         and base evidence, so an entry stays right until one of them
-        changes. A new rule, a different config (however it was set) or
-        a different priority function starts an empty table; `stash` and
-        `set_truth`, the only writers of base evidence, drop the entries
-        that read the sentence written (see `_forget`). The caller files
-        entries with `table_goal` and must not modify them.
+        changes. A new rule, a different config or a different priority
+        function starts an empty table; `stash` and `set_truth`, the only
+        writers of base evidence, drop the entries that read the sentence
+        written (see `_forget`). The caller files entries with
+        `table_goal` and must not modify them.
         """
         goals = self._goals
-        if goals is None or goals[1] != priority_fn or goals[0] != self.config:
-            goals = self._goals = (self.config.copy(), priority_fn, {})
-            self._goal_readers = {}
-        return goals[2]
+        if goals is None or goals[0] != priority_fn:
+            goals = self._goals = (priority_fn, {}, {})
+        return goals[1]
 
     def table_goal(self, key: Term, entry: GoalEntry):
         """File ``entry`` in the table `goal_table` last returned, under
         each read its visited goals make: a ground goal reads its own
         record, an open one its index bucket (the whole store when its
         head is a variable, filed under None)."""
-        self._goals[2][key] = entry
-        readers = self._goal_readers
+        _priority_fn, table, readers = self._goals
+        table[key] = entry
         for goal in entry.visited:
             readers.setdefault(goal if is_ground(goal) else _index_key(goal), {})[key] = entry
 
@@ -451,7 +456,7 @@ class KnowledgeBase:
         an entry since replaced: only the entry it filed is dropped."""
         if self._goals is None:
             return
-        table, readers = self._goals[2], self._goal_readers
+        _priority_fn, table, readers = self._goals
         for read in (core, _index_key(core), None):
             for key, entry in readers.pop(read, {}).items():
                 if table.get(key) is entry:
@@ -559,12 +564,6 @@ class KnowledgeBase:
         """Adjust one engine threshold by its surface name."""
         if name not in ENGINE_VARIABLES:
             raise ValueError(f"unknown variable {name!r}; expected one of {', '.join(ENGINE_VARIABLES)}")
-        if not isfinite(value):
-            raise RangeError(f"{name} must be finite, got {value!r}")
-        if name == "max-chain-depth":
-            if value != int(value):
-                raise RangeError(f"{name} must be a whole number, got {value!r}")
-            value = int(value)
         self.config = self.config.copy(**{ENGINE_VARIABLES[name]: value})
 
     def load(self, statements):

@@ -31,6 +31,9 @@ Each result is bit-identical to what the checked constructor makes.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from math import inf
+
 from .errors import NoValidResidual, NotCertainRemovable, RangeError, TotalConflict
 
 # Arithmetic drift this small is clamped back into range; anything larger
@@ -311,7 +314,7 @@ def delta_mass(old: TruthValue, new: TruthValue) -> float:
     return abs(new.belief - old.belief) + abs(new.disbelief - old.disbelief)
 
 
-class EngineConfig:
+class EngineConfig(namedtuple("EngineConfig", "inference_cutoff accept_as_true max_chain_depth")):
     """Tunable thresholds shared by the inference engines.
 
     inference_cutoff: a rule whose (re)firing would shift its
@@ -321,33 +324,32 @@ class EngineConfig:
         further evidence about it.
     max_chain_depth: hard bound on chaining recursion.
 
-    The constructor checks the ranges; fields may be reassigned.
+    The constructor checks every field: each finite (named as ``setvar``
+    names it), the depth a whole number (kept as an int), and each in
+    range. A config never changes; `copy` makes a changed one.
     """
 
-    __slots__ = ("inference_cutoff", "accept_as_true", "max_chain_depth")
+    __slots__ = ()
 
-    def __init__(self, inference_cutoff: float = 0.0, accept_as_true: float = 1.0, max_chain_depth: int = 64):
+    def __new__(cls, inference_cutoff: float = 0.0, accept_as_true: float = 1.0, max_chain_depth: int = 64):
+        for field, value in zip(cls._fields, (inference_cutoff, accept_as_true, max_chain_depth)):
+            if value != value or value in (inf, -inf):
+                raise RangeError(f"{field.replace('_', '-')} must be finite, got {value!r}")
+        if max_chain_depth != int(max_chain_depth):
+            raise RangeError(f"max-chain-depth must be a whole number, got {max_chain_depth!r}")
+        max_chain_depth = int(max_chain_depth)
         if not 0.0 <= inference_cutoff <= 1.0:
             raise RangeError(f"inference_cutoff must be in [0, 1], got {inference_cutoff!r}")
         if not 0.0 < accept_as_true <= 1.0:
             raise RangeError(f"accept_as_true must be in (0, 1], got {accept_as_true!r}")
         if max_chain_depth < 1:
             raise RangeError(f"max_chain_depth must be positive, got {max_chain_depth!r}")
-        self.inference_cutoff = inference_cutoff
-        self.accept_as_true = accept_as_true
-        self.max_chain_depth = max_chain_depth
+        return super().__new__(cls, inference_cutoff, accept_as_true, max_chain_depth)
 
-    def _fields(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)  # so that `_replace` checks too
 
     def copy(self, **changes) -> "EngineConfig":
         """A new, checked config with ``changes`` applied."""
-        return EngineConfig(**self._fields() | changes)
-
-    def __eq__(self, other):
-        return type(other) is EngineConfig and self._fields() == other._fields()
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "EngineConfig(" + ", ".join(f"{n}={v!r}" for n, v in self._fields().items()) + ")"
+        return EngineConfig(**self._asdict() | changes)

@@ -582,7 +582,7 @@ class TestGoalTable:
         kb = KnowledgeBase()
         kb.load_text("(rule (p $x) (q $x) (0.5 . 0)) (fact (p a) (1 . 0)) (fact (q a) (0.4 . 0))")
         assert prove_one(kb, "(q a)") == TruthValue(0.7, 0.0)
-        kb.config.accept_as_true = 0.3  # the fact alone is accepted
+        kb.config = kb.config.copy(accept_as_true=0.3)  # the fact alone is accepted
         assert prove_one(kb, "(q a)") == TruthValue(0.4, 0.0)
         kb.config = EngineConfig()
         assert prove_one(kb, "(q a)") == TruthValue(0.7, 0.0)
@@ -636,7 +636,7 @@ class TestGoalTable:
         goals = rng.sample(goals, min(5, len(goals)))
 
         def mutation():
-            kind = rng.choice(["stash", "set_truth", "rule", "setvar", "config", "field"])
+            kind = rng.choice(["stash", "set_truth", "rule", "setvar", "config"])
             if kind in ("stash", "set_truth"):
                 atom, tv = rng.choice(atoms), rng.choice([random_tv(rng), VACUOUS])
                 return lambda kb: getattr(kb, kind)(atom, tv)
@@ -648,9 +648,7 @@ class TestGoalTable:
             if kind == "setvar":
                 return lambda kb: kb.set_variable(name, value)
             field = name.replace("-", "_")
-            if kind == "config":
-                return lambda kb: setattr(kb, "config", kb.config.copy(**{field: value}))
-            return lambda kb: setattr(kb.config, field, value)
+            return lambda kb: setattr(kb, "config", kb.config.copy(**{field: value}))
 
         def query():
             goal = rng.choice(goals)

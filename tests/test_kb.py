@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 import pkb.kb
 from pkb.backward import prove
-from pkb.errors import NotFound, RangeError, TotalConflict
+from pkb.errors import NotFound, RangeError, TautologicalResolvent, TotalConflict
 from pkb.forward import Justification
-from pkb.kb import KnowledgeBase, make_rule, unwrap_query
+from pkb.kb import ENGINE_VARIABLES, KnowledgeBase, make_rule, unwrap_query
 from pkb.sexpr import parse_sentence as S
 from pkb.terms import Compound, Number, compound, format_bindings, normalize_negation, sym, unify, var
-from pkb.truth import FALSE, TRUE, VACUOUS, TAG_NAMES, TruthValue, tagged_answers
+from pkb.truth import FALSE, TRUE, VACUOUS, TAG_NAMES, EngineConfig, TruthValue, tagged_answers
 
 from kbgen import build_kb, random_tv, random_var_kb
 from oracles import oracle_bottom_up, oracle_combine
@@ -298,6 +298,16 @@ class TestRules:
         r2 = kb.add_rule(S("(q $x)"), S("(r $x)"), TRUE)
         assert (r1.id, r2.id) == ("r1", "r2")
 
+    def test_rejected_rule_or_clause_takes_no_id(self, kb):
+        kb.add_rule(S("(p $x)"), S("(q $x)"), TRUE)
+        with pytest.raises(ValueError):
+            kb.add_rule(S("(p $x)"), S("(q $y)"), TRUE)
+        assert kb.add_rule(S("(q $x)"), S("(r $x)"), TRUE).id == f"r{len(kb.rules)}" == "r2"
+        kb.add_clause([(S("(p a)"), True)], TRUE)
+        with pytest.raises(TautologicalResolvent):
+            kb.add_clause([(S("(p b)"), True), (S("(p b)"), False)], TRUE)
+        assert kb.add_clause([(S("(q a)"), True)], TRUE).support == frozenset({"c2"})
+
 
 class TestLedger:
     def test_round_trip(self, kb):
@@ -450,6 +460,47 @@ class TestSetVariable:
         with pytest.raises(RangeError):
             kb.load_text("(setvar max-chain-depth 1e400)")
         assert kb.config.max_chain_depth == 64
+
+    @pytest.mark.parametrize("name", list(ENGINE_VARIABLES))
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e400, 0, 0.5, 2.7, -1, 10])
+    def test_checks_are_the_constructors(self, kb, name, value):
+        def raised(call):
+            try:
+                call()
+            except RangeError as exc:
+                return type(exc), str(exc)
+            return None
+
+        field = ENGINE_VARIABLES[name]
+        before = kb.config
+        expected = raised(lambda: EngineConfig(**{field: value}))
+        assert raised(lambda: kb.set_variable(name, value)) == expected
+        if expected is None:
+            assert kb.config == EngineConfig(**{field: value})
+        else:
+            assert kb.config is before
+
+
+class TestConfigAssignment:
+    @pytest.mark.parametrize("value", [None, {}, {"inference_cutoff": 0.5}, (0.0, 1.0, 64)])
+    def test_non_config_is_rejected_and_changes_nothing(self, kb, value):
+        kb.load_text("(rule (p $x) (q $x) (0.5 . 0)) (fact (p a) (1 . 0)) (clause (or (r a)) (0.5 . 0))")
+        assert prove(kb, S("(q a)")) == [({}, TruthValue(0.5, 0.0))]
+        config, goals, saturation = kb.config, kb._goals, kb.saturation()
+        with pytest.raises(TypeError):
+            kb.config = value
+        assert kb.config is config and kb._goals is goals and kb.saturation() is saturation
+        kb.stash(S("(p b)"), TRUE)  # a mutator runs whole afterwards
+        assert kb.retrieve(S("(q b)")) == TruthValue(0.5, 0.0)
+
+    def test_equal_config_keeps_derived_state(self, kb):
+        kb.load_text("(rule (p $x) (q $x) (0.5 . 0)) (fact (p a) (1 . 0))")
+        prove(kb, S("(q a)"))
+        goals = kb._goals
+        kb.config = EngineConfig()
+        assert kb._goals is goals
+        kb.config = EngineConfig(accept_as_true=0.5)
+        assert kb._goals is None
 
 
 class TestNonFiniteWords:

@@ -621,18 +621,22 @@ class TestSaturationCache:
         assert prove_by_resolution(kb, goal, "t", 0.0) == [({}, 0.0)]
         assert resolve_calls
 
-    def test_config_mutated_in_place_invalidates(self, resolve_calls):
+    def test_config_replaced_invalidates(self, resolve_calls):
         kb = self.fresh()
         goal = S("(link s2)")
         assert prove_by_resolution(kb, goal, "t", 0.0) == [({}, 0.5 * 0.75 * 0.875)]
         resolve_calls.clear()
-        # The cache keeps a copy of the config, so one mutated in place
-        # is judged by its new value.
-        kb.config.inference_cutoff = 0.4
+        # A config cannot change in place, so the cache cannot go stale
+        # behind the setter's back.
+        with pytest.raises(AttributeError):
+            kb.config.inference_cutoff = 0.4
+        assert prove_by_resolution(kb, goal, "t", 0.0) == [({}, 0.5 * 0.75 * 0.875)]
+        assert resolve_calls == []
+        kb.config = kb.config.copy(inference_cutoff=0.4)
         assert prove_by_resolution(kb, goal, "t", 0.0) == [({}, 0.0)]
         assert resolve_calls
         resolve_calls.clear()
-        kb.config.inference_cutoff = 0.0
+        kb.config = kb.config.copy(inference_cutoff=0.0)
         assert prove_by_resolution(kb, goal, "t", 0.0) == [({}, 0.5 * 0.75 * 0.875)]
         assert resolve_calls
         resolve_calls.clear()
@@ -718,7 +722,7 @@ class TestComponentClosures:
                 elif move < 0.9:
                     kb.config = EngineConfig(inference_cutoff=rng.choice((0.0, 0.02, 0.05)))
                 else:
-                    kb.config.inference_cutoff = rng.choice((0.0, 0.05))
+                    kb.config = kb.config.copy(inference_cutoff=rng.choice((0.0, 0.05)))
                 if kb.clauses:
                     several += len(pkb.kb._components(kb.clauses)) > 1
                     assert _bits(kb.saturation()) == _bits(saturate_groups(kb.clauses, kb.config))

@@ -283,13 +283,36 @@ class TestEngineConfig:
         with pytest.raises(RangeError):
             EngineConfig(max_chain_depth=0)
 
+    @pytest.mark.parametrize("depth", [1.5, math.inf])
+    def test_depth_must_be_a_finite_whole_number(self, depth):
+        with pytest.raises(RangeError):
+            EngineConfig(max_chain_depth=depth)
+
+    @pytest.mark.parametrize("depth", [5.0, 10**400])
+    def test_whole_depth_is_kept_as_an_int(self, depth):
+        config = EngineConfig(max_chain_depth=depth)
+        assert config.max_chain_depth == depth and type(config.max_chain_depth) is int
+
+    def test_replace_checks_too(self):
+        assert EngineConfig()._replace(max_chain_depth=5.0) == EngineConfig(max_chain_depth=5)
+        with pytest.raises(RangeError):
+            EngineConfig()._replace(inference_cutoff=5.0)
+
+    @pytest.mark.parametrize("field", EngineConfig._fields)
+    def test_fields_cannot_change(self, field):
+        config = EngineConfig()
+        with pytest.raises(AttributeError):
+            setattr(config, field, 0.5)
+        with pytest.raises(AttributeError):
+            delattr(config, field)
+        assert config == EngineConfig()
+
     def test_copy_checks_and_equality(self):
         config = EngineConfig(inference_cutoff=0.2)
         copy = config.copy()
         assert copy == config and copy is not config
         assert config.copy(max_chain_depth=5) == EngineConfig(inference_cutoff=0.2, max_chain_depth=5)
-        config.inference_cutoff = 0.3
-        assert copy != config
+        assert config.copy(inference_cutoff=0.3) != config
         with pytest.raises(RangeError):
             config.copy(accept_as_true=2.0)
 
