@@ -28,21 +28,26 @@ sound, terminating reading of rule cycles).
 
 Results are tabled (SLG resolution, Chen & Warren 1996, without its
 completion step). Within one top-level call every goal solved is kept
-and reused as is. A result is clean when its evaluation cut no goal and
-reused nothing unclean; clean results also go to the knowledge base's
-goal table (`KnowledgeBase.goal_table`), with the goals their
-evaluation visited and the depth it reached, and outlive the call. A
-later call reuses an entry only where solving its goal afresh would
-give the same: no goal it visited is on the stack, and its depth still
-fits under ``max_chain_depth`` from there. The goals it visited then
-count as solved for the rest of that call, as solving it would have
-left them. Otherwise the goal is solved again. Backward chaining reads
-nothing of the store but base evidence, so `stash` and `set_truth`
-drop the entries that visited the sentence written or an open goal
-over its index bucket (incremental tabling, Saha & Ramakrishnan 2003),
-and a new rule, config or priority function empties the table. A
-result whose proof reaches a rule cycle is never clean, so such an
-answer is what one call gives, whatever was asked before.
+in a memo and reused as is. Across calls, the knowledge base's goal
+table (`KnowledgeBase.goal_table`) keeps results, and it is read only
+for the goal a call is asked, never below it, so every subgoal is
+solved as on a fresh knowledge base. A result is tabled when its
+evaluation depended on nothing begun before it: it cut no goal, and
+every result it reused from the memo was proved inside it and depended
+on nothing older either (Tarjan's low-link over memo positions). Such
+an evaluation is the one a fresh call asking that goal runs, only
+deeper on the stack, so a later call that asks it gets the same answers
+(and no trace lines) from the table. A result proved before it is not
+enough: it may have been proved nearer the top than a fresh call would
+meet it, and so within ``max_chain_depth`` where that call is not. Each evaluation, tabled or not, is
+filed under its read of the store (the ground goal, or an open goal's
+index bucket) and under each subgoal it solved: a dependency graph, as
+in incremental tabling (Saha & Ramakrishnan 2003). `stash` and
+`set_truth` drop the entries that read the sentence written and, edge
+by edge, every entry that depended on one; a new rule, config or
+priority function empties the table. A result whose proof reaches a
+rule cycle is never tabled, so such an answer is what one call gives,
+whatever was asked before.
 
 Rules are proved on instances in the compiled form forward chaining
 uses (see `kb.Rule` and `_prove_conjuncts`), so nothing is renamed apart.
@@ -60,7 +65,7 @@ from operator import attrgetter
 
 from . import resolution  # looked up per call, so a wrapper set on the module applies
 from .errors import DepthExceeded
-from .kb import GoalEntry, KnowledgeBase, open_matcher, unwrap_query
+from .kb import KnowledgeBase, open_matcher, unwrap_query
 from .terms import (
     canonical_form,
     is_ground,
@@ -90,68 +95,52 @@ def default_priority(kind: str, rule=None) -> float:
 
 
 class _State:
-    """One top-level call's view of the goal table, its memo and its
-    stack, and what the goal being solved has visited so far."""
+    """One top-level call: the goal table, the memo, the goals being
+    solved, and what the innermost one has solved so far."""
 
     def __init__(self, kb, priority_fn):
         self.kb = kb
         self.config = kb.config
         self.priority_fn = priority_fn or default_priority
         self.table = kb.goal_table(self.priority_fn)
-        self.memo = {}  # goal key -> GoalEntry, for every goal solved or reused
-        self.unclean = set()  # memo keys whose result is not clean
-        self.stack = []
-        # of the goal being solved: keys visited, the deepest subgoal's
-        # depth, and whether it is clean so far
-        self.visited, self.depth, self.clean = set(), 0, True
-
-
-def _reusable(entry: GoalEntry, state: _State) -> bool:
-    """Whether solving a tabled goal here would give its entry: no goal
-    it visited would be cut, and it would stay within the depth bound."""
-    return len(state.stack) + entry.depth <= state.config.max_chain_depth and entry.visited.isdisjoint(state.stack)
+        self.memo = {}  # goal key -> (answers, low), for every goal solved
+        self.stack = {}  # keys of the goals being solved, outermost first
+        # of the goal being solved: the keys of the subgoals it solved, and
+        # the earliest memo position its evaluation depended on (-1 once
+        # it met a cut)
+        self.subgoals, self.low = set(), 0
 
 
 def _solve(goal, state: _State) -> list:
     """Prove a (non-negated) goal; returns [(ground instance, tv)]."""
     key = canonical_form(goal)
+    state.subgoals.add(key)
     entry = state.memo.get(key)
     if entry is None:
-        entry = state.table.get(key)
-        if entry is not None and _reusable(entry, state):
-            if state.stack:  # solving it would have kept every goal it visited
-                for seen in entry.visited:
-                    state.memo[seen] = state.table[seen]
-        elif key in state.stack:
-            state.clean = False
-            return []  # variant of an ancestor goal: this branch adds nothing
+        if not state.stack and (answers := state.table.get(key)) is not None:
+            return answers
+        if key in state.stack:
+            entry = [], -1  # variant of an ancestor goal: this branch adds nothing
         else:
             entry = _evaluate(goal, key, state)
-    state.visited |= entry.visited
-    state.depth = max(state.depth, entry.depth)
-    if key in state.unclean:
-        state.clean = False
-    return entry.answers
+    state.low = min(state.low, entry[1])
+    return entry[0]
 
 
-def _evaluate(goal, key, state: _State) -> GoalEntry:
-    """Run a goal's agenda; table the result if it is clean."""
+def _evaluate(goal, key, state: _State) -> tuple:
+    """Run a goal's agenda and memoize its (answers, low); table the
+    answers too if the evaluation depended on nothing begun before it."""
     if len(state.stack) >= state.config.max_chain_depth:
         raise DepthExceeded(goal, len(state.stack))
-    outer = state.visited, state.depth, state.clean
-    state.visited, state.depth, state.clean = {key}, 0, True
-    state.stack.append(key)
-    try:
-        answers = _run_agenda(goal, key, state)
-    finally:
-        state.stack.pop()
-    entry = GoalEntry(answers, state.visited, state.depth + 1)
-    if state.clean:
-        state.kb.table_goal(key, entry)
-    else:
-        state.unclean.add(key)
-    state.memo[key] = entry
-    state.visited, state.depth, state.clean = outer
+    outer = state.subgoals, state.low
+    start = len(state.memo)
+    state.subgoals, state.low = set(), start
+    state.stack[key] = None
+    answers = _run_agenda(goal, key, state)
+    del state.stack[key]
+    state.kb.table_goal(key, answers if state.low == start else None, state.subgoals)
+    entry = state.memo[key] = answers, state.low
+    state.subgoals, state.low = outer
     return entry
 
 
@@ -257,14 +246,21 @@ def prove(kb: KnowledgeBase, goal, priority_fn=None) -> list:
     each of the goal's own variables to its value. A goal wrapped in
     ``(not ...)`` is proved through its core with the answers swapped.
 
-    Clean results are kept in ``kb``'s goal table for later calls, which
-    reuse one only where solving afresh would give the same answers and
-    raise the same errors (see the module docstring). Writing a sentence
-    drops the entries that read it, and a new rule, config or
-    ``priority_fn`` drops them all. A reused result emits no trace lines.
+    A later call asking the same goal may take its answers from
+    ``kb``'s goal table, which gives what solving afresh would and emits
+    no trace lines (see the module docstring). Writing a sentence drops
+    the entries that depended on it, and a new rule, config or
+    ``priority_fn`` drops them all. Raises DepthExceeded past
+    ``max_chain_depth``, and also where the interpreter's stack runs out
+    first; nothing is tabled from a call that raises but what it had
+    proved completely.
     """
     core, flipped = normalize_negation(goal)
-    results = _solve(core, _State(kb, priority_fn))
+    state = _State(kb, priority_fn)
+    try:
+        results = _solve(core, state)
+    except RecursionError:
+        raise DepthExceeded(goal, len(state.stack)) from None
     variables = tuple(sorted(variables_in(core), key=attrgetter("name")))
     match = open_matcher(core, variables) if variables and results else None
     return [

@@ -175,13 +175,13 @@ def _apply_instance(kb, rule, values: tuple, depth: int):
         _trace(kb, "FIRE", rule, values, contribution)
     kb._set_combined(consequence, new_tv)
     if delta_mass(old_tv, new_tv) > 0.0:
-        propagate_change(kb, consequence, old_tv, new_tv, depth + 1)
+        propagate_change(kb, consequence, depth + 1)
 
 
-def propagate_change(kb: "KnowledgeBase", sentence, old_tv: TruthValue, new_tv: TruthValue, depth: int = 0):
+def propagate_change(kb: "KnowledgeBase", sentence, depth: int = 0):
     """Push one fact's truth-value change through the rule base.
 
-    The entry for ``sentence`` must already hold ``new_tv``. Raises
+    The entry for ``sentence`` must already hold its new value. Raises
     DepthExceeded when consequences keep changing past the configured
     chain depth (cyclic rule sets).
     """

@@ -85,15 +85,6 @@ the rest) and ``patterns[i]`` the conjunct under a partial instance;
 ``instantiate`` gives an instance's ground premise atoms and consequence,
 and ``head`` the values a ground goal fixes of the consequence."""
 
-GoalEntry = namedtuple("GoalEntry", "answers visited depth")
-GoalEntry.__doc__ = """One proved goal, as backward chaining keeps it.
-
-``answers`` are its (ground instance, tv) pairs; ``visited`` holds the
-canonical key of every goal its evaluation solved or reused, its own
-included; ``depth`` is the height of that evaluation with every reused
-result unfolded, the goal itself counting one. None of them is ever
-modified."""
-
 ControlEntry = namedtuple("ControlEntry", "pattern method")
 ControlEntry.__doc__ = """Meta-level directive: goals matching ``pattern`` use ``method``.
 
@@ -209,10 +200,10 @@ class KnowledgeBase:
         # component's groups merged); the count is None after a component
         # failed to settle
         self._saturation: tuple | None = None
-        # (priority function, {goal key: GoalEntry}, what an evaluation
-        # read of the store (a ground goal, or an open goal's index key)
-        # -> {goal key: the GoalEntry filed}); None until a goal is tabled
-        # and after add_rule or a config change (see goal_table)
+        # (priority function, {goal key: answers}, a read of the store (a
+        # ground goal, or an open goal's index key) or a goal key -> {goal
+        # key that depended on it: None}); None until a goal is tabled and
+        # after add_rule or a config change (see goal_table)
         self._goals: tuple | None = None
         self._config = None
         self.config = EngineConfig() if config is None else config
@@ -277,10 +268,8 @@ class KnowledgeBase:
         record = self._facts.get(core)
         if record is None:
             record = FactRecord(VACUOUS, VACUOUS)
-        old = record.tv
-        new = combine(old, tv)
-        self._write(core, FactRecord(combine(record.base, tv), new))
-        forward.propagate_change(self, core, old, new)
+        self._write(core, FactRecord(combine(record.base, tv), combine(record.tv, tv)))
+        forward.propagate_change(self, core)
 
     def set_truth(self, sentence: Term, tv: TruthValue):
         """Replace the directly asserted evidence for the sentence.
@@ -296,7 +285,7 @@ class KnowledgeBase:
         new = self.pooled_value(core, tv)
         self._write(core, FactRecord(tv, new))
         if delta_mass(old, new) > 0.0:
-            forward.propagate_change(self, core, old, new)
+            forward.propagate_change(self, core)
 
     def _set_combined(self, core: Term, new_tv: TruthValue):
         """Adjust an entry's pooled value (chaining only; base unchanged)."""
@@ -424,14 +413,15 @@ class KnowledgeBase:
 
     def goal_table(self, priority_fn) -> dict:
         """Backward chaining's proved goals under ``self.config`` and
-        ``priority_fn``: canonical goal key -> GoalEntry.
+        ``priority_fn``: canonical goal key -> its answers, the
+        (ground instance, tv) pairs.
 
         Backward chaining reads only rules, the config, the agenda order
         and base evidence, so an entry stays right until one of them
         changes. A new rule, a different config or a different priority
         function starts an empty table; `stash` and `set_truth`, the only
-        writers of base evidence, drop the entries that read the sentence
-        written (see `_forget`). The caller files entries with
+        writers of base evidence, drop the entries that depended on the
+        sentence written (see `_forget`). The caller files entries with
         `table_goal` and must not modify them.
         """
         goals = self._goals
@@ -439,28 +429,34 @@ class KnowledgeBase:
             goals = self._goals = (priority_fn, {}, {})
         return goals[1]
 
-    def table_goal(self, key: Term, entry: GoalEntry):
-        """File ``entry`` in the table `goal_table` last returned, under
-        each read its visited goals make: a ground goal reads its own
-        record, an open one its index bucket (the whole store when its
-        head is a variable, filed under None)."""
-        _priority_fn, table, readers = self._goals
-        table[key] = entry
-        for goal in entry.visited:
-            readers.setdefault(goal if is_ground(goal) else _index_key(goal), {})[key] = entry
+    def table_goal(self, key: Term, answers: list | None, subgoals):
+        """File goal ``key`` as a dependent of its read of the store and
+        of each goal key in ``subgoals``, then table ``answers`` under it
+        in the table `goal_table` last returned, unless they are None. A
+        ground goal reads its own record, an open one its index bucket
+        (the whole store when its head is a variable, filed under None).
+        A goal is filed even when its answers are not tabled, so that an
+        entry that used it is dropped through it."""
+        _priority_fn, table, dependents = self._goals
+        for read in (key if is_ground(key) else _index_key(key), *subgoals):
+            dependents.setdefault(read, {})[key] = None
+        if answers is not None:
+            table[key] = answers
 
     def _forget(self, core: Term):
-        """Drop the tabled goals that read the base evidence of ``core``.
-
-        A filing is never removed when its entry goes, so one may name
-        an entry since replaced: only the entry it filed is dropped."""
+        """Drop the tabled goals that depended on the base evidence of
+        ``core``: those filed under its record, its index bucket or None,
+        then, edge by edge, those filed under a goal met. Each filing
+        walked is removed, and none otherwise, so a stale one may drop an
+        entry that no longer reads the sentence, which costs only a miss."""
         if self._goals is None:
             return
-        _priority_fn, table, readers = self._goals
-        for read in (core, _index_key(core), None):
-            for key, entry in readers.pop(read, {}).items():
-                if table.get(key) is entry:
-                    del table[key]
+        _priority_fn, table, dependents = self._goals
+        reads = [core, _index_key(core), None]
+        while reads:
+            for key in dependents.pop(reads.pop(), ()):
+                table.pop(key, None)
+                reads.append(key)
 
     def add_control(self, pattern: Term, method: str) -> ControlEntry:
         entry = ControlEntry(pattern, method)

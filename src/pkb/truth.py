@@ -324,9 +324,10 @@ class EngineConfig(namedtuple("EngineConfig", "inference_cutoff accept_as_true m
         further evidence about it.
     max_chain_depth: hard bound on chaining recursion.
 
-    The constructor checks every field: each finite (named as ``setvar``
-    names it), the depth a whole number (kept as an int), and each in
-    range. A config never changes; `copy` makes a changed one.
+    The constructor checks every field: each finite, the depth a whole
+    number (kept as an int), and each in range; its messages name a
+    field as ``setvar`` does. A config never changes; `copy` makes a
+    changed one.
     """
 
     __slots__ = ()
@@ -339,11 +340,11 @@ class EngineConfig(namedtuple("EngineConfig", "inference_cutoff accept_as_true m
             raise RangeError(f"max-chain-depth must be a whole number, got {max_chain_depth!r}")
         max_chain_depth = int(max_chain_depth)
         if not 0.0 <= inference_cutoff <= 1.0:
-            raise RangeError(f"inference_cutoff must be in [0, 1], got {inference_cutoff!r}")
+            raise RangeError(f"inference-cutoff must be in [0, 1], got {inference_cutoff!r}")
         if not 0.0 < accept_as_true <= 1.0:
-            raise RangeError(f"accept_as_true must be in (0, 1], got {accept_as_true!r}")
+            raise RangeError(f"accept-as-true must be in (0, 1], got {accept_as_true!r}")
         if max_chain_depth < 1:
-            raise RangeError(f"max_chain_depth must be positive, got {max_chain_depth!r}")
+            raise RangeError(f"max-chain-depth must be positive, got {max_chain_depth!r}")
         return super().__new__(cls, inference_cutoff, accept_as_true, max_chain_depth)
 
     @classmethod

@@ -1,6 +1,7 @@
 """Backward chaining: accumulation, agenda, thresholds, truep dispatch."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,16 @@ class TestProve:
             kb.add_rule(S(f"(p{level} $x)"), S(f"(p{level + 1} $x)"), TruthValue(0.9, 0.0))
         with pytest.raises(DepthExceeded):
             prove(kb, S("(p10 a)"))
+
+    def test_chain_deeper_than_the_interpreter_stack_raises_depth_exceeded(self):
+        levels = sys.getrecursionlimit()  # each level takes more than one frame
+        kb = KnowledgeBase(config=EngineConfig(max_chain_depth=2 * levels))
+        for level in range(levels):
+            kb.add_rule(S(f"(p{level} $x)"), S(f"(p{level + 1} $x)"), TruthValue(0.9, 0.0))
+        with pytest.raises(DepthExceeded, match=f"exceeded at \\(p{levels} k\\)"):
+            prove(kb, S(f"(p{levels} k)"))
+        assert kb._goals[1] == {}  # no goal of the failed call completed
+        assert prove(kb, S("(p2 k)")) == [] and len(kb._goals[1]) == 3
 
 
 class TestThresholds:
@@ -519,6 +530,16 @@ def _outcome(call, kb):
         return type(exc)
 
 
+def _traced(call, kb):
+    """``_outcome(call, kb)`` and the trace lines the call emitted."""
+    lines = []
+    kb.trace = lines.append
+    try:
+        return _outcome(call, kb), lines
+    finally:
+        kb.trace = None
+
+
 class TestGoalTable:
     def test_tabled_goal_is_reused_until_a_fact_it_read_changes(self):
         events = []
@@ -547,6 +568,46 @@ class TestGoalTable:
         # would reach (p4 k) at depth 3, as solving it afresh does
         with pytest.raises(DepthExceeded):
             prove(kb, S("(p1 k)"))
+
+    def test_depth_bound_holds_for_a_goal_that_reused_a_shallower_result(self):
+        kb = KnowledgeBase()
+        kb.load_text(
+            "(rule (y1 $x) (y $x) (0.9 . 0)) (rule (y $x) (x1 $x) (0.9 . 0)) (rule (x1 $x) (xx $x) (0.9 . 0))"
+            " (rule (and (y $x) (xx $x)) (t $x) (1 . 0)) (fact (y1 k) (0.5 . 0)) (setvar max-chain-depth 3)"
+        )
+        assert prove(kb, S("(t k)")) != []
+        # under (t k), (xx k) met (y k) three deep, already proved one deep;
+        # asked alone it proves (y k) two deep and meets (y1 k) three deep,
+        # past the bound
+        with pytest.raises(DepthExceeded):
+            prove(kb, S("(xx k)"))
+
+    def test_filings_grow_linearly_on_a_chain(self):
+        n = 50
+        kb = KnowledgeBase(config=EngineConfig(max_chain_depth=n + 1))
+        for level in range(n):
+            kb.add_rule(S(f"(p{level} $x)"), S(f"(p{level + 1} $x)"), TruthValue(0.9, 0.0))
+        kb.stash(S("(p0 k)"), TruthValue(0.5, 0.0))
+        assert tv_close(prove_one(kb, f"(p{n} k)"), (0.5 * 0.9**n, 0.0))
+        assert sum(len(filed) for filed in kb._goals[2].values()) <= 2 * n + 2
+
+    def test_write_drops_an_entry_through_two_edges(self):
+        events = []
+        kb = KnowledgeBase()
+        kb.load_text("(rule (q $x) (r $x) (0.5 . 0)) (rule (r $x) (s $x) (0.5 . 0)) (fact (q k) (0.8 . 0)) (fact (q j) (0.8 . 0))")
+        kb.trace = events.append
+        assert tv_close(prove_one(kb, "(s k)"), (0.2, 0.0))
+        goals = {S("(s k)"), S("(r k)"), S("(q k)")}
+        assert goals <= kb._goals[1].keys()
+        kb.set_truth(S("(q j)"), TRUE)  # read by none of them
+        events.clear()
+        assert tv_close(prove_one(kb, "(s k)"), (0.2, 0.0)) and events == []
+        kb.set_truth(S("(q k)"), TruthValue(0.4, 0.0))
+        assert not goals & kb._goals[1].keys()
+        for goal, belief in (("(q k)", 0.4), ("(r k)", 0.2), ("(s k)", 0.1)):
+            events.clear()
+            assert tv_close(prove_one(kb, goal), (belief, 0.0))
+            assert any(line.startswith(f"TASK goal={goal}") for line in events)
 
     def test_reused_goal_keeps_what_it_visited_for_the_rest_of_the_call(self):
         text = (
@@ -601,8 +662,9 @@ class TestGoalTable:
             if each is kb:
                 prove(kb, S("(t k)"))  # (v $x) again, now reading (p b), under (t k)
             each.stash(S("(p a)"), TruthValue(0.5, 0.0))  # read by neither any more
-        # dropping (v $x) here would leave (t k), which visited it, to a
-        # nested reuse that finds it missing
+        # the write drops (v $x) through its stale filing under (p a), and
+        # (t k) through (v $x): that costs only a miss, since below the goal
+        # asked every goal is solved afresh
         assert prove(kb, S("(u k)")) == prove(fresh, S("(u k)")) != []
 
     @pytest.mark.parametrize("asked", [[], ["(a k)", "(b k)"], ["(b k)"], ["(h k)", "(a $y)"], ["(g $y)", "(b k)", "(a k)"]])
@@ -626,7 +688,9 @@ class TestGoalTable:
     def test_answers_do_not_depend_on_earlier_queries(self, seed, cyclic):
         # Every query on a KB that has answered others must equal the same
         # query on a fresh KB built by the same mutations, bit for bit,
-        # down to the type of the error it raises.
+        # down to the type of the error it raises. Its trace lines must be
+        # the fresh KB's too, or none at all where the goal asked was
+        # tabled.
         rng = random.Random(seed)
         facts, rules = (random_cyclic_kb if cyclic else random_var_kb)(rng)
         preds = sorted({atom.elements[0] for atom in facts} | {c.elements[0] for _p, c, _tv in rules}, key=str)
@@ -675,4 +739,6 @@ class TestGoalTable:
             fresh = KnowledgeBase()
             for step in history:
                 _outcome(step, fresh)
-            assert _outcome(call, kb) == _outcome(call, fresh)
+            (got, lines), (expected, fresh_lines) = _traced(call, kb), _traced(call, fresh)
+            assert got == expected
+            assert lines in ([], fresh_lines)

@@ -103,6 +103,14 @@ class TestQuery:
         assert code == 2
         assert "error:" in err
 
+    def test_chain_deeper_than_the_interpreter_stack_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.pkb"
+        rules = "".join(f"(rule (p{i} $x) (p{i + 1} $x) (0.9 . 0))\n" for i in range(300))
+        path.write_text("(setvar max-chain-depth 5000)\n" + rules)
+        assert main(["--kb", str(path), "query", "(p300 k)", "--method", "bc"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: chain depth ") and err.endswith(" exceeded at (p300 k)\n")
+
 
 class TestAssertSetWhy:
     def test_assert_is_session_local_noop_without_query(self, capsys):
@@ -157,6 +165,18 @@ class TestSetvarAndLoad:
 
     def test_setvar_out_of_range(self, capsys):
         assert main(["setvar", "accept-as-true", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("inference-cutoff", "2", "inference-cutoff must be in [0, 1], got 2.0"),
+            ("accept-as-true", "0", "accept-as-true must be in (0, 1], got 0.0"),
+            ("max-chain-depth", "0", "max-chain-depth must be positive, got 0"),
+        ],
+    )
+    def test_setvar_range_error_names_the_variable(self, name, value, message, capsys):
+        assert main(["setvar", name, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_setvar_non_finite_exits_two(self, capsys):
         assert main(["setvar", "max-chain-depth", "inf"]) == 2
