@@ -66,6 +66,7 @@ from operator import attrgetter
 from . import resolution  # looked up per call, so a wrapper set on the module applies
 from .errors import DepthExceeded
 from .kb import KnowledgeBase, open_matcher, unwrap_query
+from .sexpr import check_method
 from .terms import (
     canonical_form,
     is_ground,
@@ -275,13 +276,15 @@ def truep(kb: KnowledgeBase, goal, tag: str = "t", cutoff: float = 1.0, method: 
     Answers are (bindings, value) pairs with value = tag(accumulated tv)
     and value >= cutoff. Without a matching control entry (or explicit
     ``method``), stored facts are consulted first and backward chaining
-    runs only when they yield nothing. A bad tag or cutoff is rejected
-    before any method runs.
+    runs only when they yield nothing. A bad tag, cutoff or method is
+    rejected before any method runs.
     """
     core, tag = unwrap_query(goal, tag)
     check_cutoff(cutoff)
     if method is None:
         method = kb.dispatch(core)
+    else:
+        check_method(method)
 
     if method == "lookup":
         return kb.lookup(core, tag, cutoff)

@@ -183,6 +183,20 @@ def _index_key(sentence: Term):
     return None
 
 
+def _filed(index: dict, key, count: int):
+    """Positions filed in ``index`` under ``key`` or under None, the
+    bucket of terms with no key, ascending (the order they were filed);
+    all ``count`` positions when ``key`` is None, since a term with no
+    key may meet any filed term."""
+    if key is None:
+        return range(count)
+    positions = index.get(key, ())
+    wildcard = index.get(None)
+    if wildcard:
+        positions = sorted(set(positions).union(wildcard))
+    return positions
+
+
 class KnowledgeBase:
     """Facts, rules, clauses, control entries and the justification ledger."""
 
@@ -208,9 +222,12 @@ class KnowledgeBase:
         self._config = None
         self.config = EngineConfig() if config is None else config
         self.control_entries: list[ControlEntry] = []
-        # each entry's pattern in canonical form, whose variables no
-        # parsed goal can share, so dispatch unifies it with goals as is
-        self._dispatch: list[tuple[Term, str]] = []
+        # per control entry, compiled once: (its pattern in canonical form,
+        # whose variables no parsed goal can share, so dispatch unifies it
+        # with an open goal as is; its one-way matcher of ground goals; its
+        # method); positions filed by the pattern's index key, as rules are
+        self._dispatch: list[tuple] = []
+        self._control_by_key: dict = {}
         # (rule id, instance values in the order of the rule's
         # variables) -> justification
         self._ledger: dict[tuple, forward.Justification] = {}
@@ -459,41 +476,47 @@ class KnowledgeBase:
                 reads.append(key)
 
     def add_control(self, pattern: Term, method: str) -> ControlEntry:
+        """Append a control entry, compiled and filed under its pattern's
+        index key (None for a pattern with no symbol head, such as
+        ``($p a)``, ``$g`` or a number). An unknown method raises
+        ValueError and adds nothing."""
+        sexpr.check_method(method)
+        canonical = canonical_form(pattern)
+        matcher = compile_matcher(canonical, ())
+        self._control_by_key.setdefault(_index_key(canonical), []).append(len(self._dispatch))
+        self._dispatch.append((canonical, matcher, method))
         entry = ControlEntry(pattern, method)
         self.control_entries.append(entry)
-        self._dispatch.append((canonical_form(pattern), method))
         return entry
 
     def dispatch(self, goal: Term) -> str | None:
-        """Method named by the first control entry matching the goal."""
-        for pattern, method in self._dispatch:
-            if unify(pattern, goal, {}) is not None:
+        """Method named by the first control entry matching the goal.
+
+        Only the entries filed under the goal's index key or under None
+        are tried, in the order they were added (every entry when the
+        goal has no key). A ground goal runs each entry's compiled
+        matcher; an open goal unifies with its canonical pattern."""
+        ground = is_ground(goal)
+        for i in _filed(self._control_by_key, _index_key(goal), len(self._dispatch)):
+            pattern, match, method = self._dispatch[i]
+            # a match is (), which is false
+            if (match(goal) if ground else unify(pattern, goal, {})) is not None:
                 return method
         return None
 
     # -- rule indexes -----------------------------------------------------------
 
-    def _indexed_rules(self, index: dict, key) -> list[Rule]:
-        """Rules filed under ``key`` plus the wildcard bucket, in the
-        order they were added."""
-        positions = index.get(key, [])
-        wildcard = index.get(None)
-        if wildcard and key is not None:
-            positions = sorted(set(positions).union(wildcard))
-        return [self.rules[i] for i in positions]
-
     def rules_touching(self, sentence: Term) -> list[Rule]:
         """Rules with a premise conjunct that may match the ground
         ``sentence``, in the order they were added."""
-        return self._indexed_rules(self._rules_by_key, _index_key(sentence))
+        positions = _filed(self._rules_by_key, _index_key(sentence), len(self.rules))
+        return [self.rules[i] for i in positions]
 
     def rules_concluding(self, goal: Term) -> list[Rule]:
         """Rules whose consequence may unify with ``goal``, in the order
         they were added. A goal with a variable head may meet any rule."""
-        key = _index_key(goal)
-        if key is None:
-            return list(self.rules)
-        return self._indexed_rules(self._rules_by_consequence, key)
+        positions = _filed(self._rules_by_consequence, _index_key(goal), len(self.rules))
+        return [self.rules[i] for i in positions]
 
     # -- justification ledger -------------------------------------------------
 

@@ -41,6 +41,17 @@ from .truth import TruthValue, format_real, negate
 
 CONTROL_METHODS = ("lookup", "backward-chain", "resolution")
 
+
+def _unknown_method(method: str) -> str:
+    return f"unknown method {method!r}; expected one of {', '.join(CONTROL_METHODS)}"
+
+
+def check_method(method: str):
+    """Raise ValueError unless ``method`` is one of `CONTROL_METHODS`."""
+    if method not in CONTROL_METHODS:
+        raise ValueError(_unknown_method(method))
+
+
 _MAX_DEPTH = 400
 
 
@@ -185,10 +196,7 @@ class _Parser:
             pattern = self.term()
             method = self.expect("atom")
             if method not in CONTROL_METHODS:
-                self.fail(
-                    f"unknown method {method!r}; expected one of {', '.join(CONTROL_METHODS)}",
-                    self.pos - 1,
-                )
+                self.fail(_unknown_method(method), self.pos - 1)
             stmt = ControlStatement(pattern, method)
         elif kind == "setvar":
             name = self.expect("atom")

@@ -507,6 +507,15 @@ class TestTruep:
         with pytest.raises(RangeError, match="cutoff must be in"):
             truep(kb, S("(d k)"), "t", 2.0, method=method)
 
+    def test_unknown_method_is_rejected_before_any_method_runs(self):
+        # The default cascade would prove (d k) and exceed the depth
+        # bound; the method error must come first.
+        kb = KnowledgeBase(config=EngineConfig(max_chain_depth=2))
+        for premise, consequence in (("a", "b"), ("b", "c"), ("c", "d")):
+            kb.add_rule(S(f"({premise} $x)"), S(f"({consequence} $x)"), TruthValue(0.9, 0.0))
+        with pytest.raises(ValueError, match="unknown method 'bogus'; expected one of"):
+            truep(kb, S("(d k)"), "t", 0.5, method="bogus")
+
 
 CYCLE = """
 (setvar max-chain-depth 1000)

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 import pkb.kb
 from pkb.backward import prove
-from pkb.errors import NotFound, RangeError, TautologicalResolvent, TotalConflict
+from pkb.errors import NotFound, ParseError, RangeError, TautologicalResolvent, TotalConflict
 from pkb.forward import Justification
 from pkb.kb import ENGINE_VARIABLES, KnowledgeBase, make_rule, unwrap_query
-from pkb.sexpr import parse_sentence as S
-from pkb.terms import Compound, Number, compound, format_bindings, normalize_negation, sym, unify, var
+from pkb.sexpr import CONTROL_METHODS, parse_sentence as S
+from pkb.terms import Compound, Number, canonical_form, compound, format_bindings, normalize_negation, sym, unify, var
 from pkb.truth import FALSE, TRUE, VACUOUS, TAG_NAMES, EngineConfig, TruthValue, tagged_answers
 
 from kbgen import build_kb, random_tv, random_var_kb
@@ -385,6 +385,29 @@ class TestLedger:
         assert len(calls) == 0
 
 
+CONTROL_LEAVES = [sym("a"), sym("b"), sym("p"), Number(1.0), Number(2.0), X, Y]
+
+
+@st.composite
+def control_terms(draw, depth=0):
+    """Control patterns and goals: ground, open, variable- or number-headed
+    and nested compounds, bare variables, numbers and symbols, and the
+    repeated variable ``(r $x $x)``."""
+    if depth == 2 or draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from([*CONTROL_LEAVES, compound(sym("r"), X, X)]))
+    head = draw(st.sampled_from([sym("p"), sym("q"), sym("r"), P, Number(1.0)]))
+    return Compound((head, *draw(st.lists(control_terms(depth + 1), max_size=2))))
+
+
+def _scan_dispatch(kb, goal):
+    """Reference dispatch: the first control entry whose canonical
+    pattern unifies with the goal, tried one by one."""
+    for entry in kb.control_entries:
+        if unify(canonical_form(entry.pattern), goal, {}) is not None:
+            return entry.method
+    return None
+
+
 class TestControl:
     def test_first_match_wins(self, kb):
         kb.add_control(S("(foo $x)"), "resolution")
@@ -422,6 +445,58 @@ class TestControl:
         before = kb.dispatch(S("(foo fred)"))
         kb.add_control(S("(unrelated $y)"), "lookup")
         assert kb.dispatch(S("(foo fred)")) == before
+
+    def test_unknown_method_is_rejected_and_adds_nothing(self, kb):
+        with pytest.raises(ParseError) as parsed:
+            kb.load_text("(control (p $x) bogus)")
+        with pytest.raises(ValueError) as added:
+            kb.add_control(S("(p $x)"), "bogus")
+        assert str(parsed.value) == f"1:17: {added.value}"
+        assert kb.control_entries == [] and kb.dispatch(S("(p a)")) is None
+
+    @given(entries=st.lists(st.tuples(control_terms(), st.sampled_from(CONTROL_METHODS)), max_size=8), data=st.data())
+    def test_indexed_dispatch_equals_the_scan(self, entries, data):
+        kb = KnowledgeBase()
+        for pattern, method in data.draw(st.permutations(entries)):
+            kb.add_control(pattern, method)
+        for goal in data.draw(st.lists(control_terms(), min_size=1, max_size=6)):
+            assert kb.dispatch(goal) == _scan_dispatch(kb, goal)
+
+    def test_ground_goal_dispatch_makes_no_unify_call(self, kb, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pkb.kb, "unify", lambda *args: calls.append(args) or unify(*args))
+        for pattern, method in [("(foo a)", "lookup"), ("($p b)", "resolution"), ("$g", "backward-chain")]:
+            kb.add_control(S(pattern), method)
+        assert [kb.dispatch(S(g)) for g in ("(foo a)", "(foo b)", "(bar b)", "bar")] == [
+            "lookup", "resolution", "resolution", "backward-chain"
+        ]
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "wildcard_at, expected",
+        [
+            (0, ["resolution", "resolution", "resolution"]),
+            (1, ["lookup", "resolution", "resolution"]),
+            (2, ["lookup", "backward-chain", "resolution"]),
+        ],
+    )
+    def test_wildcard_row_wins_by_its_position(self, kb, wildcard_at, expected):
+        rows = [("(foo a)", "lookup"), ("(foo $x)", "backward-chain")]
+        rows.insert(wildcard_at, ("($p $x)", "resolution"))
+        for pattern, method in rows:
+            kb.add_control(S(pattern), method)
+        assert [kb.dispatch(S(g)) for g in ("(foo a)", "(foo b)", "(goo b)")] == expected
+
+    def test_open_goals_dispatch_through_unify(self, kb, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pkb.kb, "unify", lambda *args: calls.append(args) or unify(*args))
+        kb.add_control(S("(w $x)"), "lookup")
+        kb.add_control(S("(v a)"), "resolution")
+        kb.add_control(S("(v $x)"), "backward-chain")
+        assert kb.dispatch(S("(v $x)")) == "resolution"
+        assert len(calls) == 1
+        assert kb.dispatch(S("$g")) == "lookup"
+        assert len(calls) == 2
 
 
 class TestSetVariable:
