@@ -31,6 +31,12 @@ at (0.5 . 0), (a k) settles at 0.8403 and (b k) at 0.7563 (backward
 gives 0.5 and 0.45) after 81 chain steps; a (1 . 0) 2-cycle reaches
 (1 . 0) after 108. Both exceed the default depth of 64.
 
+Chaining recurses on the interpreter's stack, a few frames per step.
+Where the stack runs out before ``max_chain_depth``, the KB's writers
+(`stash`, `set_truth`, `add_rule`) raise DepthExceeded just as at the
+bound. A writer that raises keeps what it had applied: the facts and
+ledger entries of the steps before the failure stay in the KB.
+
 Every rule instance is ground. Stored facts are ground, each premise
 conjunct is matched against them, and `kb.make_rule` rejects a rule
 whose consequence has a variable the premise does not bind; so a

@@ -28,8 +28,8 @@ from functools import lru_cache
 from operator import attrgetter
 
 from . import forward, sexpr
-from .errors import IterationBoundExceeded, NotFound
-from .resolution import Clause, saturate_groups
+from .errors import DepthExceeded, IterationBoundExceeded, NotFound
+from .resolution import Clause, Closure, saturate_groups
 from .terms import (
     Compound,
     Symbol,
@@ -210,7 +210,7 @@ class KnowledgeBase:
         self._rules_by_key: dict = {}
         self._rules_by_consequence: dict = {}
         self.clauses: list = []
-        # (clause count, {component: its closed groups}, every
+        # (clause count, {component: its resolution.Closure}, every
         # component's groups merged); the count is None after a component
         # failed to settle
         self._saturation: tuple | None = None
@@ -286,7 +286,7 @@ class KnowledgeBase:
         if record is None:
             record = FactRecord(VACUOUS, VACUOUS)
         self._write(core, FactRecord(combine(record.base, tv), combine(record.tv, tv)))
-        forward.propagate_change(self, core)
+        self._chain(core, forward.propagate_change, core)
 
     def set_truth(self, sentence: Term, tv: TruthValue):
         """Replace the directly asserted evidence for the sentence.
@@ -302,7 +302,7 @@ class KnowledgeBase:
         new = self.pooled_value(core, tv)
         self._write(core, FactRecord(tv, new))
         if delta_mass(old, new) > 0.0:
-            forward.propagate_change(self, core)
+            self._chain(core, forward.propagate_change, core)
 
     def _set_combined(self, core: Term, new_tv: TruthValue):
         """Adjust an entry's pooled value (chaining only; base unchanged)."""
@@ -371,8 +371,22 @@ class KnowledgeBase:
         self._rules_by_consequence.setdefault(_index_key(rule.consequence), []).append(position)
         self.rules.append(rule)
         self._goals = None
-        forward.fire_rule(self, rule)
+        self._chain(rule.consequence, forward.fire_rule, rule)
         return rule
+
+    def _chain(self, sentence: Term, run, *args):
+        """``run(self, *args)``, a forward-chaining entry point. Its
+        recursion can exhaust the interpreter's stack before
+        ``max_chain_depth``; that raises DepthExceeded at ``sentence``
+        too, with the chain depth reached."""
+        try:
+            run(self, *args)
+        except RecursionError as exc:
+            depth, frame = 0, exc.__traceback__
+            while frame is not None:
+                depth += frame.tb_frame.f_code is forward.propagate_change.__code__
+                frame = frame.tb_next
+            raise DepthExceeded(sentence, depth) from None
 
     def add_clause(self, literals, tv: TruthValue):
         clause = Clause.make(literals, tv, support=frozenset({f"c{len(self.clauses) + 1}"}))
@@ -381,20 +395,21 @@ class KnowledgeBase:
 
     def saturation(self) -> dict:
         """The clause set closed under resolution with ``self.config``,
-        as literal set -> derivations (see `resolution.saturate_groups`).
+        as literal set -> its group (see `resolution.saturate_groups`).
 
         Clauses that share an atom are connected, and each connected
         component is closed on its own: a resolvent's atoms come from its
         parents, so no clause outside a component ever meets one inside
         it, and the merged closures equal the closure of the whole set.
-        Each component's closure is kept until the component changes (a
-        clause is added to it or joins it to another) or a different
-        config is set; a query after `add_clause` closes only the
-        component the new clause touches. The merged map is replaced whole, never
+        Each component's closure is kept, and a query after `add_clause`
+        resumes the closure of the component the new clause joins (the
+        closures of all the components it joins, united), which resolves
+        only pairs that hold the new clause's label. A different config
+        drops every closure. The merged map is replaced whole, never
         modified, and callers must not modify it either.
 
         A component that does not settle within the round bound is not
-        kept and is tried again on the next call; the components that
+        kept and is closed afresh on the next call; the components that
         settled stay kept. The IterationBoundExceeded raised then holds,
         as ``partial``, every component's groups: the closure of each
         that settled and the groups so far of each that did not, as one
@@ -408,18 +423,25 @@ class KnowledgeBase:
         if cached is not None and cached[0] == len(self.clauses):
             return cached[2]
         closures = cached[1] if cached is not None else {}
+        self._saturation = None  # the closures below are extended in place
         kept, merged, failure = {}, {}, None
         for component in _components(self.clauses):
-            groups = closures.get(component)
-            if groups is None:
+            closure = closures.get(component)
+            if closure is None:
+                members = set(component)
+                parts = [old for old in closures if old[0] in members]
+                closure = Closure()
+                for old in parts:
+                    closure.absorb(closures[old])
+                done = set().union(*parts)
                 try:
-                    groups = saturate_groups(component, config)
+                    saturate_groups([c for c in component if c not in done], config, closure=closure)
                 except IterationBoundExceeded as exc:
                     failure = failure or exc
                     merged.update(exc.partial)
                     continue
-            kept[component] = groups
-            merged.update(groups)
+            kept[component] = closure
+            merged.update(closure.groups)
         if failure is not None:
             self._saturation = (None, kept, None)
             raise IterationBoundExceeded(str(failure), partial=merged)

@@ -207,3 +207,73 @@ def oracle_bottom_up(base_facts, rules, cutoff=0.0):
         if acc != (0.0, 0.0):
             values[s] = acc
     return values
+
+
+def oracle_keyed_closure(clauses, cutoff=0.0):
+    """Keyed resolution closure, by enumeration over support subsets.
+
+    ``clauses`` is a list of (literals, (belief, disbelief), label), the
+    literals (atom, positive) pairs over atoms that print, the labels
+    distinct. A key is a (literal set, support) pair, the support a
+    frozenset of labels; each clause is the key (its literals, {label}).
+    Label subsets are taken smallest first. Every split of a subset into
+    two nonempty halves pairs each key over one half with each key over
+    the other, on each atom they share. A pair yields the key
+    (resolvent, subset) when the resolvent holds no atom with both signs
+    and its exact value (`oracle_resolvent_tv`) is defined, with mass
+    above 0 and at least ``cutoff``. The key's value is that of its
+    canonically least such pair.
+
+    Canonical order: heavier first, then the literals as sorted
+    (printed atom, negative) pairs, then the sorted labels; a pair is
+    ordered by its lesser key, then its greater. Returns literal set ->
+    the greedy pick of its keys: in canonical order, each key whose
+    support meets none picked before it, as (belief, disbelief, support).
+    """
+
+    def rank(literals, value, support):
+        return (-(value[0] + value[1]), sorted((str(a), not pos) for a, pos in literals), sorted(support))
+
+    keys = {}  # support -> {literal set: value}
+    for literals, value, label in clauses:
+        keys.setdefault(frozenset({label}), {})[frozenset(literals)] = value
+    labels = sorted({label for _lits, _value, label in clauses})
+    for size in range(2, len(labels) + 1):
+        for subset in itertools.combinations(labels, size):
+            support = frozenset(subset)
+            pairs = {}  # resolvent -> [(rank, rank, literals, value, literals, value)]
+            rest = subset[1:]
+            for k in range(len(rest)):
+                # one half holds the least label, so each split is met once
+                for others in itertools.combinations(rest, k):
+                    half = frozenset((subset[0],) + others)
+                    for lits1, v1 in keys.get(half, {}).items():
+                        for lits2, v2 in keys.get(support - half, {}).items():
+                            shared = {a for a, _ in lits1} & {a for a, _ in lits2}
+                            for atom in shared:
+                                resolvent = frozenset(l for l in lits1 | lits2 if l[0] != atom)
+                                if not resolvent or len({a for a, _ in resolvent}) < len(resolvent):
+                                    continue
+                                one = (rank(lits1, v1, half), lits1, v1)
+                                two = (rank(lits2, v2, support - half), lits2, v2)
+                                one, two = sorted((one, two), key=lambda k: k[0])
+                                pairs.setdefault(resolvent, []).append((one[0], two[0], one, two))
+            for resolvent, candidates in pairs.items():
+                for _r1, _r2, (_, lits1, v1), (_, lits2, v2) in sorted(candidates, key=lambda p: (p[0], p[1])):
+                    value = oracle_resolvent_tv(lits1, v1, lits2, v2, resolvent)
+                    if value is not None and value[0] + value[1] > 0.0 and value[0] + value[1] >= cutoff:
+                        keys.setdefault(support, {})[resolvent] = value
+                        break
+    by_literals = {}
+    for support, entries in keys.items():
+        for literals, value in entries.items():
+            by_literals.setdefault(literals, []).append((rank(literals, value, support), value, support))
+    groups = {}
+    for literals, entries in by_literals.items():
+        picked, used = [], set()
+        for _rank, value, support in sorted(entries, key=lambda e: e[0]):
+            if used.isdisjoint(support):
+                picked.append((value[0], value[1], support))
+                used |= support
+        groups[literals] = picked
+    return groups

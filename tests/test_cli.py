@@ -111,6 +111,16 @@ class TestQuery:
         err = capsys.readouterr().err
         assert err.startswith("error: chain depth ") and err.endswith(" exceeded at (p300 k)\n")
 
+    def test_forward_chain_deeper_than_the_interpreter_stack_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.pkb"
+        rules = "".join(f"(rule (p{i} $x) (p{i + 1} $x) (0.9 . 0))\n" for i in range(600))
+        path.write_text("(setvar max-chain-depth 5000)\n" + rules + "(fact (p0 k) (0.5 . 0))\n")
+        assert main(["--kb", str(path), "query", "(p3 k)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: chain depth ") and captured.err.endswith(" exceeded at (p0 k)\n")
+        assert captured.err.count("\n") == 1
+
 
 class TestAssertSetWhy:
     def test_assert_is_session_local_noop_without_query(self, capsys):

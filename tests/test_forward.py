@@ -1,6 +1,7 @@
 """Forward chaining: firing, retraction, cutoffs, rebuild equivalence."""
 
 import random
+import sys
 
 import pytest
 
@@ -319,6 +320,22 @@ class TestCyclesAndDepth:
         kb.add_rule(S("(q $x)"), S("(p $x)"), TruthValue(0.95, 0.0))
         with pytest.raises(DepthExceeded):
             kb.stash(S("(p a)"), TruthValue(0.9, 0.0))
+
+    @pytest.mark.parametrize("write", ["stash", "set_truth", "add_rule"])
+    def test_chain_deeper_than_the_interpreter_stack_raises_depth_exceeded(self, write):
+        levels = sys.getrecursionlimit()
+        kb = KnowledgeBase(config=EngineConfig(max_chain_depth=5 * levels))
+        for level in range(levels, 0, -1):
+            kb.add_rule(S(f"(p{level} $x)"), S(f"(p{level + 1} $x)"), TruthValue(0.9, 0.0))
+        if write == "add_rule":
+            # a new rule fires on what is stored
+            kb.stash(S("(p0 k)"), TruthValue(0.5, 0.0))
+            with pytest.raises(DepthExceeded, match=r"chain depth \d+ exceeded at \(p1 \$x\)"):
+                kb.add_rule(S("(p0 $x)"), S("(p1 $x)"), TruthValue(0.9, 0.0))
+        else:
+            kb.add_rule(S("(p0 $x)"), S("(p1 $x)"), TruthValue(0.9, 0.0))
+            with pytest.raises(DepthExceeded, match=r"chain depth \d+ exceeded at \(p0 k\)"):
+                getattr(kb, write)(S("(p0 k)"), TruthValue(0.5, 0.0))
 
     def test_cycles_settle_at_their_forward_limit(self):
         # Forward chaining feeds a cycle's output back in as fresh

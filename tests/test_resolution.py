@@ -11,12 +11,12 @@ from pkb import resolution
 from pkb.backward import truep
 from pkb.errors import IterationBoundExceeded, RangeError, TautologicalResolvent, TotalConflict
 from pkb.kb import KnowledgeBase
-from pkb.resolution import Clause, prove_by_resolution, resolve, saturate, saturate_groups
+from pkb.resolution import Clause, Closure, prove_by_resolution, resolve, saturate, saturate_groups
 from pkb.sexpr import parse_sentence as S
 from pkb.terms import sym
 from pkb.truth import EngineConfig, TruthValue
 
-from oracles import oracle_resolvent_tv
+from oracles import oracle_keyed_closure, oracle_resolvent_tv
 
 TOL = 1e-9
 
@@ -432,12 +432,18 @@ class TestOrderIndependence:
             assert _kb_answers(_kb_of(clauses[::-1])) == _kb_answers(_kb_of(clauses))
 
 
-def _admissible_left(groups):
-    """Resolvents of live support-disjoint pairs that the admission
-    policy would still take."""
-    live = [c for group in groups.values() for c in group]
+def _closure(clauses, max_rounds=100):
+    closure = Closure()
+    saturate_groups(clauses, EngineConfig(), max_rounds, closure=closure)
+    return closure
+
+
+def _missing_keys(closure):
+    """Valid resolvents of support-disjoint key pairs whose key the
+    closure lacks."""
+    keys = [clause for entries in closure.keys.values() for _rank, clause in entries.values()]
     out = []
-    for a, b in itertools.combinations(live, 2):
+    for a, b in itertools.combinations(keys, 2):
         if a.support & b.support:
             continue
         for atom in a.atoms() & b.atoms():
@@ -445,11 +451,7 @@ def _admissible_left(groups):
                 got = resolve(a, b, atom)
             except (TautologicalResolvent, TotalConflict, ValueError):
                 continue
-            if got.tv.mass == 0.0:
-                continue
-            overlapping = [c for c in groups.get(got.literals, ()) if c.support & got.support]
-            # resolve(a, b) and resolve(b, a) may differ in the last bit
-            if all(got.tv.mass > c.tv.mass + 1e-12 for c in overlapping):
+            if got.tv.mass > 0.0 and got.support not in closure.keys.get(got.literals, {}):
                 out.append(got)
     return out
 
@@ -462,6 +464,21 @@ def _chain(n, unit=(0.75, 0.0), link=(0.75, 0.0)):
     for i in range(n):
         clauses.append(clause([(atoms[i], False), (atoms[i + 1], True)], *link, support=(f"l{i}",)))
     return atoms, clauses
+
+
+# Ten clauses over six atoms whose closure holds a key over nine of them.
+_SLOW_SET = [
+    clause([(W, False)], 0.01650929613724973, 0.10687939294653519, support=("0",)),
+    clause([(R, True), (X, False)], 0.1675137884120426, 0.5726966997690979, support=("1",)),
+    clause([(W, True), (X, False), (Y, True)], 0.4435743657385948, 0.0018658121533308147, support=("2",)),
+    clause([(R, False)], 0.19694321422147026, 0.06910110183907547, support=("3",)),
+    clause([(W, True)], 0.4459058167602453, 0.056679427334282106, support=("4",)),
+    clause([(P, True), (Q, False), (Y, True)], 0.0354373038729823, 0.4575889517936922, support=("5",)),
+    clause([(P, False)], 0.14041324463119279, 0.1748493025008642, support=("6",)),
+    clause([(R, True), (W, True), (X, True)], 0.2933560594068728, 0.4197357038102857, support=("7",)),
+    clause([(Q, True), (X, True)], 0.054946973082866224, 0.17301522517312842, support=("8",)),
+    clause([(W, True), (X, True)], 0.1343146845725723, 0.02938575464453283, support=("9",)),
+]
 
 
 class TestGivenClauseLoop:
@@ -479,6 +496,16 @@ class TestGivenClauseLoop:
         (unit,) = groups[frozenset({(atoms[n], True)})]
         assert unit.tv == TruthValue(0.75 ** (n + 1), 0.0)
 
+    def test_each_key_resolves_pairs_until_one_is_valid(self, resolve_calls):
+        # Every pair in this chain gives a valid resolvent, so each
+        # derived key costs one call, however many pairs resolve to it:
+        # (or (not a0) a14) has 13.
+        n = 14
+        _atoms, clauses = _chain(n)
+        closure = _closure(clauses)
+        keys = sum(len(entries) for entries in closure.keys.values())
+        assert len(resolve_calls) == keys - len(clauses) == n * (n + 1) // 2
+
     def test_disbelief_chain_uses_each_base_clause_once(self, resolve_calls):
         # With disbelief on the links, same-sign steps yield resolvents
         # too. Parents that share a base clause are never resolved, which
@@ -492,13 +519,13 @@ class TestGivenClauseLoop:
         assert 0 < len(resolve_calls) <= 601
 
     def test_every_random_set_settles_closed(self, resolve_calls):
-        # A derivation that reused its own base clauses could displace a
-        # lighter copy of itself, and values would creep up round after
-        # round without settling.
+        # A derivation that reused its own base clauses would make keys
+        # without end; with disjoint supports every key is settled and
+        # every valid pair of keys has its key.
         rng = random.Random(3004)
         for _ in range(120):
             clauses = [_random_clause(rng, str(i)) for i in range(5)]
-            assert _admissible_left(saturate_groups(clauses, EngineConfig())) == []
+            assert _missing_keys(_closure(clauses)) == []
         assert resolve_calls
         assert all(not (c1.support & c2.support) for c1, c2, _atom in resolve_calls)
 
@@ -528,27 +555,31 @@ class TestGivenClauseLoop:
             saturate(clauses, [(Q, True)])
         assert resolve_calls == []
         labelled = [Clause(c.literals, c.tv, frozenset({str(i)})) for i, c in enumerate(clauses)]
-        assert _admissible_left(saturate_groups(labelled, EngineConfig(), max_rounds=20)) == []
+        assert _missing_keys(_closure(labelled, max_rounds=20)) == []
 
-    def test_rounds_can_exceed_clause_count(self):
-        # Retries offer old derivations again, so n clauses may need
-        # more than n rounds: these 10 need 11.
-        clauses = [
-            clause([(W, False)], 0.01650929613724973, 0.10687939294653519, support=("0",)),
-            clause([(R, True), (X, False)], 0.1675137884120426, 0.5726966997690979, support=("1",)),
-            clause([(W, True), (X, False), (Y, True)], 0.4435743657385948, 0.0018658121533308147, support=("2",)),
-            clause([(R, False)], 0.19694321422147026, 0.06910110183907547, support=("3",)),
-            clause([(W, True)], 0.4459058167602453, 0.056679427334282106, support=("4",)),
-            clause([(P, True), (Q, False), (Y, True)], 0.0354373038729823, 0.4575889517936922, support=("5",)),
-            clause([(P, False)], 0.14041324463119279, 0.1748493025008642, support=("6",)),
-            clause([(R, True), (W, True), (X, True)], 0.2933560594068728, 0.4197357038102857, support=("7",)),
-            clause([(Q, True), (X, True)], 0.054946973082866224, 0.17301522517312842, support=("8",)),
-            clause([(W, True), (X, True)], 0.1343146845725723, 0.02938575464453283, support=("9",)),
-        ]
+    def test_clause_sharing_a_key_is_rejected(self, resolve_calls):
+        # Two values for one key would leave the input order to choose.
+        clauses = [clause([(P, True)], 0.8, 0.1, support=("1",)), clause([(P, True)], 0.5, 0.1, support=("1",))]
+        with pytest.raises(ValueError, match="shares its literals and support"):
+            saturate_groups(clauses, EngineConfig())
+        closure = _closure(clauses[:1])
+        with pytest.raises(ValueError, match="shares its literals and support"):
+            saturate_groups(clauses[1:], EngineConfig(), closure=closure)
+        assert resolve_calls == []
+
+    def test_rounds_are_bounded_by_clause_count(self):
+        # Round k settles the keys whose support has k + 1 labels, so n
+        # singly labelled clauses settle within n rounds: these 10 have
+        # a key over 9 of them and need 9.
+        clauses = _SLOW_SET
         with pytest.raises(IterationBoundExceeded):
-            saturate_groups(clauses, EngineConfig(), max_rounds=10)
-        groups = saturate_groups(clauses, EngineConfig(), max_rounds=11)
-        assert _admissible_left(groups) == []
+            saturate_groups(clauses, EngineConfig(), max_rounds=8)
+        settled = saturate_groups(clauses, EngineConfig(), max_rounds=9)
+        assert _bits(settled) == _bits(saturate_groups(clauses, EngineConfig(), max_rounds=len(clauses)))
+        rng = random.Random(3005)
+        for _ in range(20):
+            clauses = [_random_clause(rng, str(i)) for i in range(rng.randint(1, 6))]
+            saturate_groups(clauses, EngineConfig(), max_rounds=len(clauses))
 
     def test_fixpoint_is_closed(self):
         clauses = [
@@ -558,10 +589,9 @@ class TestGivenClauseLoop:
             clause([(R, True)], 0.8740135713916825, 0.021908352508880458, support=("3",)),
             clause([(P, False), (R, False)], 0.05839498707770723, 0.023584718382735313, support=("4",)),
         ]
-        assert _admissible_left(saturate_groups(clauses, EngineConfig())) == []
-        # Here a derivation dropped early becomes admissible once the
-        # clause that blocked it is itself replaced; the loop must offer
-        # it again.
+        assert _missing_keys(_closure(clauses)) == []
+        # Under heaviest-wins admission a derivation dropped early here
+        # became admissible once the clause that blocked it was replaced.
         clauses = [
             clause([(Q, False), (W, False)], 0.8168335929310634, 0.0757270949367641, support=("0",)),
             clause([(P, True), (Q, True), (R, False)], 0.3251145081149552, 0.08705340040425857, support=("1",)),
@@ -569,11 +599,11 @@ class TestGivenClauseLoop:
             clause([(P, True), (Q, True)], 0.11606411707940455, 0.018200597529420312, support=("3",)),
             clause([(W, False)], 0.11514373342149474, 0.3837113021063078, support=("4",)),
         ]
-        assert _admissible_left(saturate_groups(clauses, EngineConfig())) == []
+        assert _missing_keys(_closure(clauses)) == []
         rng = random.Random(3007)
         for _ in range(10):
             clauses = [_random_clause(rng, str(i)) for i in range(5)]
-            assert _admissible_left(saturate_groups(clauses, EngineConfig(), _ROUNDS)) == []
+            assert _missing_keys(_closure(clauses, _ROUNDS)) == []
 
 
 _CHAIN_TEXT = """
@@ -667,7 +697,7 @@ class TestSaturationCache:
     def test_failed_saturation_is_not_cached(self, monkeypatch, resolve_calls):
         kb = self.fresh()
         expected = _kb_answers(self.fresh())
-        monkeypatch.setattr(pkb.kb, "saturate_groups", functools.partial(saturate_groups, max_rounds=1))
+        monkeypatch.setattr(pkb.kb, "saturate_groups", functools.partial(saturate_groups, max_rounds=2))
         for _ in range(2):
             resolve_calls.clear()
             with pytest.raises(IterationBoundExceeded):
@@ -759,25 +789,13 @@ class TestComponentClosures:
         assert prove_by_resolution(kb, atoms[3], "not", 0.0)[0][1] > before[1]
 
     def test_component_that_raises_is_tried_again(self, monkeypatch, resolve_calls):
-        # These ten clauses need 11 rounds; the chain after them settles
-        # in a few.
-        slow = [
-            ([(W, False)], 0.01650929613724973, 0.10687939294653519),
-            ([(R, True), (X, False)], 0.1675137884120426, 0.5726966997690979),
-            ([(W, True), (X, False), (Y, True)], 0.4435743657385948, 0.0018658121533308147),
-            ([(R, False)], 0.19694321422147026, 0.06910110183907547),
-            ([(W, True)], 0.4459058167602453, 0.056679427334282106),
-            ([(P, True), (Q, False), (Y, True)], 0.0354373038729823, 0.4575889517936922),
-            ([(P, False)], 0.14041324463119279, 0.1748493025008642),
-            ([(R, True), (W, True), (X, True)], 0.2933560594068728, 0.4197357038102857),
-            ([(Q, True), (X, True)], 0.054946973082866224, 0.17301522517312842),
-            ([(W, True), (X, True)], 0.1343146845725723, 0.02938575464453283),
-        ]
+        # These ten clauses need 9 rounds; the chain after them settles
+        # in 4.
         kb = KnowledgeBase()
-        for lits, a, b in slow:
-            kb.add_clause(lits, TruthValue(a, b))
+        for c in _SLOW_SET:
+            kb.add_clause(c.literals, c.tv)
         _add_chains(kb, 1, 3)
-        bounded = functools.partial(saturate_groups, max_rounds=10)
+        bounded = functools.partial(saturate_groups, max_rounds=8)
         with pytest.raises(IterationBoundExceeded) as whole:
             bounded(kb.clauses, kb.config)
         monkeypatch.setattr(pkb.kb, "saturate_groups", bounded)
@@ -799,3 +817,98 @@ class TestComponentClosures:
         assert resolve_calls
         assert all(atom in slow_atoms for _c1, _c2, atom in resolve_calls)
         assert _bits(groups) == _bits(saturate_groups(kb.clauses, kb.config))
+
+
+def _hex(groups):
+    """Each group's keys as (literals, belief, disbelief, support), the
+    values in float hex, so equal means equal bit for bit and in order."""
+    return {
+        lits: [(c.literals, c.tv.belief.hex(), c.tv.disbelief.hex(), c.support) for c in group]
+        for lits, group in groups.items()
+    }
+
+
+def _added_one_at_a_time(clauses, goals):
+    """A KB given ``clauses`` one at a time, a query for the next of
+    ``goals`` after each."""
+    kb = KnowledgeBase()
+    for c, goal in zip(clauses, goals):
+        kb.add_clause(c.literals, c.tv)
+        prove_by_resolution(kb, goal, "t", 0.0)
+    return kb
+
+
+# The counterexample that made heaviest-wins admission depend on the
+# order clauses arrive in.
+_COUNTEREXAMPLE = [
+    clause([(P, False), (R, True), (W, True)], 0.002507116043466795, 0.059549515098374015, support=("c1",)),
+    clause([(R, True), (W, True)], 0.12269144667815889, 0.3579026123948391, support=("c2",)),
+    clause([(W, True)], 0.0708687711981926, 0.05770990732748771, support=("c3",)),
+]
+
+
+class TestKeyedClosure:
+    def test_equals_keyed_oracle(self):
+        # The sets of test_every_random_set_settles_closed, each also
+        # saturated in two other orders.
+        rng, orders = random.Random(3004), random.Random(3014)
+        for _ in range(120):
+            clauses = [_random_clause(rng, str(i)) for i in range(5)]
+            config = EngineConfig(inference_cutoff=orders.choice((0.0, 0.05)))
+            groups = saturate_groups(clauses, config)
+            expected = oracle_keyed_closure(
+                [(c.literals, (c.tv.belief, c.tv.disbelief), *c.support) for c in clauses], config.inference_cutoff
+            )
+            assert {lits: [c.support for c in group] for lits, group in groups.items()} == {
+                lits: [support for _a, _b, support in group] for lits, group in expected.items()
+            }
+            for lits, group in groups.items():
+                assert all(tv_close(c.tv, (a, b)) for c, (a, b, _s) in zip(group, expected[lits]))
+            shuffled = clauses[:]
+            orders.shuffle(shuffled)
+            assert _hex(saturate_groups(shuffled, config)) == _hex(groups)
+            assert _hex(saturate_groups(clauses[::-1], config)) == _hex(groups)
+
+    def test_incremental_equals_fresh(self):
+        rng = random.Random(3015)
+        sets = [_COUNTEREXAMPLE] + [[_random_clause(rng, str(i)) for i in range(rng.randint(2, 6))] for _ in range(199)]
+        for clauses in sets:
+            kb = _added_one_at_a_time(clauses, [rng.choice(_ATOMS) for _ in clauses])
+            assert _hex(kb.saturation()) == _hex(_kb_of(clauses).saturation())
+
+    def test_settled_counterexample(self):
+        # Under heaviest-wins admission, a KB given c3 after a query
+        # derived (not p) over {c1, c2, c3}, and a fresh KB did not: it
+        # admitted (or (not p) w) over all three first and dropped the
+        # lighter {c1, c2} variant that (not p) needs.
+        kb = _added_one_at_a_time(_COUNTEREXAMPLE, [P, W, P])
+        fresh = _kb_of(_COUNTEREXAMPLE)
+        assert _hex(kb.saturation()) == _hex(fresh.saturation())
+        (not_p,) = fresh.saturation()[frozenset({(P, False)})]
+        assert not_p.support == frozenset({"c1", "c2", "c3"})
+        assert prove_by_resolution(kb, P, "not", 0.0) == prove_by_resolution(fresh, P, "not", 0.0)
+
+    def test_added_clause_resolves_only_pairs_with_its_label(self, resolve_calls):
+        # Three chains of a unit and five links, the benchmark's shape.
+        kb = _add_chains(KnowledgeBase(), 3, 5)
+        prove_by_resolution(kb, S("(link c0 s5)"), "t", 0.0)
+        resolve_calls.clear()
+        kb.add_clause([(S("(link c0 s5)"), False), (S("(link c0 s6)"), True)], TruthValue(0.5, 0.0))
+        (answer,) = prove_by_resolution(kb, S("(link c0 s6)"), "t", 0.0)
+        assert answer[1] == 0.75**6 * 0.5
+        # one call per new key: (or (not (link c0 sK)) (link c0 s6)) for
+        # K < 5, and the unit (link c0 s6)
+        assert len(resolve_calls) == 6
+        assert all("c19" in c1.support | c2.support for c1, c2, _atom in resolve_calls)
+        assert _hex(kb.saturation()) == _hex(_kb_of(kb.clauses).saturation())
+
+    def test_joining_clause_resumes_both_closures(self, resolve_calls):
+        kb = _add_chains(KnowledgeBase(), 2, 2)
+        prove_by_resolution(kb, S("(link c0 s2)"), "t", 0.0)
+        prove_by_resolution(kb, S("(link c1 s2)"), "t", 0.0)
+        resolve_calls.clear()
+        kb.add_clause([(S("(link c0 s2)"), False), (S("(link c1 s0)"), False)], TruthValue(0.5, 0.25))
+        prove_by_resolution(kb, S("(link c1 s2)"), "not", 0.0)
+        assert {atom.elements[1].name for _c1, _c2, atom in resolve_calls} == {"c0", "c1"}
+        assert all("c7" in c1.support | c2.support for c1, c2, _atom in resolve_calls)
+        assert _hex(kb.saturation()) == _hex(_kb_of(kb.clauses).saturation())
