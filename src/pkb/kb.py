@@ -151,28 +151,21 @@ def unwrap_query(pattern: Term, tag: str = "t") -> tuple[Term, str]:
     return pattern, tag
 
 
-def _components(clauses) -> list[tuple]:
-    """``clauses`` split into connected components, two clauses being
-    connected when they share an atom: tuples of clauses in list order,
-    ordered by their first clause."""
-    root = list(range(len(clauses)))  # union-find; a root is its set's least position
+class _Component:
+    """Clauses connected through shared atoms: all of them, the closure
+    of those taken in and those ``waiting`` for it. The closure writes
+    its groups into a map it shares with every other component of the
+    KB; components share no atom, so their literal sets never meet."""
 
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
+    __slots__ = ("clauses", "closure", "waiting")
 
-    first: dict = {}  # atom -> position of the first clause holding it
-    for i, clause in enumerate(clauses):
-        for atom, _positive in clause.literals:
-            a, b = find(i), find(first.setdefault(atom, i))
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    components: dict = {}
-    for i, clause in enumerate(clauses):
-        components.setdefault(find(i), []).append(clause)
-    return [tuple(component) for component in components.values()]
+    def __init__(self, groups: dict):
+        self.clauses = []
+        self.restart(groups)
+
+    def restart(self, groups: dict):
+        self.closure, self.waiting = Closure(), self.clauses[:]
+        self.closure.groups = groups
 
 
 def _index_key(sentence: Term):
@@ -210,10 +203,7 @@ class KnowledgeBase:
         self._rules_by_key: dict = {}
         self._rules_by_consequence: dict = {}
         self.clauses: list = []
-        # (clause count, {component: its resolution.Closure}, every
-        # component's groups merged); the count is None after a component
-        # failed to settle
-        self._saturation: tuple | None = None
+        self._drop_partition()
         # (priority function, {goal key: answers}, a read of the store (a
         # ground goal, or an open goal's index key) or a goal key -> {goal
         # key that depended on it: None}); None until a goal is tabled and
@@ -248,7 +238,8 @@ class KnowledgeBase:
         if not isinstance(config, EngineConfig):
             raise TypeError(f"config must be an EngineConfig, got {config!r}")
         if config != self._config:
-            self._saturation = self._goals = None
+            self._goals = None
+            self._drop_partition()
         self._config = config
 
     # -- storage ------------------------------------------------------------
@@ -393,7 +384,7 @@ class KnowledgeBase:
         self.clauses.append(clause)
         return clause
 
-    def saturation(self) -> dict:
+    def saturation(self, atom: Term | None = None) -> dict:
         """The clause set closed under resolution with ``self.config``,
         as literal set -> its group (see `resolution.saturate_groups`).
 
@@ -401,52 +392,61 @@ class KnowledgeBase:
         component is closed on its own: a resolvent's atoms come from its
         parents, so no clause outside a component ever meets one inside
         it, and the merged closures equal the closure of the whole set.
-        Each component's closure is kept, and a query after `add_clause`
-        resumes the closure of the component the new clause joins (the
-        closures of all the components it joins, united), which resolves
-        only pairs that hold the new clause's label. A different config
-        drops every closure. The merged map is replaced whole, never
-        modified, and callers must not modify it either.
+        The KB keeps the partition. `add_clause` only appends; the next
+        call adds the new clauses to the partition, merging the components
+        a clause joins into the largest, and resumes the closure of each
+        component a new clause joined. A different config drops the
+        partition; until then every call returns one map, updated in
+        place. Callers must not modify it.
 
-        A component that does not settle within the round bound is not
-        kept and is closed afresh on the next call; the components that
-        settled stay kept. The IterationBoundExceeded raised then holds,
-        as ``partial``, every component's groups: the closure of each
-        that settled and the groups so far of each that did not, as one
-        loop over the whole set would have left them.
+        A component that does not settle within the round bound keeps
+        its IterationBoundExceeded until a clause joins it or the config
+        changes. A call raises it if ``atom``'s component failed, or,
+        without ``atom``, if any did, with every component's groups as
+        ``partial``: the closure of each that settled and the groups so
+        far of each that did not, as one loop over the whole set would
+        have left them.
         """
-        # Keyed on the clause count rather than updated by add_clause:
-        # the write stays a plain append, and the query that needs the
-        # closure pays for the partition.
-        config = self.config
-        cached = self._saturation
-        if cached is not None and cached[0] == len(self.clauses):
-            return cached[2]
-        closures = cached[1] if cached is not None else {}
-        self._saturation = None  # the closures below are extended in place
-        kept, merged, failure = {}, {}, None
-        for component in _components(self.clauses):
-            closure = closures.get(component)
-            if closure is None:
-                members = set(component)
-                parts = [old for old in closures if old[0] in members]
-                closure = Closure()
-                for old in parts:
-                    closure.absorb(closures[old])
-                done = set().union(*parts)
-                try:
-                    saturate_groups([c for c in component if c not in done], config, closure=closure)
-                except IterationBoundExceeded as exc:
-                    failure = failure or exc
-                    merged.update(exc.partial)
-                    continue
-            kept[component] = closure
-            merged.update(closure.groups)
-        if failure is not None:
-            self._saturation = (None, kept, None)
-            raise IterationBoundExceeded(str(failure), partial=merged)
-        self._saturation = (len(self.clauses), kept, merged)
-        return merged
+        if self._partitioned != len(self.clauses):
+            self._take_in_clauses()
+        if self._failures and (atom is None or self._component_of.get(atom) in self._failures):
+            raise IterationBoundExceeded(str(next(iter(self._failures.values()))), partial=dict(self._groups))
+        return self._groups
+
+    def _drop_partition(self):
+        # the partition of self.clauses[:self._partitioned] (atom -> its
+        # _Component), every component's groups merged, and each component
+        # whose loop raised -> that IterationBoundExceeded
+        self._partitioned, self._component_of, self._groups, self._failures = 0, {}, {}, {}
+
+    def _take_in_clauses(self):
+        component_of, touched = self._component_of, {}
+        for clause in self.clauses[self._partitioned :]:
+            joined = {component_of[atom]: None for atom, _positive in clause.literals if atom in component_of}
+            into = max(joined, key=lambda c: len(c.clauses), default=None) or _Component(self._groups)
+            moved = [clause]
+            for other in joined:
+                self._failures.pop(other, None)
+                if other is not into:
+                    into.closure.absorb(other.closure)
+                    into.waiting += other.waiting
+                    moved += other.clauses
+                    touched.pop(other, None)
+            into.clauses += moved
+            into.waiting.append(clause)
+            component_of.update((atom, into) for c in moved for atom, _positive in c.literals)
+            touched[into] = None
+        self._partitioned = len(self.clauses)
+        for component in touched:
+            try:
+                saturate_groups(component.waiting, self.config, closure=component.closure)
+                component.waiting = []
+            except IterationBoundExceeded as exc:
+                self._failures[component] = exc
+                component.restart(self._groups)  # the loop's pending pairs are lost
+            except BaseException:
+                self._drop_partition()  # a closure left half extended
+                raise
 
     # -- goal table -------------------------------------------------------------
 

@@ -104,12 +104,12 @@ A new label appears only in new keys, and every pair of an old key is
 old, so no old key or value changes: the loop resolves only pairs that
 hold a new key and re-picks only the literal sets that gained one. A
 fresh saturation is the same loop run from an empty closure.
-`KnowledgeBase.saturation` closes each connected component of a KB's
-clause set (clauses linked by shared atoms) on its own, which gives
-the same groups, since keys pair only through shared atoms. It keeps
-each component's closure and resumes it when a clause is added to the
-component; a clause that joins components resumes their closures
-united.
+`KnowledgeBase.saturation` keeps a KB's clause set split into
+connected components (clauses linked by shared atoms), each closed on
+its own, which gives the same groups, since keys pair only through
+shared atoms. A query after `add_clause` resumes each component a new
+clause joined, the largest absorbing the others; one whose loop
+raised is closed afresh once a clause joins it.
 
 Termination, when every input support is nonempty: a key's support is
 a union of input supports, so the keys are finitely many and a support
@@ -392,14 +392,14 @@ def prove_by_resolution(kb, goal, tag, cutoff):
     complementary unit clause both count: a derivation of the opposite
     unit is the same information with the pair swapped. The two groups,
     the complement's swapped, are pooled through the greedy pick that
-    made each of them (see the module docstring). The saturated clause
-    set comes from the KB's cache (`KnowledgeBase.saturation`), closed
-    under ``kb.config``.
+    made each of them (see the module docstring). The groups come from
+    `KnowledgeBase.saturation` under ``kb.config``, which raises only if
+    the goal's atom lies in a component that did not settle.
     """
     core, flipped = normalize_negation(goal)
     if not is_ground(core):
         raise ValueError(f"resolution needs a ground goal, got {goal}")
-    groups = kb.saturation()
+    groups = kb.saturation(core)
     wanted = frozenset({(core, not flipped)})
     picked = groups.get(wanted, ())
     against = groups.get(frozenset({(core, flipped)}))

@@ -403,13 +403,13 @@ def _kb_of(clauses):
     return kb
 
 
-def _kb_answers(kb, config=None):
-    """Every atom's t and not value, under ``config`` if one is given;
-    one saturation serves them all."""
+def _kb_answers(kb, config=None, atoms=_ATOMS):
+    """Each of ``atoms``' t and not value, under ``config`` if one is
+    given; one saturation serves them all."""
     if config is not None:
         kb.config = config
     try:
-        return [prove_by_resolution(kb, atom, tag, 0.0) for atom in _ATOMS for tag in ("t", "not")]
+        return [prove_by_resolution(kb, atom, tag, 0.0) for atom in atoms for tag in ("t", "not")]
     except IterationBoundExceeded:
         return "bound"
 
@@ -611,6 +611,7 @@ _CHAIN_TEXT = """
 (clause (or (not (link s0)) (link s1)) (0.75 . 0))
 (clause (or (not (link s1)) (link s2)) (0.875 . 0))
 """
+_CHAIN_ATOMS = [S(f"(link s{k})") for k in range(3)]
 
 
 class TestSaturationCache:
@@ -621,10 +622,11 @@ class TestSaturationCache:
 
     def test_repeated_query_does_not_resaturate(self, resolve_calls):
         kb = self.fresh()
-        first = _kb_answers(kb)
+        first = _kb_answers(kb, atoms=_CHAIN_ATOMS)
+        assert first[4] == [({}, 0.5 * 0.75 * 0.875)]
         assert resolve_calls
         resolve_calls.clear()
-        assert _kb_answers(kb) == first
+        assert _kb_answers(kb, atoms=_CHAIN_ATOMS) == first
         assert resolve_calls == []
 
     def test_load_does_not_saturate(self, resolve_calls):
@@ -694,17 +696,32 @@ class TestSaturationCache:
             truep(self.fresh(), S("(link s2)"), "t", 2.0, method="resolution")
         assert resolve_calls == []
 
-    def test_failed_saturation_is_not_cached(self, monkeypatch, resolve_calls):
+    def test_failed_saturation_is_kept_until_its_component_changes(self, monkeypatch, resolve_calls):
+        # _SLOW_SET needs 9 rounds; the chain beside it settles in 3.
         kb = self.fresh()
-        expected = _kb_answers(self.fresh())
-        monkeypatch.setattr(pkb.kb, "saturate_groups", functools.partial(saturate_groups, max_rounds=2))
+        for c in _SLOW_SET:
+            kb.add_clause(c.literals, c.tv)
+        expected = _kb_answers(self.fresh(), atoms=_CHAIN_ATOMS)
+        monkeypatch.setattr(pkb.kb, "saturate_groups", functools.partial(saturate_groups, max_rounds=8))
+        assert _kb_answers(kb, atoms=_CHAIN_ATOMS) == expected
+        assert resolve_calls
         for _ in range(2):
             resolve_calls.clear()
             with pytest.raises(IterationBoundExceeded):
-                prove_by_resolution(kb, S("(link s2)"), "t", 0.0)
-            assert resolve_calls
+                prove_by_resolution(kb, P, "t", 0.0)
+            assert resolve_calls == []
+        # A different config closes every component again.
+        kb.config = kb.config.copy(inference_cutoff=0.001)
+        with pytest.raises(IterationBoundExceeded):
+            prove_by_resolution(kb, P, "t", 0.0)
+        assert {atom in _CHAIN_ATOMS for _c1, _c2, atom in resolve_calls} == {True, False}
+        resolve_calls.clear()
+        assert _kb_answers(kb, atoms=_CHAIN_ATOMS) == expected
+        assert resolve_calls == []
         monkeypatch.setattr(pkb.kb, "saturate_groups", saturate_groups)
-        assert _kb_answers(kb) == expected
+        kb.config = EngineConfig()
+        assert _kb_answers(kb, atoms=_CHAIN_ATOMS) == expected
+        assert prove_by_resolution(kb, P, "t", 0.0) == prove_by_resolution(_kb_of(_SLOW_SET), P, "t", 0.0)
 
 
 def _bits(groups):
@@ -732,6 +749,11 @@ def _resolved_chains(calls):
     return {atom.elements[1].name for _c1, _c2, atom in calls}
 
 
+def _component_count(kb):
+    kb.saturation()
+    return len(set(kb._component_of.values()))
+
+
 class TestComponentClosures:
     def test_equals_whole_set_saturation(self):
         # Clauses drawn from disjoint atom pools fall into several
@@ -754,7 +776,7 @@ class TestComponentClosures:
                 else:
                     kb.config = kb.config.copy(inference_cutoff=rng.choice((0.0, 0.05)))
                 if kb.clauses:
-                    several += len(pkb.kb._components(kb.clauses)) > 1
+                    several += _component_count(kb) > 1
                     assert _bits(kb.saturation()) == _bits(saturate_groups(kb.clauses, kb.config))
         assert several > 1000
 
@@ -776,9 +798,9 @@ class TestComponentClosures:
         kb = _add_chains(KnowledgeBase(), 2, 2)
         atoms = [S(f"(link c{c} s{k})") for c in range(2) for k in range(3)]
         (before,) = prove_by_resolution(kb, atoms[3], "not", 0.0)
-        assert len(pkb.kb._components(kb.clauses)) == 2
+        assert _component_count(kb) == 2
         kb.add_clause([(atoms[2], False), (atoms[3], False)], TruthValue(0.5, 0.25))
-        assert len(pkb.kb._components(kb.clauses)) == 1
+        assert _component_count(kb) == 1
         fresh = KnowledgeBase()
         for c in kb.clauses:
             fresh.add_clause(c.literals, c.tv)
@@ -788,35 +810,52 @@ class TestComponentClosures:
         # the bridge carries disbelief from one chain's end to the other's start
         assert prove_by_resolution(kb, atoms[3], "not", 0.0)[0][1] > before[1]
 
-    def test_component_that_raises_is_tried_again(self, monkeypatch, resolve_calls):
-        # These ten clauses need 9 rounds; the chain after them settles
+    def test_failed_component_fails_only_its_own_atoms(self, monkeypatch, resolve_calls):
+        # These ten clauses need 9 rounds; the chain beside them settles
         # in 4.
         kb = KnowledgeBase()
         for c in _SLOW_SET:
             kb.add_clause(c.literals, c.tv)
-        _add_chains(kb, 1, 3)
         bounded = functools.partial(saturate_groups, max_rounds=8)
-        with pytest.raises(IterationBoundExceeded) as whole:
-            bounded(kb.clauses, kb.config)
         monkeypatch.setattr(pkb.kb, "saturate_groups", bounded)
         slow_atoms = {P, Q, R, W, X, Y}
-        resolve_calls.clear()
-        with pytest.raises(IterationBoundExceeded) as err:
-            prove_by_resolution(kb, S("(link c0 s3)"), "t", 0.0)
-        # the partial holds what one loop over the whole set left
-        assert _bits(err.value.partial) == _bits(whole.value.partial)
-        assert {atom in slow_atoms for _c1, _c2, atom in resolve_calls} == {True, False}
-        resolve_calls.clear()
         with pytest.raises(IterationBoundExceeded):
-            prove_by_resolution(kb, S("(link c0 s3)"), "t", 0.0)
-        assert resolve_calls
-        assert all(atom in slow_atoms for _c1, _c2, atom in resolve_calls)
-        monkeypatch.setattr(pkb.kb, "saturate_groups", saturate_groups)
+            prove_by_resolution(kb, P, "t", 0.0)
+        _add_chains(kb, 1, 3)
         resolve_calls.clear()
-        groups = kb.saturation()
+        (answer,) = prove_by_resolution(kb, S("(link c0 s3)"), "t", 0.0)
+        assert answer[1] == 0.75**4
+        assert resolve_calls
+        assert not any(atom in slow_atoms for _c1, _c2, atom in resolve_calls)
+        with pytest.raises(IterationBoundExceeded) as whole:
+            bounded(kb.clauses, kb.config)
+        resolve_calls.clear()
+        for ask in (lambda: prove_by_resolution(kb, Y, "not", 0.0), kb.saturation):
+            with pytest.raises(IterationBoundExceeded) as err:
+                ask()
+            assert resolve_calls == []
+            # the partial holds what one loop over the whole set left
+            assert _bits(err.value.partial) == _bits(whole.value.partial)
+        # A clause that joins the slow component closes it afresh, and so
+        # does a different config.
+        kb.add_clause([(Y, False), (sym("z"), True)], TruthValue(0.5, 0.25))
+        assert prove_by_resolution(kb, S("(link c0 s3)"), "t", 0.0) == [answer]
         assert resolve_calls
         assert all(atom in slow_atoms for _c1, _c2, atom in resolve_calls)
-        assert _bits(groups) == _bits(saturate_groups(kb.clauses, kb.config))
+        with pytest.raises(IterationBoundExceeded):
+            prove_by_resolution(kb, sym("z"), "t", 0.0)
+        resolve_calls.clear()
+        kb.config = kb.config.copy(inference_cutoff=0.001)
+        assert prove_by_resolution(kb, S("(link c0 s3)"), "t", 0.0) == [answer]
+        assert {atom in slow_atoms for _c1, _c2, atom in resolve_calls} == {True, False}
+        with pytest.raises(IterationBoundExceeded):
+            prove_by_resolution(kb, sym("z"), "t", 0.0)
+        # Without the bound, a clause that bridges the failed component
+        # and the chain lets the merged component settle.
+        monkeypatch.setattr(pkb.kb, "saturate_groups", saturate_groups)
+        kb.add_clause([(sym("z"), False), (S("(link c0 s0)"), True)], TruthValue(0.5, 0.25))
+        assert _component_count(kb) == 1
+        assert _bits(kb.saturation()) == _bits(saturate_groups(kb.clauses, kb.config))
 
 
 def _hex(groups):
@@ -911,4 +950,23 @@ class TestKeyedClosure:
         prove_by_resolution(kb, S("(link c1 s2)"), "not", 0.0)
         assert {atom.elements[1].name for _c1, _c2, atom in resolve_calls} == {"c0", "c1"}
         assert all("c7" in c1.support | c2.support for c1, c2, _atom in resolve_calls)
+        assert _hex(kb.saturation()) == _hex(_kb_of(kb.clauses).saturation())
+
+    def test_interrupted_resume_starts_over(self, monkeypatch):
+        # An exception inside the loop leaves a closure half extended;
+        # the next call closes the clause set afresh.
+        kb = _add_chains(KnowledgeBase(), 1, 3)
+        prove_by_resolution(kb, S("(link c0 s3)"), "t", 0.0)
+        kb.add_clause([(S("(link c0 s3)"), False), (S("(link c0 s4)"), True)], TruthValue(0.5, 0.0))
+        real = resolution.resolve
+
+        def interrupting(*args):
+            monkeypatch.setattr(resolution, "resolve", real)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(resolution, "resolve", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            prove_by_resolution(kb, S("(link c0 s4)"), "t", 0.0)
+        (answer,) = prove_by_resolution(kb, S("(link c0 s4)"), "t", 0.0)
+        assert answer[1] == 0.75**4 * 0.5
         assert _hex(kb.saturation()) == _hex(_kb_of(kb.clauses).saturation())
