@@ -151,23 +151,6 @@ def unwrap_query(pattern: Term, tag: str = "t") -> tuple[Term, str]:
     return pattern, tag
 
 
-class _Component:
-    """Clauses connected through shared atoms: all of them, the closure
-    of those taken in and those ``waiting`` for it. The closure writes
-    its groups into a map it shares with every other component of the
-    KB; components share no atom, so their literal sets never meet."""
-
-    __slots__ = ("clauses", "closure", "waiting")
-
-    def __init__(self, groups: dict):
-        self.clauses = []
-        self.restart(groups)
-
-    def restart(self, groups: dict):
-        self.closure, self.waiting = Closure(), self.clauses[:]
-        self.closure.groups = groups
-
-
 def _index_key(sentence: Term):
     if isinstance(sentence, Compound) and isinstance(sentence.elements[0], Symbol):
         return (sentence.elements[0].name, len(sentence.elements))
@@ -389,23 +372,24 @@ class KnowledgeBase:
         as literal set -> its group (see `resolution.saturate_groups`).
 
         Clauses that share an atom are connected, and each connected
-        component is closed on its own: a resolvent's atoms come from its
-        parents, so no clause outside a component ever meets one inside
-        it, and the merged closures equal the closure of the whole set.
-        The KB keeps the partition. `add_clause` only appends; the next
-        call adds the new clauses to the partition, merging the components
-        a clause joins into the largest, and resumes the closure of each
-        component a new clause joined. A different config drops the
-        partition; until then every call returns one map, updated in
-        place. Callers must not modify it.
+        component has its own `resolution.Closure`: a resolvent's atoms
+        come from its parents, so no clause outside a component ever meets
+        one inside it, and the merged closures equal the closure of the
+        whole set. The KB keeps the partition. `add_clause` only appends;
+        the next call adds each new clause to the closure of the
+        component it joins, the largest absorbing any others it links,
+        and resumes each closure given a clause. All closures write their
+        groups into one map, which every call returns, updated in place,
+        until a different config drops the partition. Callers must not
+        modify it.
 
-        A component that does not settle within the round bound keeps
-        its IterationBoundExceeded until a clause joins it or the config
-        changes. A call raises it if ``atom``'s component failed, or,
-        without ``atom``, if any did, with every component's groups as
-        ``partial``: the closure of each that settled and the groups so
-        far of each that did not, as one loop over the whole set would
-        have left them.
+        A closure that does not settle within the round bound keeps its
+        IterationBoundExceeded until a clause joins it, which resumes its
+        loop where it stopped, or the config changes. A call raises it if
+        ``atom``'s component failed, or, without ``atom``, if any did,
+        with every component's groups as ``partial``: the closure of each
+        that settled and the groups so far of each that did not, as one
+        loop over the whole set would have left them.
         """
         if self._partitioned != len(self.clauses):
             self._take_in_clauses()
@@ -414,36 +398,31 @@ class KnowledgeBase:
         return self._groups
 
     def _drop_partition(self):
-        # the partition of self.clauses[:self._partitioned] (atom -> its
-        # _Component), every component's groups merged, and each component
-        # whose loop raised -> that IterationBoundExceeded
+        # the partition of self.clauses[:self._partitioned] (atom -> the
+        # Closure of its component), every closure's groups in one map,
+        # and each closure whose loop raised -> that IterationBoundExceeded
         self._partitioned, self._component_of, self._groups, self._failures = 0, {}, {}, {}
 
     def _take_in_clauses(self):
         component_of, touched = self._component_of, {}
         for clause in self.clauses[self._partitioned :]:
             joined = {component_of[atom]: None for atom, _positive in clause.literals if atom in component_of}
-            into = max(joined, key=lambda c: len(c.clauses), default=None) or _Component(self._groups)
-            moved = [clause]
+            into = max(joined, key=lambda c: len(c.atoms), default=None) or Closure(self._groups)
             for other in joined:
                 self._failures.pop(other, None)
                 if other is not into:
-                    into.closure.absorb(other.closure)
-                    into.waiting += other.waiting
-                    moved += other.clauses
+                    into.absorb(other)
+                    component_of.update(dict.fromkeys(other.atoms, into))
                     touched.pop(other, None)
-            into.clauses += moved
-            into.waiting.append(clause)
-            component_of.update((atom, into) for c in moved for atom, _positive in c.literals)
+            into.add([clause])
+            component_of.update((atom, into) for atom, _positive in clause.literals)
             touched[into] = None
         self._partitioned = len(self.clauses)
-        for component in touched:
+        for closure in touched:
             try:
-                saturate_groups(component.waiting, self.config, closure=component.closure)
-                component.waiting = []
+                saturate_groups((), self.config, closure=closure)
             except IterationBoundExceeded as exc:
-                self._failures[component] = exc
-                component.restart(self._groups)  # the loop's pending pairs are lost
+                self._failures[closure] = exc
             except BaseException:
                 self._drop_partition()  # a closure left half extended
                 raise

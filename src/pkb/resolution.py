@@ -99,17 +99,16 @@ their supports are disjoint, for the same reason. A literal set's group
 is the greedy pick of its keys in canonical order, each key whose
 support meets none picked before it, combined in that order.
 
-Resuming: a closure takes more clauses, whose labels it has not seen.
-A new label appears only in new keys, and every pair of an old key is
-old, so no old key or value changes: the loop resolves only pairs that
-hold a new key and re-picks only the literal sets that gained one. A
-fresh saturation is the same loop run from an empty closure.
-`KnowledgeBase.saturation` keeps a KB's clause set split into
-connected components (clauses linked by shared atoms), each closed on
-its own, which gives the same groups, since keys pair only through
-shared atoms. A query after `add_clause` resumes each component a new
-clause joined, the largest absorbing the others; one whose loop
-raised is closed afresh once a clause joins it.
+Resuming: a closure keeps the loop's pending work and takes more
+clauses, whose labels it has not seen. A new label appears only in new
+keys, and every pair of an old key is old, so no old key or value
+changes: the loop resolves only pairs that hold a new key and re-picks
+only the literal sets that gained one. A loop the round bound stopped
+goes on from that round, so a closure always ends as one loop over all
+its input would leave it. `KnowledgeBase.saturation` keeps one closure
+per connected component (clauses linked by shared atoms), which gives
+the same groups, since keys pair only through shared atoms; a clause
+that links components joins the largest, which absorbs the others.
 
 Termination, when every input support is nonempty: a key's support is
 a union of input supports, so the keys are finitely many and a support
@@ -236,18 +235,22 @@ def _pick(ranked) -> list:
 class Closure:
     """A clause set closed under resolution, which `saturate_groups`
     extends in place: every key with its value, each literal set's
-    group, and the atom index that finds a key's partners."""
+    group, the atom index that finds a key's partners, and the work the
+    loop has still to do."""
 
-    __slots__ = ("keys", "given", "groups", "atoms")
+    __slots__ = ("keys", "given", "groups", "atoms", "pending")
 
-    def __init__(self):
+    def __init__(self, groups: dict | None = None):
         self.keys: dict = {}  # literal set -> {support: (rank, clause)}
         self.given: dict = {}  # atom -> every (rank, clause) holding it
-        self.groups: dict = {}  # literal set -> its pick, in canonical order
+        # literal set -> its pick, in canonical order
+        self.groups: dict = {} if groups is None else groups
         # atom -> (the one object that stands for it in every key, its
         # printed text); one object per atom lets the set operations on
         # literal sets compare atoms by identity
         self.atoms: dict = {}
+        # support size -> {(literals, support): input clause or [pairs]}
+        self.pending: dict = {}
 
     def atom(self, atom: Term) -> Term:
         entry = self.atoms.get(atom)
@@ -255,12 +258,32 @@ class Closure:
             entry = self.atoms[atom] = (atom, str(atom))
         return entry[0]
 
+    def add(self, clauses):
+        """Queue input clauses for the loop, all or none: ValueError, with
+        nothing queued, unless each has a nonempty support and a key that
+        no key or queued entry has."""
+        batch = {}
+        for clause in clauses:
+            if not clause.support:
+                raise ValueError(f"{clause} has an empty support; label each input clause")
+            key, level = (clause.literals, clause.support), self.pending.get(len(clause.support), ())
+            if key in batch or key in level or clause.support in self.keys.get(clause.literals, ()):
+                raise ValueError(f"{clause} shares its literals and support with another clause")
+            batch[key] = clause
+        for (literals, support), clause in batch.items():
+            literals = frozenset((self.atom(atom), positive) for atom, positive in literals)
+            self.pending.setdefault(len(support), {})[(literals, support)] = Clause(literals, clause.tv, support)
+
     def absorb(self, other: "Closure"):
-        """Take in the keys of a closure that shares no atom with this one."""
+        """Take in the keys and pending work of a closure that shares no
+        atom with this one."""
         self.keys.update(other.keys)
         self.given.update(other.given)
-        self.groups.update(other.groups)
+        if other.groups is not self.groups:
+            self.groups.update(other.groups)
         self.atoms.update(other.atoms)
+        for size, level in other.pending.items():
+            self.pending.setdefault(size, {}).update(level)
 
 
 def saturate_groups(clauses, config: EngineConfig, max_rounds: int = 100, closure: Closure | None = None) -> dict:
@@ -273,20 +296,12 @@ def saturate_groups(clauses, config: EngineConfig, max_rounds: int = 100, closur
     it. Every input clause needs a nonempty support, which termination
     assumes, and a key of its own. Raises ValueError for either, before
     any work, and IterationBoundExceeded, with the groups so far as its
-    partial value, when round ``max_rounds`` still has keys to settle.
+    partial value, when round ``max_rounds`` still has keys to settle;
+    the closure keeps them, and a later call resumes the loop there.
     """
     closure = Closure() if closure is None else closure
-    pending: dict = {}  # support size -> {(literals, support): input clause or [pairs]}
-    for clause in clauses:
-        if not clause.support:
-            raise ValueError(f"{clause} has an empty support; label each input clause")
-        literals = frozenset((closure.atom(atom), positive) for atom, positive in clause.literals)
-        clause = Clause(literals, clause.tv, clause.support)
-        level = pending.setdefault(len(clause.support), {})
-        key = (clause.literals, clause.support)
-        if key in level or clause.support in closure.keys.get(clause.literals, ()):
-            raise ValueError(f"{clause} shares its literals and support with another clause")
-        level[key] = clause
+    closure.add(clauses)
+    pending = closure.pending
     touched = set()  # literal sets that gained a key
     while pending:
         size = min(pending)
@@ -298,7 +313,7 @@ def saturate_groups(clauses, config: EngineConfig, max_rounds: int = 100, closur
                 entry = _first_valid(entry, config)
                 if entry is None:
                     continue
-            _settle(closure, (_canonical_rank(entry, closure.atoms), entry), pending)
+            _settle(closure, (_canonical_rank(entry, closure.atoms), entry))
             touched.add(key[0])
     _repick(closure, touched)
     return closure.groups
@@ -317,10 +332,10 @@ def _first_valid(pairs: list, config: EngineConfig) -> Clause | None:
     return None
 
 
-def _settle(closure: Closure, ranked: tuple, pending: dict):
+def _settle(closure: Closure, ranked: tuple):
     """Store a key and file its pair with every key settled before it
     whose support it does not meet, under the key the pair resolves to."""
-    clause = ranked[1]
+    clause, pending = ranked[1], closure.pending
     literals, support = clause.literals, clause.support
     closure.keys.setdefault(literals, {})[support] = ranked
     for atom, _positive in literals:

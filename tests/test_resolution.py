@@ -556,6 +556,15 @@ class TestGivenClauseLoop:
         assert resolve_calls == []
         labelled = [Clause(c.literals, c.tv, frozenset({str(i)})) for i, c in enumerate(clauses)]
         assert _missing_keys(_closure(labelled, max_rounds=20)) == []
+        # A closure that holds keys queues nothing of a rejected batch,
+        # its valid clause included.
+        closure = _closure(labelled[:2])
+        resolve_calls.clear()
+        with pytest.raises(ValueError, match="empty support"):
+            saturate_groups([labelled[2], clauses[0]], EngineConfig(), closure=closure)
+        assert resolve_calls == []
+        resumed = saturate_groups(labelled[2:], EngineConfig(), closure=closure)
+        assert _hex(resumed) == _hex(saturate_groups(labelled, EngineConfig()))
 
     def test_clause_sharing_a_key_is_rejected(self, resolve_calls):
         # Two values for one key would leave the input order to choose.
@@ -566,6 +575,13 @@ class TestGivenClauseLoop:
         with pytest.raises(ValueError, match="shares its literals and support"):
             saturate_groups(clauses[1:], EngineConfig(), closure=closure)
         assert resolve_calls == []
+        # A rejected batch queues nothing, its valid clause included.
+        valid = clause([(P, False), (Q, True)], 0.5, 0.25, support=("2",))
+        with pytest.raises(ValueError, match="shares its literals and support"):
+            saturate_groups([valid, clauses[1]], EngineConfig(), closure=closure)
+        assert resolve_calls == []
+        resumed = saturate_groups([valid], EngineConfig(), closure=closure)
+        assert _hex(resumed) == _hex(saturate_groups([clauses[0], valid], EngineConfig()))
 
     def test_rounds_are_bounded_by_clause_count(self):
         # Round k settles the keys whose support has k + 1 labels, so n
@@ -754,6 +770,15 @@ def _component_count(kb):
     return len(set(kb._component_of.values()))
 
 
+def _check_partition(kb):
+    """Each atom maps to the closure whose atoms hold it, and all atoms
+    of a clause to one closure."""
+    closures = set(kb._component_of.values())
+    assert {atom: closure for closure in closures for atom in closure.atoms} == kb._component_of
+    for c in kb.clauses:
+        assert len({kb._component_of[atom] for atom, _positive in c.literals}) == 1
+
+
 class TestComponentClosures:
     def test_equals_whole_set_saturation(self):
         # Clauses drawn from disjoint atom pools fall into several
@@ -777,6 +802,7 @@ class TestComponentClosures:
                     kb.config = kb.config.copy(inference_cutoff=rng.choice((0.0, 0.05)))
                 if kb.clauses:
                     several += _component_count(kb) > 1
+                    _check_partition(kb)
                     assert _bits(kb.saturation()) == _bits(saturate_groups(kb.clauses, kb.config))
         assert several > 1000
 
@@ -810,6 +836,26 @@ class TestComponentClosures:
         # the bridge carries disbelief from one chain's end to the other's start
         assert prove_by_resolution(kb, atoms[3], "not", 0.0)[0][1] > before[1]
 
+    def test_failed_component_resumes_where_it_stopped(self, monkeypatch, resolve_calls):
+        # A closure the round bound stopped keeps its pending work, so a
+        # clause that joins it adds only its own work to what was done.
+        kb = _kb_of(_SLOW_SET)
+        bounded = functools.partial(saturate_groups, max_rounds=8)
+        monkeypatch.setattr(pkb.kb, "saturate_groups", bounded)
+        with pytest.raises(IterationBoundExceeded):
+            kb.saturation()
+        first = len(resolve_calls)
+        kb.add_clause([(Y, False), (sym("z"), True)], TruthValue(0.5, 0.25))
+        with pytest.raises(IterationBoundExceeded) as resumed:
+            kb.saturation()
+        made = len(resolve_calls)
+        assert 0 < first < made
+        resolve_calls.clear()
+        with pytest.raises(IterationBoundExceeded) as whole:
+            bounded(kb.clauses, kb.config)
+        assert made == len(resolve_calls)
+        assert _hex(resumed.value.partial) == _hex(whole.value.partial)
+
     def test_failed_component_fails_only_its_own_atoms(self, monkeypatch, resolve_calls):
         # These ten clauses need 9 rounds; the chain beside them settles
         # in 4.
@@ -836,8 +882,8 @@ class TestComponentClosures:
             assert resolve_calls == []
             # the partial holds what one loop over the whole set left
             assert _bits(err.value.partial) == _bits(whole.value.partial)
-        # A clause that joins the slow component closes it afresh, and so
-        # does a different config.
+        # A clause that joins the slow component resumes its closure; a
+        # different config closes it afresh.
         kb.add_clause([(Y, False), (sym("z"), True)], TruthValue(0.5, 0.25))
         assert prove_by_resolution(kb, S("(link c0 s3)"), "t", 0.0) == [answer]
         assert resolve_calls
