@@ -101,7 +101,7 @@ def make_rule(rule_id: str, premise: Term, consequence: Term, rule_tv: TruthValu
     cons_core, flipped = normalize_negation(consequence)
     if flipped:
         rule_tv = negate(rule_tv)
-    if isinstance(premise, Compound) and premise.elements[0] == _AND:
+    if isinstance(premise, Compound) and premise.elements[0] is _AND:
         parts = premise.elements[1:]
         if not parts:
             raise ValueError("empty (and) premise")

@@ -3,10 +3,15 @@
 Sentences are s-expression terms: symbols, numbers, variables (written
 ``$name`` in the surface syntax) and compounds like ``(foo fred $x)``.
 All term objects are immutable and hashable, so ground sentences can key
-dictionaries directly. Each term computes its hash once, when it is
-built, and a compound also records whether it is ground; so a dict probe
-costs no walk over the term, and `substitute` and `is_ground` return at
-once on a ground compound.
+dictionaries directly. Symbols and variables are interned: one
+process-wide table holds the one object of each class and name, so
+their equality and hash are identity, and a dict probe, a tuple
+comparison or a `unify` step on one ends at a pointer compare, as with
+Lisp's ``EQ``. The table grows with the vocabulary and never shrinks.
+Numbers and compounds are fresh objects compared by value; each
+computes its hash once, when it is built, and a compound also records
+whether it is ground; so a dict probe costs no walk over the term, and
+`substitute` and `is_ground` return at once on a ground compound.
 
 Goal-directed work uses `unify` and `substitute` over bindings: plain
 dicts from Variable to Term. They are triangular: a variable may map to
@@ -63,19 +68,46 @@ class Term:
     __delattr__ = __setattr__
 
 
-class Symbol(Term):
+# class -> name -> the one Symbol or Variable of that class and name.
+_interned = {}
+
+
+class _Named(Term):
+    """A term that is its name: `__new__` returns the one object of its
+    class and name, made on first use, so two are equal only when they
+    are the same object, and equality and hash are ``object``'s own.
+    A table hit does no other work; `setdefault` keeps the insertion
+    race-free under the interpreter lock. No `_hash` is stored."""
+
     __slots__ = ()
     _field = "name"
     name = Term._payload
+    __init__ = object.__init__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __new__(cls, name):
+        try:
+            return _interned[cls][name]
+        except KeyError:
+            term = object.__new__(cls)
+            _set(term, "_payload", name)
+            return _interned.setdefault(cls, {}).setdefault(name, term)
+
+
+class Symbol(_Named):
+    """A constant, written as a bare word; interned."""
+
+    __slots__ = ()
 
     def __str__(self):
         return self.name
 
 
-class Variable(Term):
+class Variable(_Named):
+    """A variable, written ``$name``; interned."""
+
     __slots__ = ()
-    _field = "name"
-    name = Term._payload
     _ground = False
 
     def __str__(self):
@@ -155,7 +187,7 @@ def walk(t: Term, bindings: Bindings) -> Term:
 
 def _occurs(v: Variable, t: Term, bindings: Bindings) -> bool:
     t = walk(t, bindings)
-    if t == v:
+    if t is v:
         return True
     if isinstance(t, Compound):
         return any(_occurs(v, e, bindings) for e in t.elements)
@@ -271,8 +303,11 @@ def compile_matcher(pattern: Term, variables: tuple):
 
     def visit(t, expr):
         if t._ground:
+            # an interned symbol is equal only to itself; a number or
+            # compound may equal a distinct object (1 == 1.0)
             constants.append(t)
-            tests.append(f"{expr} != k{len(constants) - 1}")
+            test = "is not" if type(t) is Symbol else "!="
+            tests.append(f"{expr} {test} k{len(constants) - 1}")
         elif isinstance(t, Variable):
             if t in bound:
                 tests.append(f"{expr} != {bound[t]}")
@@ -301,7 +336,7 @@ def normalize_negation(s: Term) -> tuple[Term, bool]:
     while (
         isinstance(s, Compound)
         and len(s.elements) == 2
-        and s.elements[0] == _NOT
+        and s.elements[0] is _NOT
     ):
         s = s.elements[1]
         flipped = not flipped

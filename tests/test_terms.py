@@ -1,10 +1,14 @@
 """Tests for terms, unification and substitution."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pkb.kb import make_rule
+from pkb.sexpr import parse_sentence
 from pkb.terms import (
     Compound,
     Number,
@@ -104,6 +108,20 @@ class TestMatch:
             assert theta == unifier
             assert substitute(p, theta) == substitute(p, unifier) == g
 
+    @given(p=terms(), q=terms(), values=st.lists(terms(), min_size=3, max_size=3), same=st.booleans())
+    def test_constants_match_by_value(self, p, q, values, same):
+        # The pattern is rebuilt from fresh objects, its numbers as ints,
+        # so a matcher that tested a number or compound constant by
+        # identity would miss facts that unify with it.
+        leaves = {var(n): sym("a") for n in "xyz"}
+        grounding = {var(n): substitute(v, leaves) for n, v in zip("xyz", values)}
+        g = substitute(p if same else q, grounding)
+        pattern = _rebuilt(p)
+        theta = _match(pattern, g)
+        assert theta == unify(pattern, g, {})
+        if same:
+            assert theta is not None
+
     def test_repeated_variable_must_bind_consistently(self):
         pattern = compound(sym("p"), var("x"), var("x"))
         assert _match(pattern, compound(sym("p"), sym("a"), sym("a"))) == {var("x"): sym("a")}
@@ -187,7 +205,9 @@ def _structure(t):
 
 
 def _rebuilt(t):
-    """An equal term made of fresh objects, with integral numbers as ints."""
+    """An equal term built again, with integral numbers as ints: its
+    symbols and variables are the interned originals, its numbers and
+    compounds fresh objects."""
     if isinstance(t, Compound):
         return Compound(tuple(_rebuilt(e) for e in t.elements))
     if isinstance(t, Number):
@@ -204,16 +224,20 @@ class TestTermObjects:
 
     @given(t=terms())
     def test_equal_terms_hash_equal(self, t):
-        copy = _rebuilt(t)
-        assert copy is not t
-        assert copy == t and hash(copy) == hash(t)
-        assert is_ground(copy) == is_ground(t) == (not variables_in(t))
+        rebuilt = _rebuilt(t)
+        if isinstance(t, (Symbol, Variable)):
+            assert rebuilt is t
+        else:
+            assert rebuilt is not t
+        assert rebuilt == t and hash(rebuilt) == hash(t)
+        assert is_ground(rebuilt) == is_ground(t) == (not variables_in(t))
 
     def test_numbers_compare_by_value(self):
         assert Number(1) == Number(1.0)
         assert hash(Number(1)) == hash(Number(1.0))
         assert compound(sym("p"), Number(2)) == compound(sym("p"), Number(2.0))
         assert Number(1) != Symbol("1") and Symbol("x") != Variable("x")
+        assert Symbol("1") != Number(1) and Variable("x") != Symbol("x")
 
     @pytest.mark.parametrize(
         "value", [10**400, -(10**400), float("inf"), float("nan")], ids=["1e400", "-1e400", "inf", "nan"]
@@ -229,6 +253,17 @@ class TestTermObjects:
                 setattr(t, name, sym("a"))
             with pytest.raises(AttributeError):
                 delattr(t, name)
+
+    def test_one_object_per_name(self):
+        x, y = Symbol("x"), Variable("y")
+        parsed = parse_sentence("(p x $y)")
+        for made in (Symbol("x"), sym("x"), parsed.elements[1], pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert made is x
+        for made in (Variable("y"), var("y"), parsed.elements[2], pickle.loads(pickle.dumps(y)), copy.deepcopy(y)):
+            assert made is y
+        for copied in (pickle.loads(pickle.dumps(parsed)), copy.deepcopy(parsed)):
+            assert copied == parsed and copied.elements[1] is x and copied.elements[2] is y
+        assert Symbol("y") is not y and Variable("x") is not x
 
     def test_repr_names_the_field(self):
         assert repr(compound(sym("p"), var("x"), Number(1.5))) == (
