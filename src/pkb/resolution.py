@@ -83,6 +83,22 @@ through an atom index, with every settled key whose support is
 disjoint from its own, and the pair is filed under the key it would
 resolve to; so each pair is met once (semi-naive evaluation).
 
+Masks: the partner scan meets every settled key that shares an atom,
+and most of them share a label too, so it runs on ints, not sets. A
+closure writes each key's literal set and support as bitmasks over an
+alphabet of its own, assigned in arrival order: each atom two adjacent
+bits, its positive literal's and then its negative's, and each support
+label one bit. Supports s1 and s2 are disjoint when s1 & s2 is 0; the
+resolvent on an atom is (l1 | l2) with the atom's two bits cleared; it
+is a tautology when r & (r >> 1) holds a positive literal's bit; and
+its support size is the union's bit count. Pending keys are filed under
+(literal mask, support mask), and a settled key's clause, with its
+frozenset literals and support, is built once, by `resolve`. When a
+clause links components, the largest closure absorbs the others and
+re-encodes their masks into its alphabet. Merges are rare, and an
+alphabet shared by the whole KB would make every mask as wide as the
+KB.
+
 Supports: each clause tracks which base clauses support it, its
 environment in the ATMS sense (de Kleer 1986); a KB labels each stated
 clause on its own. The mass product above is Dempster's rule, which is
@@ -173,8 +189,9 @@ def resolve(c1: Clause, c2: Clause, on: Term) -> Clause:
     complementary pair and TotalConflict when the parents' masses are
     entirely contradictory.
     """
-    rest1 = frozenset(lit for lit in c1.literals if lit[0] != on)
-    rest2 = frozenset(lit for lit in c2.literals if lit[0] != on)
+    positive = (on, True)
+    drop = {positive, (on, False)}
+    rest1, rest2 = c1.literals - drop, c2.literals - drop
     if len(rest1) == len(c1.literals) or len(rest2) == len(c2.literals):
         raise ValueError(f"{on} does not occur in both clauses")
     resolvent = rest1 | rest2
@@ -186,7 +203,7 @@ def resolve(c1: Clause, c2: Clause, on: Term) -> Clause:
             raise TautologicalResolvent(f"resolvent contains {atom} with both signs")
         seen.add(atom)
 
-    opposite = ((on, True) in c1.literals) != ((on, True) in c2.literals)
+    opposite = (positive in c1.literals) != (positive in c2.literals)
     tv = _resolvent_tv(c1, c2, opposite, rest1 <= rest2, rest2 <= rest1)
     return Clause(resolvent, tv, c1.support | c2.support)
 
@@ -235,55 +252,106 @@ def _pick(ranked) -> list:
 class Closure:
     """A clause set closed under resolution, which `saturate_groups`
     extends in place: every key with its value, each literal set's
-    group, the atom index that finds a key's partners, and the work the
-    loop has still to do."""
+    group, the atom index that finds a key's partners, the alphabet its
+    masks are written in, and the work the loop has still to do."""
 
-    __slots__ = ("keys", "given", "groups", "atoms", "pending")
+    __slots__ = ("keys", "given", "groups", "atoms", "labels", "even", "pending")
 
     def __init__(self, groups: dict | None = None):
         self.keys: dict = {}  # literal set -> {support: (rank, clause)}
-        self.given: dict = {}  # atom -> every (rank, clause) holding it
+        # atom -> every settled key holding it, as ((rank, clause),
+        # literal mask, support mask)
+        self.given: dict = {}
         # literal set -> its pick, in canonical order
         self.groups: dict = {} if groups is None else groups
         # atom -> (the one object that stands for it in every key, its
-        # printed text); one object per atom lets the set operations on
-        # literal sets compare atoms by identity
+        # printed text, its positive literal's bit; the negative's is the
+        # next); one object per atom lets the set operations on literal
+        # sets compare atoms by identity
         self.atoms: dict = {}
-        # support size -> {(literals, support): input clause or [pairs]}
+        self.labels: dict = {}  # support label -> its bit
+        self.even = 0  # every positive literal's bit
+        # support size -> {(literal mask, support mask): input clause or [pairs]}
         self.pending: dict = {}
 
-    def atom(self, atom: Term) -> Term:
+    def _atom(self, atom: Term) -> tuple:
         entry = self.atoms.get(atom)
         if entry is None:
-            entry = self.atoms[atom] = (atom, str(atom))
-        return entry[0]
+            bit = 1 << 2 * len(self.atoms)
+            entry = self.atoms[atom] = (atom, str(atom), bit)
+            self.even |= bit
+        return entry
+
+    def _label(self, label) -> int:
+        bit = self.labels.get(label)
+        if bit is None:
+            bit = self.labels[label] = 1 << len(self.labels)
+        return bit
+
+    def _masks(self, literals, support) -> tuple:
+        """A key's literal and support masks, each bit already assigned."""
+        atoms, labels = self.atoms, self.labels
+        return (
+            sum(atoms[atom][2] << (not positive) for atom, positive in literals),
+            sum(labels[label] for label in support),
+        )
 
     def add(self, clauses):
         """Queue input clauses for the loop, all or none: ValueError, with
-        nothing queued, unless each has a nonempty support and a key that
-        no key or queued entry has."""
+        nothing queued and no bit assigned, unless each has a nonempty
+        support and a key that no key or queued entry has."""
         batch = {}
         for clause in clauses:
             if not clause.support:
                 raise ValueError(f"{clause} has an empty support; label each input clause")
-            key, level = (clause.literals, clause.support), self.pending.get(len(clause.support), ())
-            if key in batch or key in level or clause.support in self.keys.get(clause.literals, ()):
+            key = (clause.literals, clause.support)
+            if key in batch or self._holds(*key):
                 raise ValueError(f"{clause} shares its literals and support with another clause")
             batch[key] = clause
         for (literals, support), clause in batch.items():
-            literals = frozenset((self.atom(atom), positive) for atom, positive in literals)
-            self.pending.setdefault(len(support), {})[(literals, support)] = Clause(literals, clause.tv, support)
+            literals = frozenset((self._atom(atom)[0], positive) for atom, positive in literals)
+            for label in support:
+                self._label(label)
+            level = self.pending.setdefault(len(support), {})
+            level[self._masks(literals, support)] = Clause(literals, clause.tv, support)
+
+    def _holds(self, literals, support) -> bool:
+        """Whether a key or a queued entry has this literal set and support."""
+        if support in self.keys.get(literals, ()):
+            return True
+        if not (self.labels.keys() >= support and all(atom in self.atoms for atom, _positive in literals)):
+            return False  # a new atom or label: nothing holds it yet
+        return self._masks(literals, support) in self.pending.get(len(support), ())
 
     def absorb(self, other: "Closure"):
         """Take in the keys and pending work of a closure that shares no
-        atom with this one."""
+        atom with this one, its masks re-encoded in this alphabet."""
+        # each of other's literal bits, and each of its label bits -> its bit here
+        bits, label_bits = {}, {}
+        for atom, _text, bit in other.atoms.values():
+            mine = self._atom(atom)[2]
+            bits[bit], bits[bit << 1] = mine, mine << 1
+        for label, bit in other.labels.items():
+            label_bits[bit] = self._label(label)
         self.keys.update(other.keys)
-        self.given.update(other.given)
+        for atom, held in other.given.items():
+            self.given[atom] = [(ranked, _recode(lits, bits), _recode(sup, label_bits)) for ranked, lits, sup in held]
         if other.groups is not self.groups:
             self.groups.update(other.groups)
-        self.atoms.update(other.atoms)
         for size, level in other.pending.items():
-            self.pending.setdefault(size, {}).update(level)
+            mine = self.pending.setdefault(size, {})
+            for (lits, sup), entry in level.items():
+                mine[_recode(lits, bits), _recode(sup, label_bits)] = entry
+
+
+def _recode(mask: int, bits: dict) -> int:
+    """``mask`` with each set bit replaced by its image in ``bits``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= bits[low]
+        mask ^= low
+    return out
 
 
 def saturate_groups(clauses, config: EngineConfig, max_rounds: int = 100, closure: Closure | None = None) -> dict:
@@ -308,13 +376,13 @@ def saturate_groups(clauses, config: EngineConfig, max_rounds: int = 100, closur
         if size > max_rounds:
             _repick(closure, touched)
             raise IterationBoundExceeded(f"no fixpoint after {max_rounds} rounds", partial=closure.groups)
-        for key, entry in pending.pop(size).items():
+        for (lits, sup), entry in pending.pop(size).items():
             if not isinstance(entry, Clause):
                 entry = _first_valid(entry, config)
                 if entry is None:
                     continue
-            _settle(closure, (_canonical_rank(entry, closure.atoms), entry))
-            touched.add(key[0])
+            _settle(closure, ((_canonical_rank(entry, closure.atoms), entry), lits, sup))
+            touched.add(entry.literals)
     _repick(closure, touched)
     return closure.groups
 
@@ -332,29 +400,29 @@ def _first_valid(pairs: list, config: EngineConfig) -> Clause | None:
     return None
 
 
-def _settle(closure: Closure, ranked: tuple):
+def _settle(closure: Closure, entry: tuple):
     """Store a key and file its pair with every key settled before it
-    whose support it does not meet, under the key the pair resolves to."""
-    clause, pending = ranked[1], closure.pending
-    literals, support = clause.literals, clause.support
-    closure.keys.setdefault(literals, {})[support] = ranked
-    for atom, _positive in literals:
-        pivot = {(atom, True), (atom, False)}
-        rest = literals - pivot
+    whose support it does not meet, under the key the pair resolves to.
+    ``entry`` is ((rank, clause), literal mask, support mask)."""
+    ranked, lits, sup = entry
+    clause, pending, even = ranked[1], closure.pending, closure.even
+    closure.keys.setdefault(clause.literals, {})[clause.support] = ranked
+    for atom, _positive in clause.literals:
+        bit = closure.atoms[atom][2]
+        keep = ~(bit | bit << 1)
         partners = closure.given.setdefault(atom, [])
-        for other in partners:
-            partner = other[1]
-            if not support.isdisjoint(partner.support):
+        for other, olits, osup in partners:
+            if sup & osup:
                 continue
-            resolvent = rest | (partner.literals - pivot)
-            if not resolvent or len({a for a, _ in resolvent}) < len(resolvent):
+            resolvent = (lits | olits) & keep
+            if not resolvent or resolvent & (resolvent >> 1) & even:
                 continue  # two units on one atom, or a tautology
-            union = support | partner.support
-            level = pending.setdefault(len(union), {})
+            union = sup | osup
+            level = pending.setdefault(union.bit_count(), {})
             pairs = level.setdefault((resolvent, union), [])
             if isinstance(pairs, list):  # not an input clause's key
                 pairs.append((ranked, other, atom) if ranked[0] < other[0] else (other, ranked, atom))
-        partners.append(ranked)
+        partners.append(entry)
 
 
 def _repick(closure: Closure, touched: set):

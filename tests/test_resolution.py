@@ -1,5 +1,6 @@
 """Resolution: joint-frame values vs the model oracle, closed forms, saturation."""
 
+import contextlib
 import functools
 import itertools
 import random
@@ -441,18 +442,22 @@ def _closure(clauses, max_rounds=100):
 def _missing_keys(closure):
     """Valid resolvents of support-disjoint key pairs whose key the
     closure lacks."""
-    keys = [clause for entries in closure.keys.values() for _rank, clause in entries.values()]
+    by_support = {}
+    for entries in closure.keys.values():
+        for support, (_rank, clause) in entries.items():
+            by_support.setdefault(support, []).append(clause)
     out = []
-    for a, b in itertools.combinations(keys, 2):
-        if a.support & b.support:
+    for s1, s2 in itertools.combinations(by_support, 2):
+        if s1 & s2:
             continue
-        for atom in a.atoms() & b.atoms():
-            try:
-                got = resolve(a, b, atom)
-            except (TautologicalResolvent, TotalConflict, ValueError):
-                continue
-            if got.tv.mass > 0.0 and got.support not in closure.keys.get(got.literals, {}):
-                out.append(got)
+        for a, b in itertools.product(by_support[s1], by_support[s2]):
+            for atom in a.atoms() & b.atoms():
+                try:
+                    got = resolve(a, b, atom)
+                except (TautologicalResolvent, TotalConflict, ValueError):
+                    continue
+                if got.tv.mass > 0.0 and got.support not in closure.keys.get(got.literals, {}):
+                    out.append(got)
     return out
 
 
@@ -1016,3 +1021,74 @@ class TestKeyedClosure:
         (answer,) = prove_by_resolution(kb, S("(link c0 s4)"), "t", 0.0)
         assert answer[1] == 0.75**4 * 0.5
         assert _hex(kb.saturation()) == _hex(_kb_of(kb.clauses).saturation())
+
+
+def _clause_over(rng, atoms, support):
+    """A random clause of one to three of ``atoms``."""
+    lits = [(atom, rng.random() < 0.5) for atom in rng.sample(atoms, rng.randrange(1, 4))]
+    return Clause.make(lits, TruthValue(*_random_mass(rng)), support=frozenset({support}))
+
+
+class TestClosureMasks:
+    def test_chain_wider_than_a_machine_word(self):
+        # 71 labels and 71 atoms: the support masks pass 64 bits and the
+        # literal masks pass 32 atoms. The halving links keep every
+        # product exact.
+        n = 70
+        kb = KnowledgeBase()
+        kb.add_clause([(S("(link c0 s0)"), True)], TruthValue(0.75, 0.125))
+        for k in range(n):
+            kb.add_clause([(S(f"(link c0 s{k})"), False), (S(f"(link c0 s{k + 1})"), True)], TruthValue(0.5, 0.0))
+        for k in (1, 32, 33, 64, 65, n):
+            assert prove_by_resolution(kb, S(f"(link c0 s{k})"), "t", 0.0) == [({}, 0.75 * 0.5**k)]
+            assert prove_by_resolution(kb, S(f"(link c0 s{k})"), "not", 0.0) == [({}, 0.0)]
+        (closure,) = set(kb._component_of.values())
+        assert len(closure.labels) == len(closure.atoms) == n + 1
+        assert sum(len(entries) for entries in closure.keys.values()) == n + 1 + n * (n + 1) // 2
+
+    def test_tautology_test_reads_every_atom(self):
+        # Forty units come first, so a and b get bits past 64; the pair
+        # over them resolves only to tautologies, on either atom.
+        fillers = [clause([(sym(f"f{i}"), True)], 0.5, 0.25, support=(f"f{i}",)) for i in range(40)]
+        a, b = sym("a"), sym("b")
+        pair = [clause([(a, True), (b, True)], 0.5, 0.25, ("1",)), clause([(a, False), (b, False)], 0.5, 0.25, ("2",))]
+        groups = saturate_groups(fillers + pair, EngineConfig())
+        assert sorted(map(len, groups.values())) == [1] * 42
+
+    def test_absorb_re_encodes_into_its_alphabet(self):
+        # Each closure assigns bits in the order its atoms and labels
+        # arrive; the absorbed one, stopped by the round bound with work
+        # still pending, arrives in reverse order.
+        rng = random.Random(3024)
+        config = EngineConfig()
+        for _ in range(40):
+            left = [_clause_over(rng, [P, Q, R], f"a{i}") for i in range(rng.randint(2, 4))]
+            right = [_clause_over(rng, [W, X, Y], f"b{i}") for i in range(rng.randint(2, 4))]
+            bridge = clause([(rng.choice([P, Q, R]), True), (rng.choice([W, X, Y]), False)], 0.5, 0.25, ("ab",))
+            whole = _hex(saturate_groups(left + right + [bridge], config))
+            for first, second in ((left, right), (right, left)):
+                into, other = _closure(first), Closure()
+                with contextlib.suppress(IterationBoundExceeded):
+                    saturate_groups(second[::-1], config, max_rounds=1, closure=other)
+                into.absorb(other)
+                assert _hex(saturate_groups([bridge], config, closure=into)) == whole
+
+    def test_rejected_batch_assigns_no_bit(self):
+        closure = _closure([clause([(P, True)], 0.8, 0.1, support=("1",))])
+        alphabet = (dict(closure.atoms), dict(closure.labels), closure.even)
+        new = clause([(Q, True), (R, False)], 0.5, 0.25, support=("2",))
+        for rejected in (clause([(P, True)], 0.5, 0.1, support=("1",)), Clause.make([(W, True)], TruthValue(0.5, 0.0))):
+            with pytest.raises(ValueError):
+                closure.add([new, rejected])
+            assert (dict(closure.atoms), dict(closure.labels), closure.even) == alphabet
+            assert closure.pending == {}
+
+    def test_dense_sets_keep_their_keys(self):
+        # Two of the n = 8 sets whose keys far outnumber their groups;
+        # a change to the key set, or a much slower loop, shows here.
+        rng = random.Random(7008)
+        sets = [[_random_clause(rng, str(i)) for i in range(8)] for _ in range(5)]
+        for clauses, count in zip(sets[3:], (1436, 1325)):
+            closure = _closure(clauses, max_rounds=8)
+            assert sum(len(entries) for entries in closure.keys.values()) == count
+            assert _missing_keys(closure) == []
