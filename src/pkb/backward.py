@@ -78,7 +78,6 @@ from .terms import (
 from .truth import (
     VACUOUS,
     TruthValue,
-    apply_tag,
     check_cutoff,
     combine,
     conjoin,
@@ -189,8 +188,7 @@ def _run_agenda(goal, key, state: _State) -> list:
             return
         acc = combine(answers.get(instance, VACUOUS), contribution)
         answers[instance] = acc
-        for tag in ("t", "not"):
-            value = apply_tag(tag, acc)
+        for tag, value in (("t", acc.belief), ("not", acc.disbelief)):
             if value >= config.accept_as_true:
                 accepted.add(instance)
                 if kb.trace is not None:
@@ -240,6 +238,30 @@ def _run_agenda(goal, key, state: _State) -> list:
     return list(answers.items())
 
 
+def _answers(kb: KnowledgeBase, goal, priority_fn) -> tuple:
+    """``goal``'s core and its (ground instance, tv) answers, each pair
+    swapped for a goal wrapped in ``(not ...)``."""
+    core, flipped = normalize_negation(goal)
+    state = _State(kb, priority_fn)
+    try:
+        results = _solve(core, state)
+    except RecursionError:
+        raise DepthExceeded(goal, len(state.stack)) from None
+    if flipped:
+        results = [(instance, negate(tv)) for instance, tv in results]
+    return core, results
+
+
+def _bound(core, answers: list) -> list:
+    """``answers`` with each ground instance of ``core`` replaced by the
+    dict of the values it gives ``core``'s variables, by name."""
+    if is_ground(core) or not answers:
+        return [({}, x) for _instance, x in answers]
+    variables = tuple(sorted(variables_in(core), key=attrgetter("name")))
+    match = open_matcher(core, variables)
+    return [(dict(zip(variables, match(instance))), x) for instance, x in answers]
+
+
 def prove(kb: KnowledgeBase, goal, priority_fn=None) -> list:
     """Accumulated truth values for every binding of ``goal``.
 
@@ -256,18 +278,7 @@ def prove(kb: KnowledgeBase, goal, priority_fn=None) -> list:
     first; nothing is tabled from a call that raises but what it had
     proved completely.
     """
-    core, flipped = normalize_negation(goal)
-    state = _State(kb, priority_fn)
-    try:
-        results = _solve(core, state)
-    except RecursionError:
-        raise DepthExceeded(goal, len(state.stack)) from None
-    variables = tuple(sorted(variables_in(core), key=attrgetter("name")))
-    match = open_matcher(core, variables) if variables and results else None
-    return [
-        (dict(zip(variables, match(instance))) if match else {}, negate(tv) if flipped else tv)
-        for instance, tv in results
-    ]
+    return _bound(*_answers(kb, goal, priority_fn))
 
 
 def truep(kb: KnowledgeBase, goal, tag: str = "t", cutoff: float = 1.0, method: str | None = None) -> list:
@@ -277,7 +288,9 @@ def truep(kb: KnowledgeBase, goal, tag: str = "t", cutoff: float = 1.0, method: 
     and value >= cutoff. Without a matching control entry (or explicit
     ``method``), stored facts are consulted first and backward chaining
     runs only when they yield nothing. A bad tag, cutoff or method is
-    rejected before any method runs.
+    rejected before any method runs. Backward chaining's answers are
+    filtered on their ground instances, and bindings are built only for
+    the answers kept.
     """
     core, tag = unwrap_query(goal, tag)
     check_cutoff(cutoff)
@@ -288,12 +301,11 @@ def truep(kb: KnowledgeBase, goal, tag: str = "t", cutoff: float = 1.0, method: 
 
     if method == "lookup":
         return kb.lookup(core, tag, cutoff)
-    if method == "backward-chain":
-        return tagged_answers(prove(kb, core), tag, cutoff)
     if method == "resolution":
         return resolution.prove_by_resolution(kb, core, tag, cutoff)
-
-    answers = kb.lookup(core, tag, cutoff)
-    if answers:
-        return answers
-    return tagged_answers(prove(kb, core), tag, cutoff)
+    if method != "backward-chain":
+        answers = kb.lookup(core, tag, cutoff)
+        if answers:
+            return answers
+    core, answers = _answers(kb, core, None)
+    return _bound(core, tagged_answers(answers, tag, cutoff))

@@ -67,6 +67,7 @@ ENGINE_VARIABLES = {field.replace("_", "-"): field for field in EngineConfig._fi
 
 FactRecord = namedtuple("FactRecord", "base tv")
 FactRecord.__doc__ = "One stored sentence: direct evidence and the pooled value."
+_pooled_tv = attrgetter("tv")
 
 
 Rule = namedtuple(
@@ -306,12 +307,17 @@ class KnowledgeBase:
         if is_ground(pattern):
             record = self._facts.get(pattern)
             return [] if record is None else [(pattern, record, None)]
-        key = _index_key(pattern)
-        candidates = self._facts if key is None else self._index.get(key)
+        candidates = self._bucket(pattern)
         if not candidates:
             return []
         matcher = open_matcher(pattern, variables)
         return [(s, self._facts[s], values) for s in candidates if (values := matcher(s)) is not None]
+
+    def _bucket(self, pattern: Term):
+        """The stored sentences an open pattern may match, in store
+        order: its index bucket, or all when it has no index key."""
+        key = _index_key(pattern)
+        return self._facts if key is None else self._index.get(key, ())
 
     def match_facts(self, pattern: Term):
         """Bindings and truth values of every stored fact unifying with
@@ -329,10 +335,31 @@ class KnowledgeBase:
 
         The pattern may carry tag wrappers, e.g. looking up
         ``(not (foo fred))`` is looking up ``(foo fred)`` under the
-        ``not`` tag. Sentences never stored yield no answers.
+        ``not`` tag. Sentences never stored yield no answers. Answers
+        come in store order, with bindings as `match_facts` gives them;
+        a bad tag or cutoff raises even when nothing matches.
+
+        Cost: one probe for a ground pattern, else one pass over its
+        `_bucket` that applies the tag and cutoff to each fact's pooled
+        pair first; only the facts kept are matched and given a bindings
+        dict.
         """
         core, tag = unwrap_query(pattern, tag)
-        return tagged_answers(self.match_facts(core), tag, cutoff)
+        facts = self._facts
+        if is_ground(core):
+            record = facts.get(core)
+            return tagged_answers(() if record is None else (({}, record.tv),), tag, cutoff)
+        bucket = self._bucket(core)
+        kept = tagged_answers(zip(bucket, map(_pooled_tv, map(facts.__getitem__, bucket))), tag, cutoff)
+        if not kept:
+            return []
+        variables = tuple(sorted(variables_in(core), key=attrgetter("name")))
+        matcher = open_matcher(core, variables)
+        return [
+            (dict(zip(variables, values)), value)
+            for sentence, value in kept
+            if (values := matcher(sentence)) is not None
+        ]
 
     # -- rules, clauses, control ----------------------------------------------
 
@@ -383,7 +410,7 @@ class KnowledgeBase:
         until a different config drops the partition. Callers must not
         modify it.
 
-        A closure that does not settle within the round bound keeps its
+        A closure stopped by a round bound (the KB sets none) keeps its
         IterationBoundExceeded until a clause joins it, which resumes its
         loop where it stopped, or the config changes. A call raises it if
         ``atom``'s component failed, or, without ``atom``, if any did,

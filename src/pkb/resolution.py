@@ -129,9 +129,11 @@ that links components joins the largest, which absorbs the others.
 Termination, when every input support is nonempty: a key's support is
 a union of input supports, so the keys are finitely many and a support
 has no more labels than the input has. With one label per clause, as
-a KB gives them, n clauses settle within n rounds; `max_rounds` stays
-as a guard. The keys can still be many: one 10-clause set over 6 atoms
-has 907, against 93 clauses in its groups.
+a KB gives them, n clauses settle within n rounds, so the loop needs
+no round bound and has none by default; a caller may still pass
+``max_rounds``. Rounds bound support size, not cost: the keys can still
+be many, and one 10-clause set over 6 atoms has 907, against 93 clauses
+in its groups.
 """
 
 from __future__ import annotations
@@ -354,7 +356,9 @@ def _recode(mask: int, bits: dict) -> int:
     return out
 
 
-def saturate_groups(clauses, config: EngineConfig, max_rounds: int = 100, closure: Closure | None = None) -> dict:
+def saturate_groups(
+    clauses, config: EngineConfig, max_rounds: int | None = None, closure: Closure | None = None
+) -> dict:
     """Close a ground clause set under resolution.
 
     Returns literal set -> its group, the greedy pick of its keys (see
@@ -363,9 +367,12 @@ def saturate_groups(clauses, config: EngineConfig, max_rounds: int = 100, closur
     and whose groups are returned; their support labels must be new to
     it. Every input clause needs a nonempty support, which termination
     assumes, and a key of its own. Raises ValueError for either, before
-    any work, and IterationBoundExceeded, with the groups so far as its
-    partial value, when round ``max_rounds`` still has keys to settle;
-    the closure keeps them, and a later call resumes the loop there.
+    any work. Rounds are bounded by the closure's label count (see the
+    module docstring), so by default the loop runs to its fixpoint. With
+    ``max_rounds``, it raises IterationBoundExceeded, with the groups so
+    far as its partial value, when round ``max_rounds`` still has keys
+    to settle; the closure keeps them, and a later call resumes the loop
+    there.
     """
     closure = Closure() if closure is None else closure
     closure.add(clauses)
@@ -373,7 +380,7 @@ def saturate_groups(clauses, config: EngineConfig, max_rounds: int = 100, closur
     touched = set()  # literal sets that gained a key
     while pending:
         size = min(pending)
-        if size > max_rounds:
+        if max_rounds is not None and size > max_rounds:
             _repick(closure, touched)
             raise IterationBoundExceeded(f"no fixpoint after {max_rounds} rounds", partial=closure.groups)
         for (lits, sup), entry in pending.pop(size).items():
@@ -434,7 +441,7 @@ def saturate(
     clauses,
     target,
     config: EngineConfig | None = None,
-    max_rounds: int = 100,
+    max_rounds: int | None = None,
 ) -> TruthValue:
     """Close a ground clause set under resolution and read off a target.
 
@@ -443,9 +450,10 @@ def saturate(
     set, vacuous if it was never derived. Resolvents carrying less mass
     than the inference cutoff (or none at all) are discarded. Each
     clause needs a nonempty support (ValueError otherwise; see
-    `saturate_groups`). Raises IterationBoundExceeded (with the partial
-    target value attached) if the loop has not reached its fixpoint
-    within ``max_rounds`` rounds.
+    `saturate_groups`). The loop runs to its fixpoint unless
+    ``max_rounds`` is given; then it raises IterationBoundExceeded (with
+    the partial target value attached) if the loop has not reached its
+    fixpoint within that many rounds.
     """
     config = config or EngineConfig()
     if isinstance(target, Clause):

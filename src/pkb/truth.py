@@ -19,8 +19,9 @@ A source with no uncommitted mass, such as a (0.9 . 0.1) rule at a
 certain premise, cannot be divided out; its value is rebuilt instead.
 
 `propagate` pushes a premise value through a rule pair, `conjoin` pools
-conjunct values inside a premise, and the six tag functions project a
-pair down to the single number a query asks about.
+conjunct values inside a premise, and the six tag projections
+(`TAG_PROJECTIONS`) take a pair down to the single number a query
+asks about.
 
 The public `TruthValue` constructor checks its arguments and clamps
 drift. The algebra skips that for results it keeps in range: `negate`
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import inf
+from operator import attrgetter
 
 from .errors import NoValidResidual, NotCertainRemovable, RangeError, TotalConflict
 
@@ -45,7 +47,20 @@ _RESIDUAL_CHECK = 1e-6
 
 _set = object.__setattr__
 
-TAG_NAMES = ("t", "not", "unknown", "poss", "poss-not", "mass")
+# tag -> its projection of a pair to one number: t is the confirmation,
+# not the disconfirmation, unknown the uncommitted residue, poss /
+# poss-not the extent to which the sentence is possibly true / possibly
+# false, and mass the total evidential commitment
+TAG_PROJECTIONS = {
+    "t": attrgetter("belief"),
+    "not": attrgetter("disbelief"),
+    "unknown": lambda tv: 1.0 - (tv.belief + tv.disbelief),
+    "poss": lambda tv: 1.0 - tv.disbelief,
+    "poss-not": lambda tv: 1.0 - tv.belief,
+    "mass": lambda tv: tv.belief + tv.disbelief,
+}
+
+TAG_NAMES = tuple(TAG_PROJECTIONS)
 
 # Tag of the negated pair, for rewriting queries wrapped in (not ...).
 TAG_DUAL = {
@@ -153,34 +168,23 @@ def format_real(x: float) -> str:
     return repr(x)
 
 
-def apply_tag(tag: str, tv: TruthValue) -> float:
-    """Project a truth pair to the single number named by ``tag``.
+def tag_projection(tag: str):
+    """The projection named by ``tag`` (see `TAG_PROJECTIONS`), a
+    function of one truth pair; ValueError for an unknown tag."""
+    try:
+        return TAG_PROJECTIONS[tag]
+    except (KeyError, TypeError):  # TypeError: an unhashable tag
+        raise ValueError(f"unknown tag {tag!r}; expected one of {TAG_NAMES}") from None
 
-    t is the confirmation, not the disconfirmation, unknown the
-    uncommitted residue, poss / poss-not the extent to which the
-    sentence is possibly true / possibly false, and mass the total
-    evidential commitment.
-    """
-    a, b = tv.belief, tv.disbelief
-    if tag == "t":
-        return a
-    if tag == "not":
-        return b
-    if tag == "unknown":
-        return 1.0 - (a + b)
-    if tag == "poss":
-        return 1.0 - b
-    if tag == "poss-not":
-        return 1.0 - a
-    if tag == "mass":
-        return a + b
-    raise ValueError(f"unknown tag {tag!r}; expected one of {TAG_NAMES}")
+
+def apply_tag(tag: str, tv: TruthValue) -> float:
+    """Project a truth pair to the single number named by ``tag``."""
+    return tag_projection(tag)(tv)
 
 
 def check_tag(tag: str):
     """Raise ValueError unless ``tag`` is one of `TAG_NAMES`."""
-    if tag not in TAG_NAMES:
-        raise ValueError(f"unknown tag {tag!r}; expected one of {TAG_NAMES}")
+    tag_projection(tag)
 
 
 def check_cutoff(cutoff: float):
@@ -190,19 +194,23 @@ def check_cutoff(cutoff: float):
 
 
 def tagged_answers(results, tag: str, cutoff: float) -> list:
-    """Query answers: the (bindings, value) pairs of ``results``, a
-    list of (bindings, tv), whose value ``apply_tag(tag, tv)`` reaches
-    ``cutoff``. Every query method filters through here, so each one
-    rejects an unknown tag and a cutoff outside [0, 1] even when it
-    found nothing.
+    """Query answers: the (item, value) pairs of ``results``, an
+    iterable of (item, tv), whose value, the tag's projection of tv,
+    reaches ``cutoff``, in the order of ``results``. The item is passed
+    through as is: a bindings dict, or whatever a caller turns into one
+    for the answers kept, so that no rejected row costs a dict. Every
+    query method filters through here, and the tag and cutoff are
+    checked before ``results`` is read, so each method rejects an
+    unknown tag and a cutoff outside [0, 1] even when it finds nothing.
+    The cost is one projection and one comparison per row.
     """
-    check_tag(tag)
+    project = tag_projection(tag)
     check_cutoff(cutoff)
     answers = []
-    for theta, tv in results:
-        value = apply_tag(tag, tv)
+    for item, tv in results:
+        value = project(tv)
         if value >= cutoff:
-            answers.append((theta, value))
+            answers.append((item, value))
     return answers
 
 

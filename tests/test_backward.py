@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pkb.backward
+import pkb.kb
+import pkb.resolution
 from pkb.backward import prove, truep
 from pkb.errors import DepthExceeded, PkbError, RangeError
 from pkb.kb import KnowledgeBase
@@ -506,6 +508,32 @@ class TestTruep:
             truep(kb, S("(d k)"), "t", 0.5, method="backward-chain")
         with pytest.raises(RangeError, match="cutoff must be in"):
             truep(kb, S("(d k)"), "t", 2.0, method=method)
+
+    @pytest.mark.parametrize("method", ["lookup", "backward-chain", "resolution", None])
+    @pytest.mark.parametrize("stored", ["", "(fact (foo a) (0.5 . 0))"])
+    @pytest.mark.parametrize("goal", ["(zzz a)", "(zzz $x)", "(unknown (zzz $x))"])
+    @pytest.mark.parametrize(
+        "tag, cutoff, error",
+        [("bogus", 0.5, ValueError), ("t", 1.5, RangeError), ("t", -0.1, RangeError), ("t", float("nan"), RangeError)],
+    )
+    def test_bad_tag_or_cutoff_is_rejected_before_any_work(self, monkeypatch, method, stored, goal, tag, cutoff, error):
+        # On an empty KB, or on a goal with no index bucket, there is no
+        # answer for the check to ride on; and no matcher, proof or
+        # saturation may run before it.
+        kb = KnowledgeBase()
+        kb.load_text(stored)
+
+        def ran(*_args):
+            raise AssertionError("work done before the query was checked")
+
+        for module, name in ((pkb.kb, "open_matcher"), (pkb.backward, "open_matcher"), (pkb.backward, "_solve"),
+                             (pkb.resolution, "prove_by_resolution")):
+            monkeypatch.setattr(module, name, ran)
+        message = "unknown tag" if error is ValueError else "cutoff must be in"
+        for query in (lambda: truep(kb, S(goal), tag, cutoff, method=method), lambda: kb.lookup(S(goal), tag, cutoff)):
+            with pytest.raises(error, match=message) as raised:
+                query()
+            assert error is RangeError or not isinstance(raised.value, RangeError)
 
     def test_unknown_method_is_rejected_before_any_method_runs(self):
         # The default cascade would prove (d k) and exceed the depth

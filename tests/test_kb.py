@@ -211,6 +211,28 @@ def _scan(kb, pattern):
     return out
 
 
+def _tagged_value(tag, tv):
+    """The tag's projection of ``tv``, written out from its definition."""
+    a, b = tv.belief, tv.disbelief
+    return {"t": a, "not": b, "unknown": 1.0 - (a + b), "poss": 1.0 - b, "poss-not": 1.0 - a, "mass": a + b}[tag]
+
+
+def _reference_matches(kb, pattern, wrapper, tag):
+    """Reference `lookup` before the cutoff: (unifier, value) for each
+    stored fact the pattern unifies with, in store order. Under a
+    ``(not p)`` wrapper the value is the tag's on the swapped pair, under
+    ``(unknown p)`` the uncommitted mass."""
+    out = []
+    for sentence, record in kb.facts():
+        theta = unify(pattern, sentence, {})
+        if theta is not None:
+            tv = record.tv
+            if wrapper == "not":
+                tv = TruthValue(tv.disbelief, tv.belief)
+            out.append((theta, _tagged_value("unknown" if wrapper == "unknown" else tag, tv)))
+    return out
+
+
 @st.composite
 def open_patterns(draw):
     head = draw(st.sampled_from([sym("e"), sym("g"), sym("p0_0"), sym("p1_0"), P]))
@@ -239,6 +261,29 @@ class TestMatchFacts:
         kb = _match_kb(seed)
         for cutoff in (0.0, 0.3):
             assert kb.lookup(pattern, tag, cutoff) == tagged_answers(_scan(kb, pattern), tag, cutoff)
+
+    @given(
+        seed=st.integers(0, 10**6),
+        pattern=open_patterns() | st.sampled_from(NAMED_PATTERNS) | st.integers(0, 60),
+        wrapper=st.sampled_from([None, "not", "unknown"]),
+        tag=st.sampled_from(TAG_NAMES),
+    )
+    def test_lookup_agrees_with_closed_form_reference(self, seed, pattern, wrapper, tag):
+        # An integer draws a ground pattern: the stored sentence at that
+        # position, or one never stored past the end.
+        kb = _match_kb(seed)
+        if isinstance(pattern, int):
+            stored = [sentence for sentence, _record in kb.facts()]
+            pattern = stored[pattern] if pattern < len(stored) else S("(e b b b)")
+        query = pattern
+        if wrapper is not None:
+            if wrapper == "unknown":
+                tag = tag if tag in ("t", "not") else "t"  # the tags an (unknown p) wrapper folds into
+            query = Compound((sym(wrapper), pattern))
+        matched = _reference_matches(kb, pattern, wrapper, tag)
+        for cutoff in sorted({0.0, 0.3, 1.0, *(value for _theta, value in matched)}):
+            want = [(theta, value.hex()) for theta, value in matched if value >= cutoff]
+            assert [(theta, value.hex()) for theta, value in kb.lookup(query, tag, cutoff)] == want
 
     def test_named_patterns_find_their_facts(self):
         kb = KnowledgeBase()

@@ -841,6 +841,13 @@ class TestComponentClosures:
         # the bridge carries disbelief from one chain's end to the other's start
         assert prove_by_resolution(kb, atoms[3], "not", 0.0)[0][1] > before[1]
 
+    def test_chain_of_100_links_settles(self):
+        # 101 clauses settle within 101 rounds, past any fixed round
+        # bound of 100, so the KB closes its components with none.
+        kb = _add_chains(KnowledgeBase(), 1, 100)
+        (answer,) = prove_by_resolution(kb, S("(link c0 s100)"), "t", 0.0)
+        assert answer[1] == pytest.approx(0.75**101, rel=1e-12)
+
     def test_failed_component_resumes_where_it_stopped(self, monkeypatch, resolve_calls):
         # A closure the round bound stopped keeps its pending work, so a
         # clause that joins it adds only its own work to what was done.
