@@ -39,15 +39,15 @@ an evaluation is the one a fresh call asking that goal runs, only
 deeper on the stack, so a later call that asks it gets the same answers
 (and no trace lines) from the table. A result proved before it is not
 enough: it may have been proved nearer the top than a fresh call would
-meet it, and so within ``max_chain_depth`` where that call is not. Each evaluation, tabled or not, is
-filed under its read of the store (the ground goal, or an open goal's
-index bucket) and under each subgoal it solved: a dependency graph, as
-in incremental tabling (Saha & Ramakrishnan 2003). `stash` and
-`set_truth` drop the entries that read the sentence written and, edge
-by edge, every entry that depended on one; a new rule, config or
-priority function empties the table. A result whose proof reaches a
-rule cycle is never tabled, so such an answer is what one call gives,
-whatever was asked before.
+meet it, and so within ``max_chain_depth`` where that call is not. Each
+evaluation, tabled or not, is filed under its read of the store (the
+ground goal, or an open goal's index bucket) and under each subgoal it
+solved: a dependency graph, as in incremental tabling (Saha &
+Ramakrishnan 2003). `stash` and `set_truth` drop the entries that read
+the sentence written and, edge by edge, every entry that depended on
+one; a new rule, config or priority function empties the table. A
+result whose proof reaches a rule cycle is never tabled, so such an
+answer is what one call gives, whatever was asked before.
 
 Rules are proved on instances in the compiled form forward chaining
 uses (see `kb.Rule` and `_prove_conjuncts`), so nothing is renamed apart.
@@ -94,54 +94,56 @@ def default_priority(kind: str, rule=None) -> float:
     return rule.rule_tv.mass
 
 
-class _State:
-    """One top-level call: the goal table, the memo, the goals being
-    solved, and what the innermost one has solved so far."""
+def _solve(goal, kb: KnowledgeBase, priority_fn) -> list:
+    """Prove a (non-negated) goal; returns [(ground instance, tv)].
 
-    def __init__(self, kb, priority_fn):
-        self.kb = kb
-        self.config = kb.config
-        self.priority_fn = priority_fn or default_priority
-        self.table = kb.goal_table(self.priority_fn)
-        self.memo = {}  # goal key -> (answers, low), for every goal solved
-        self.stack = {}  # keys of the goals being solved, outermost first
-        # of the goal being solved: the keys of the subgoals it solved, and
-        # the earliest memo position its evaluation depended on (-1 once
-        # it met a cut)
-        self.subgoals, self.low = set(), 0
-
-
-def _solve(goal, state: _State) -> list:
-    """Prove a (non-negated) goal; returns [(ground instance, tv)]."""
+    One loop drives every goal being solved. Each has a frame on
+    ``stack`` whose agenda, a generator, yields the subgoals it needs
+    and is sent their answers. A subgoal is answered from the memo, cut
+    as a variant of a goal on the stack, or else evaluated on a frame of
+    its own; so ``max_chain_depth`` is the stack's one bound. While a
+    goal is evaluated, ``subgoals`` holds the keys of the subgoals it
+    solved and ``low`` the earliest memo position its evaluation
+    depended on (-1 once it met a cut). When its agenda finishes, its
+    answers are memoized, and also tabled if it depended on nothing
+    begun before it.
+    """
     key = canonical_form(goal)
-    state.subgoals.add(key)
-    entry = state.memo.get(key)
-    if entry is None:
-        if not state.stack and (answers := state.table.get(key)) is not None:
-            return answers
-        if key in state.stack:
+    answers = kb.goal_table(priority_fn).get(key)
+    if answers is not None:
+        return answers
+    memo = {}  # goal key -> (answers, low), for every goal solved
+    # goal key -> (the agenda, subgoals and low of the goal below it, and
+    # the memo position at its start), for the goals being solved
+    stack = {}
+    limit = kb.config.max_chain_depth
+    agenda, subgoals, low = None, set(), 0
+    while True:
+        if goal is not None:  # evaluate goal on a new frame
+            if len(stack) >= limit:
+                raise DepthExceeded(goal, len(stack))
+            stack[key] = agenda, subgoals, low, len(memo)
+            agenda, subgoals, low, answers = _run_agenda(goal, key, kb, priority_fn), set(), len(memo), None
+        try:
+            goal = agenda.send(answers)
+        except StopIteration as done:
+            answers = done.value
+            key, (agenda, outer, outer_low, start) = stack.popitem()
+            kb.table_goal(key, answers if low == start else None, subgoals)
+            memo[key] = answers, low
+            if not stack:
+                return answers
+            subgoals, low, goal = outer, min(outer_low, low), None
+            continue
+        key = canonical_form(goal)
+        subgoals.add(key)
+        entry = memo.get(key)
+        if entry is None:
+            if key not in stack:
+                continue  # evaluate it
             entry = [], -1  # variant of an ancestor goal: this branch adds nothing
-        else:
-            entry = _evaluate(goal, key, state)
-    state.low = min(state.low, entry[1])
-    return entry[0]
-
-
-def _evaluate(goal, key, state: _State) -> tuple:
-    """Run a goal's agenda and memoize its (answers, low); table the
-    answers too if the evaluation depended on nothing begun before it."""
-    if len(state.stack) >= state.config.max_chain_depth:
-        raise DepthExceeded(goal, len(state.stack))
-    outer = state.subgoals, state.low
-    start = len(state.memo)
-    state.subgoals, state.low = set(), start
-    state.stack[key] = None
-    answers = _run_agenda(goal, key, state)
-    del state.stack[key]
-    state.kb.table_goal(key, answers if state.low == start else None, state.subgoals)
-    entry = state.memo[key] = answers, state.low
-    state.subgoals, state.low = outer
-    return entry
+        low = min(low, entry[1])
+        answers, goal = entry[0], None
 
 
 def _values(variables: tuple, theta) -> tuple:
@@ -149,19 +151,20 @@ def _values(variables: tuple, theta) -> tuple:
     return tuple([None if (t := substitute(v, theta)) == v else t for v in variables])
 
 
-def _prove_conjuncts(rule, seed: tuple, state: _State) -> list:
+def _prove_conjuncts(rule, seed: tuple):
     """(values, premise tv) for each complete instance of ``rule``
     extending ``seed``, solving conjuncts left to right so that values
-    one fixes narrow the next. A seed from an open goal may hold open
-    values, over free rule variables and the goal's canonical ones
-    (which never clash with the rule's); then fixing one value can
-    narrow others, so each answer's values are unified in."""
+    one fixes narrow the next: a generator that yields each conjunct's
+    goal, is sent its answers and returns the list. A seed from an open
+    goal may hold open values, over free rule variables and the goal's
+    canonical ones (which never clash with the rule's); then fixing one
+    value can narrow others, so each answer's values are unified in."""
     linked = not all(v is None or v._ground for v in seed)
     solutions = [(seed, TruthValue(1.0, 0.0))]
     for pattern, matcher, (_core, positive) in zip(rule.patterns, rule.matchers, rule.conjuncts):
         extended = []
         for values, acc in solutions:
-            for instance, tv in _solve(pattern(values), state):
+            for instance, tv in (yield pattern(values)):
                 found = matcher(instance)
                 if linked:
                     theta = {v: t for v, t in zip(rule.variables, values) if t is not None}
@@ -176,9 +179,11 @@ def _prove_conjuncts(rule, seed: tuple, state: _State) -> list:
     return solutions
 
 
-def _run_agenda(goal, key, state: _State) -> list:
-    kb = state.kb
-    config = state.config
+def _run_agenda(goal, key, kb: KnowledgeBase, priority_fn):
+    """``goal``'s answers, [(ground instance, tv)]: a generator that
+    yields each subgoal its tasks need, is sent its answers and returns
+    the list."""
+    config = kb.config
     answers: dict = {}
     accepted: set = set()
     goal_ground = is_ground(goal)
@@ -203,7 +208,7 @@ def _run_agenda(goal, key, state: _State) -> list:
         return VACUOUS
 
     # (priority, task): None is the fact lookup, anything else a rule
-    tasks = [(state.priority_fn("fact"), None)]
+    tasks = [(priority_fn("fact"), None)]
     for rule in kb.rules_concluding(goal):
         if rule.rule_tv.mass < config.inference_cutoff:
             continue  # could never shift any conclusion enough to matter
@@ -214,7 +219,7 @@ def _run_agenda(goal, key, state: _State) -> list:
             seed = None if theta is None else _values(rule.variables, theta)
         if seed is None:
             continue
-        tasks.append((state.priority_fn("rule", rule), (rule, seed)))
+        tasks.append((priority_fn("rule", rule), (rule, seed)))
     # a stable sort: equal priorities keep the order they were added in
     tasks.sort(key=lambda task: -task[0])
 
@@ -228,7 +233,7 @@ def _run_agenda(goal, key, state: _State) -> list:
                 last = instance
         else:
             rule, seed = task
-            for values, premise_tv in _prove_conjuncts(rule, seed, state):
+            for values, premise_tv in (yield from _prove_conjuncts(rule, seed)):
                 last = rule.instantiate(values)[1]
                 accumulate(last, propagate(premise_tv, rule.rule_tv))
         if kb.trace is not None:
@@ -242,11 +247,7 @@ def _answers(kb: KnowledgeBase, goal, priority_fn) -> tuple:
     """``goal``'s core and its (ground instance, tv) answers, each pair
     swapped for a goal wrapped in ``(not ...)``."""
     core, flipped = normalize_negation(goal)
-    state = _State(kb, priority_fn)
-    try:
-        results = _solve(core, state)
-    except RecursionError:
-        raise DepthExceeded(goal, len(state.stack)) from None
+    results = _solve(core, kb, priority_fn or default_priority)
     if flipped:
         results = [(instance, negate(tv)) for instance, tv in results]
     return core, results
@@ -274,9 +275,8 @@ def prove(kb: KnowledgeBase, goal, priority_fn=None) -> list:
     no trace lines (see the module docstring). Writing a sentence drops
     the entries that depended on it, and a new rule, config or
     ``priority_fn`` drops them all. Raises DepthExceeded past
-    ``max_chain_depth``, and also where the interpreter's stack runs out
-    first; nothing is tabled from a call that raises but what it had
-    proved completely.
+    ``max_chain_depth``; nothing is tabled from a call that raises but
+    what it had proved completely.
     """
     return _bound(*_answers(kb, goal, priority_fn))
 

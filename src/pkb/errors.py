@@ -29,7 +29,7 @@ class NoValidResidual(PkbError):
 
 
 class DepthExceeded(PkbError):
-    """Chaining recursed past the configured depth bound."""
+    """Chaining went past the configured depth bound."""
 
     def __init__(self, goal, depth):
         super().__init__(f"chain depth {depth} exceeded at {goal}")

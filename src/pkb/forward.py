@@ -31,11 +31,13 @@ at (0.5 . 0), (a k) settles at 0.8403 and (b k) at 0.7563 (backward
 gives 0.5 and 0.45) after 81 chain steps; a (1 . 0) 2-cycle reaches
 (1 . 0) after 108. Both exceed the default depth of 64.
 
-Chaining recurses on the interpreter's stack, a few frames per step.
-Where the stack runs out before ``max_chain_depth``, the KB's writers
-(`stash`, `set_truth`, `add_rule`) raise DepthExceeded just as at the
-bound. A writer that raises keeps what it had applied: the facts and
-ledger entries of the steps before the failure stay in the KB.
+Chaining is depth first: a consequence that changes is chained in full
+before the next instance of the change that caused it is applied. The
+chain is held on an explicit stack (see `_chain`), so past
+``max_chain_depth``, its one depth bound, the KB's writers (`stash`,
+`set_truth`, `add_rule`) raise DepthExceeded. A writer that raises
+keeps what it had applied: the facts and ledger entries of the steps
+before the failure stay in the KB.
 
 Every rule instance is ground. Stored facts are ground, each premise
 conjunct is matched against them, and `kb.make_rule` rejects a rule
@@ -120,22 +122,26 @@ def _instances(kb: "KnowledgeBase", rule: "Rule", seed: tuple) -> list:
     return solutions
 
 
-def _affected_instances(kb: "KnowledgeBase", rule: "Rule", sentence) -> list:
-    """Instances of ``rule`` in which ``sentence`` participates.
+def _affected_instances(kb: "KnowledgeBase", sentence):
+    """(rule, values) for each rule instance in which ``sentence``
+    participates, a rule's instances enumerated only once the previous
+    rule's have been applied.
 
     Covers both instances currently enumerable from stored facts and
     instances remembered only by a live justification (whose supporting
     fact may just have vanished).
     """
-    found = {}
-    for matcher in rule.matchers:
-        seed = matcher(sentence)
-        if seed is not None:
-            found.update(dict.fromkeys(_instances(kb, rule, seed)))
-    for rule_id, values in kb._by_premise.get(sentence, ()):
-        if rule_id == rule.id:
-            found.setdefault(values)
-    return list(found)
+    for rule in kb.rules_touching(sentence):
+        found = {}
+        for matcher in rule.matchers:
+            seed = matcher(sentence)
+            if seed is not None:
+                found.update(dict.fromkeys(_instances(kb, rule, seed)))
+        for rule_id, values in kb._by_premise.get(sentence, ()):
+            if rule_id == rule.id:
+                found.setdefault(values)
+        for values in found:
+            yield rule, values
 
 
 def _trace(kb, event: str, rule: "Rule", values: tuple, contribution: TruthValue):
@@ -144,7 +150,9 @@ def _trace(kb, event: str, rule: "Rule", values: tuple, contribution: TruthValue
         kb._emit(f"{event} rule={rule.id} bind={bindings} contrib={contribution}")
 
 
-def _apply_instance(kb, rule, values: tuple, depth: int):
+def _apply_instance(kb, rule, values: tuple):
+    """Apply one rule instance; returns its consequence if the
+    consequence's value changed, else None."""
     cutoff = kb.config.inference_cutoff
     premises, consequence = rule.instantiate(values)
     ptv = premise_value(kb, rule, premises)
@@ -155,7 +163,7 @@ def _apply_instance(kb, rule, values: tuple, depth: int):
         delta = delta_mass(existing.contribution, contribution)
         if delta == 0.0 or delta < cutoff:
             _trace(kb, "SKIP", rule, values, contribution)
-            return
+            return None
         old_tv = kb.retrieve_core(consequence)
         if len(kb._by_consequence[consequence]) == 1:
             # the last live contribution: the residual is the base, exactly
@@ -168,10 +176,10 @@ def _apply_instance(kb, rule, values: tuple, depth: int):
         _trace(kb, "RETRACT", rule, values, existing.contribution)
         kb.retract_justification(rule.id, values)
     elif contribution.is_vacuous():
-        return
+        return None
     elif contribution.mass < cutoff:
         _trace(kb, "SKIP", rule, values, contribution)
-        return
+        return None
     else:
         residual = old_tv = kb.retrieve_core(consequence)
     new_tv = combine(residual, contribution)
@@ -180,25 +188,36 @@ def _apply_instance(kb, rule, values: tuple, depth: int):
         kb.record_justification(Justification(rule.id, bindings, ptv, contribution, consequence, premises), values)
         _trace(kb, "FIRE", rule, values, contribution)
     kb._set_combined(consequence, new_tv)
-    if delta_mass(old_tv, new_tv) > 0.0:
-        propagate_change(kb, consequence, depth + 1)
+    return consequence if delta_mass(old_tv, new_tv) > 0.0 else None
 
 
-def propagate_change(kb: "KnowledgeBase", sentence, depth: int = 0):
+def _chain(kb: "KnowledgeBase", steps):
+    """Apply the instances ``steps`` yields, depth first, on a stack of
+    `_affected_instances` generators, one per consequence being chained."""
+    stack = [steps]
+    limit = kb.config.max_chain_depth
+    while stack:
+        for rule, values in stack[-1]:
+            changed = _apply_instance(kb, rule, values)
+            if changed is not None:
+                if len(stack) >= limit:
+                    raise DepthExceeded(changed, len(stack))
+                stack.append(_affected_instances(kb, changed))
+                break
+        else:
+            stack.pop()
+
+
+def propagate_change(kb: "KnowledgeBase", sentence):
     """Push one fact's truth-value change through the rule base.
 
     The entry for ``sentence`` must already hold its new value. Raises
     DepthExceeded when consequences keep changing past the configured
     chain depth (cyclic rule sets).
     """
-    if depth >= kb.config.max_chain_depth:
-        raise DepthExceeded(sentence, depth)
-    for rule in kb.rules_touching(sentence):
-        for values in _affected_instances(kb, rule, sentence):
-            _apply_instance(kb, rule, values, depth)
+    _chain(kb, _affected_instances(kb, sentence))
 
 
 def fire_rule(kb: "KnowledgeBase", rule: "Rule"):
     """Fire a newly added rule on every premise instance already stored."""
-    for values in _instances(kb, rule, (None,) * len(rule.variables)):
-        _apply_instance(kb, rule, values, depth=0)
+    _chain(kb, ((rule, values) for values in _instances(kb, rule, (None,) * len(rule.variables))))

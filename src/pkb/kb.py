@@ -28,7 +28,7 @@ from functools import lru_cache
 from operator import attrgetter
 
 from . import forward, sexpr
-from .errors import DepthExceeded, IterationBoundExceeded, NotFound
+from .errors import IterationBoundExceeded, NotFound
 from .resolution import Clause, Closure, saturate_groups
 from .terms import (
     Compound,
@@ -261,7 +261,7 @@ class KnowledgeBase:
         if record is None:
             record = FactRecord(VACUOUS, VACUOUS)
         self._write(core, FactRecord(combine(record.base, tv), combine(record.tv, tv)))
-        self._chain(core, forward.propagate_change, core)
+        forward.propagate_change(self, core)
 
     def set_truth(self, sentence: Term, tv: TruthValue):
         """Replace the directly asserted evidence for the sentence.
@@ -277,7 +277,7 @@ class KnowledgeBase:
         new = self.pooled_value(core, tv)
         self._write(core, FactRecord(tv, new))
         if delta_mass(old, new) > 0.0:
-            self._chain(core, forward.propagate_change, core)
+            forward.propagate_change(self, core)
 
     def _set_combined(self, core: Term, new_tv: TruthValue):
         """Adjust an entry's pooled value (chaining only; base unchanged)."""
@@ -319,16 +319,6 @@ class KnowledgeBase:
         key = _index_key(pattern)
         return self._facts if key is None else self._index.get(key, ())
 
-    def match_facts(self, pattern: Term):
-        """Bindings and truth values of every stored fact unifying with
-        ``pattern`` (no tag filtering), through `_match`; each binding
-        dict lists the pattern's variables by name."""
-        variables = () if is_ground(pattern) else tuple(sorted(variables_in(pattern), key=attrgetter("name")))
-        return [
-            ({} if values is None else dict(zip(variables, values)), record.tv)
-            for _sentence, record, values in self._match(pattern, variables)
-        ]
-
     def lookup(self, pattern: Term, tag: str = "t", cutoff: float = 1.0):
         """Stored-fact query: every binding whose tagged value reaches
         the cutoff.
@@ -336,8 +326,9 @@ class KnowledgeBase:
         The pattern may carry tag wrappers, e.g. looking up
         ``(not (foo fred))`` is looking up ``(foo fred)`` under the
         ``not`` tag. Sentences never stored yield no answers. Answers
-        come in store order, with bindings as `match_facts` gives them;
-        a bad tag or cutoff raises even when nothing matches.
+        come in store order, each bindings dict giving the pattern's
+        variables by name; a bad tag or cutoff raises even when nothing
+        matches.
 
         Cost: one probe for a ground pattern, else one pass over its
         `_bucket` that applies the tag and cutoff to each fact's pooled
@@ -372,22 +363,8 @@ class KnowledgeBase:
         self._rules_by_consequence.setdefault(_index_key(rule.consequence), []).append(position)
         self.rules.append(rule)
         self._goals = None
-        self._chain(rule.consequence, forward.fire_rule, rule)
+        forward.fire_rule(self, rule)
         return rule
-
-    def _chain(self, sentence: Term, run, *args):
-        """``run(self, *args)``, a forward-chaining entry point. Its
-        recursion can exhaust the interpreter's stack before
-        ``max_chain_depth``; that raises DepthExceeded at ``sentence``
-        too, with the chain depth reached."""
-        try:
-            run(self, *args)
-        except RecursionError as exc:
-            depth, frame = 0, exc.__traceback__
-            while frame is not None:
-                depth += frame.tb_frame.f_code is forward.propagate_change.__code__
-                frame = frame.tb_next
-            raise DepthExceeded(sentence, depth) from None
 
     def add_clause(self, literals, tv: TruthValue):
         clause = Clause.make(literals, tv, support=frozenset({f"c{len(self.clauses) + 1}"}))

@@ -203,15 +203,22 @@ class TestProve:
         with pytest.raises(DepthExceeded):
             prove(kb, S("(p10 a)"))
 
-    def test_chain_deeper_than_the_interpreter_stack_raises_depth_exceeded(self):
-        levels = sys.getrecursionlimit()  # each level takes more than one frame
-        kb = KnowledgeBase(config=EngineConfig(max_chain_depth=2 * levels))
-        for level in range(levels):
-            kb.add_rule(S(f"(p{level} $x)"), S(f"(p{level + 1} $x)"), TruthValue(0.9, 0.0))
-        with pytest.raises(DepthExceeded, match=f"exceeded at \\(p{levels} k\\)"):
-            prove(kb, S(f"(p{levels} k)"))
+    def test_chain_deeper_than_the_interpreter_stack_runs_to_its_bound(self):
+        # goals are solved on an explicit stack, so max_chain_depth is its
+        # only bound: (pN k) is solved at depth N
+        levels = 3 * sys.getrecursionlimit()
+        kb = KnowledgeBase()
+        kb.stash(S(f"(p{levels} k)"), TruthValue(0.5, 0.0))
+        for level in range(levels - 1, -1, -1):  # so that each rule fires one step
+            kb.add_rule(S(f"(p{level + 1} $x)"), S(f"(p{level} $x)"), TruthValue(0.9, 0.0))
+        kb.config = EngineConfig(max_chain_depth=levels)
+        with pytest.raises(DepthExceeded, match=rf"^chain depth {levels} exceeded at \(p{levels} k\)$"):
+            prove(kb, S("(p0 k)"))
         assert kb._goals[1] == {}  # no goal of the failed call completed
-        assert prove(kb, S("(p2 k)")) == [] and len(kb._goals[1]) == 3
+        kb.config = EngineConfig(max_chain_depth=levels + 1)
+        [(theta, tv)] = prove(kb, S("(p0 k)"))
+        assert theta == {} and tv.belief == pytest.approx(0.5 * 0.9**levels, rel=1e-9)
+        assert len(kb._goals[1]) == levels + 1
 
 
 class TestThresholds:

@@ -103,23 +103,40 @@ class TestQuery:
         assert code == 2
         assert "error:" in err
 
-    def test_chain_deeper_than_the_interpreter_stack_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("extra", [1, 0], ids=["bound_above_depth", "bound_at_depth"])
+    def test_chain_deeper_than_the_interpreter_stack_runs_to_its_bound(self, tmp_path, capsys, extra):
+        # (pN k) is solved at depth N, and the bound is max-chain-depth alone
+        levels = 3 * sys.getrecursionlimit()
         path = tmp_path / "deep.pkb"
-        rules = "".join(f"(rule (p{i} $x) (p{i + 1} $x) (0.9 . 0))\n" for i in range(300))
-        path.write_text("(setvar max-chain-depth 5000)\n" + rules)
-        assert main(["--kb", str(path), "query", "(p300 k)", "--method", "bc"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: chain depth ") and err.endswith(" exceeded at (p300 k)\n")
-
-    def test_forward_chain_deeper_than_the_interpreter_stack_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "deep.pkb"
-        rules = "".join(f"(rule (p{i} $x) (p{i + 1} $x) (0.9 . 0))\n" for i in range(600))
-        path.write_text("(setvar max-chain-depth 5000)\n" + rules + "(fact (p0 k) (0.5 . 0))\n")
-        assert main(["--kb", str(path), "query", "(p3 k)"]) == 2
+        # the fact comes first and each rule fires one step as it loads
+        rules = "".join(f"(rule (p{i + 1} $x) (p{i} $x) (0.9 . 0))\n" for i in range(levels - 1, -1, -1))
+        path.write_text(f"(setvar max-chain-depth {levels + extra})\n(fact (p{levels} k) (0.5 . 0))\n" + rules)
+        code = main(["--kb", str(path), "query", "(p0 k)", "--method", "bc", "--cutoff", "0"])
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: chain depth ") and captured.err.endswith(" exceeded at (p0 k)\n")
-        assert captured.err.count("\n") == 1
+        if extra:
+            assert code == 0 and captured.err == ""
+            bindings, value = captured.out.split()
+            assert bindings == "{}" and float(value) == pytest.approx(0.5 * 0.9**levels, rel=1e-9)
+        else:
+            assert code == 2 and captured.out == ""
+            assert captured.err == f"error: chain depth {levels} exceeded at (p{levels} k)\n"
+
+    @pytest.mark.parametrize("extra", [1, 0], ids=["bound_above_depth", "bound_at_depth"])
+    def test_forward_chain_deeper_than_the_interpreter_stack_runs_to_its_bound(self, tmp_path, capsys, extra):
+        # loading (p0 k) chains to (pN k) at depth N
+        levels = 3 * sys.getrecursionlimit()
+        path = tmp_path / "deep.pkb"
+        rules = "".join(f"(rule (p{i} $x) (p{i + 1} $x) (0.9 . 0))\n" for i in range(levels))
+        path.write_text(f"(setvar max-chain-depth {levels + extra})\n" + rules + "(fact (p0 k) (0.5 . 0))\n")
+        code = main(["--kb", str(path), "query", f"(p{levels} k)", "--cutoff", "0"])
+        captured = capsys.readouterr()
+        if extra:
+            assert code == 0 and captured.err == ""
+            bindings, value = captured.out.split()
+            assert bindings == "{}" and float(value) == pytest.approx(0.5 * 0.9**levels, rel=1e-9)
+        else:
+            assert code == 2 and captured.out == ""
+            assert captured.err == f"error: chain depth {levels} exceeded at (p{levels} k)\n"
 
 
 class TestAssertSetWhy:

@@ -322,20 +322,28 @@ class TestCyclesAndDepth:
             kb.stash(S("(p a)"), TruthValue(0.9, 0.0))
 
     @pytest.mark.parametrize("write", ["stash", "set_truth", "add_rule"])
-    def test_chain_deeper_than_the_interpreter_stack_raises_depth_exceeded(self, write):
-        levels = sys.getrecursionlimit()
-        kb = KnowledgeBase(config=EngineConfig(max_chain_depth=5 * levels))
-        for level in range(levels, 0, -1):
-            kb.add_rule(S(f"(p{level} $x)"), S(f"(p{level + 1} $x)"), TruthValue(0.9, 0.0))
-        if write == "add_rule":
-            # a new rule fires on what is stored
-            kb.stash(S("(p0 k)"), TruthValue(0.5, 0.0))
-            with pytest.raises(DepthExceeded, match=r"chain depth \d+ exceeded at \(p1 \$x\)"):
-                kb.add_rule(S("(p0 $x)"), S("(p1 $x)"), TruthValue(0.9, 0.0))
-        else:
-            kb.add_rule(S("(p0 $x)"), S("(p1 $x)"), TruthValue(0.9, 0.0))
-            with pytest.raises(DepthExceeded, match=r"chain depth \d+ exceeded at \(p0 k\)"):
-                getattr(kb, write)(S("(p0 k)"), TruthValue(0.5, 0.0))
+    def test_chain_deeper_than_the_interpreter_stack_runs_to_its_bound(self, write):
+        # the chain is held on an explicit stack, so max_chain_depth is
+        # its only bound: (pN k) is reached at depth N
+        levels = 3 * sys.getrecursionlimit()
+        last = S(f"(p{levels} k)")
+        for bound in (levels + 1, levels):
+            kb = KnowledgeBase(config=EngineConfig(max_chain_depth=bound))
+            for level in range(levels - 1, 0, -1):
+                kb.add_rule(S(f"(p{level} $x)"), S(f"(p{level + 1} $x)"), TruthValue(0.9, 0.0))
+            first = S("(p0 $x)"), S("(p1 $x)"), TruthValue(0.9, 0.0)
+            if write == "add_rule":
+                kb.stash(S("(p0 k)"), TruthValue(0.5, 0.0))  # a new rule fires on what is stored
+                args = first
+            else:
+                kb.add_rule(*first)
+                args = S("(p0 k)"), TruthValue(0.5, 0.0)
+            if bound > levels:
+                getattr(kb, write)(*args)
+                assert kb.retrieve(last).belief == pytest.approx(0.5 * 0.9**levels, rel=1e-9)
+            else:
+                with pytest.raises(DepthExceeded, match=rf"^chain depth {levels} exceeded at \(p{levels} k\)$"):
+                    getattr(kb, write)(*args)
 
     def test_cycles_settle_at_their_forward_limit(self):
         # Forward chaining feeds a cycle's output back in as fresh

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,18 @@ from pkb.errors import NotFound, ParseError, RangeError, TautologicalResolvent, 
 from pkb.forward import Justification
 from pkb.kb import ENGINE_VARIABLES, KnowledgeBase, make_rule, unwrap_query
 from pkb.sexpr import CONTROL_METHODS, parse_sentence as S
-from pkb.terms import Compound, Number, canonical_form, compound, format_bindings, normalize_negation, sym, unify, var
+from pkb.terms import (
+    Compound,
+    Number,
+    canonical_form,
+    compound,
+    format_bindings,
+    normalize_negation,
+    sym,
+    unify,
+    var,
+    variables_in,
+)
 from pkb.truth import FALSE, TRUE, VACUOUS, TAG_NAMES, EngineConfig, TruthValue, tagged_answers
 
 from kbgen import build_kb, random_tv, random_var_kb
@@ -202,7 +214,7 @@ def _match_kb(seed: int) -> KnowledgeBase:
 
 
 def _scan(kb, pattern):
-    """Reference `match_facts`: unify the pattern with every stored fact."""
+    """Reference matches: unify the pattern with every stored fact."""
     out = []
     for sentence, record in kb.facts():
         theta = unify(pattern, sentence, {})
@@ -254,7 +266,12 @@ class TestMatchFacts:
     @given(seed=st.integers(0, 10**6), pattern=open_patterns() | st.sampled_from(NAMED_PATTERNS))
     def test_agrees_with_unify_scan(self, seed, pattern):
         kb = _match_kb(seed)
-        assert kb.match_facts(pattern) == _scan(kb, pattern)
+        variables = tuple(sorted(variables_in(pattern), key=attrgetter("name")))
+        found = [
+            ({} if values is None else dict(zip(variables, values)), record.tv)
+            for _sentence, record, values in kb._match(pattern, variables)
+        ]
+        assert found == _scan(kb, pattern)
 
     @given(seed=st.integers(0, 10**6), pattern=st.sampled_from(NAMED_PATTERNS), tag=st.sampled_from(TAG_NAMES))
     def test_lookup_agrees_with_unify_scan(self, seed, pattern, tag):
@@ -289,7 +306,10 @@ class TestMatchFacts:
         kb = KnowledgeBase()
         for sentence in ("(e a a)", "(e a b)", "(e (f a) 2)", "(e 1 b)", "(g a)", "(e a)"):
             kb.stash(S(sentence), TruthValue(0.5, 0.0))
-        found = {str(pattern): sorted(format_bindings(t) for t, _ in kb.match_facts(pattern)) for pattern in NAMED_PATTERNS}
+        found = {
+            str(pattern): sorted(format_bindings(t) for t, _ in kb.lookup(pattern, "mass", 0.0))
+            for pattern in NAMED_PATTERNS
+        }
         assert found == {
             "(e $x $x)": ["{$x=a}"],
             "(e (f $x) $y)": ["{$x=a, $y=2}"],

@@ -5,6 +5,10 @@
 function body would hide a cycle from this check and from the reader,
 so there is none. Importing the package loads neither `dataclasses`
 nor `inspect`, which cost most of its import time when it used them.
+
+The chaining engines run on explicit stacks, so that ``max_chain_depth``
+is their one depth bound, not the interpreter's recursion limit: no
+function of `forward` or `backward` reaches itself through calls.
 """
 
 import ast
@@ -12,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import pkb
 
@@ -80,6 +86,20 @@ def _find_cycle(graph) -> list | None:
     return None
 
 
+def call_graph(tree) -> dict:
+    """module-level function -> the module-level functions of the same
+    module that it calls by name, nested function bodies included."""
+    functions = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return {
+        name: {
+            call.func.id
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id in functions
+        }
+        for name, node in functions.items()
+    }
+
+
 def test_every_module_is_parsed():
     assert {"kb", "forward", "backward", "resolution", "truth", "terms"} <= set(MODULES)
 
@@ -107,6 +127,18 @@ def test_forward_does_not_import_kb():
 def test_cycle_finder_sees_a_cycle():
     assert _find_cycle({"kb": {"forward"}, "forward": {"truth", "kb"}, "truth": set()}) == ["forward", "kb", "forward"]
     assert _find_cycle({"kb": {"forward"}, "forward": {"truth"}, "truth": set()}) is None
+
+
+@pytest.mark.parametrize("module", ["forward", "backward"])
+def test_engine_call_graph_is_acyclic(module):
+    assert _find_cycle(call_graph(MODULES[module])) is None
+
+
+def test_call_graph_sees_recursion_through_a_nested_function():
+    tree = ast.parse("def f():\n    g()\n\ndef g():\n    def h():\n        return f()\n    return h\n\ndef k():\n    k()\n")
+    graph = call_graph(tree)
+    assert graph == {"f": {"g"}, "g": {"f"}, "k": {"k"}}
+    assert _find_cycle(graph) == ["f", "g", "f"]
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
