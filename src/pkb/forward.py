@@ -31,13 +31,21 @@ at (0.5 . 0), (a k) settles at 0.8403 and (b k) at 0.7563 (backward
 gives 0.5 and 0.45) after 81 chain steps; a (1 . 0) 2-cycle reaches
 (1 . 0) after 108. Both exceed the default depth of 64.
 
-Chaining is depth first: a consequence that changes is chained in full
-before the next instance of the change that caused it is applied. The
-chain is held on an explicit stack (see `_chain`), so past
-``max_chain_depth``, its one depth bound, the KB's writers (`stash`,
-`set_truth`, `add_rule`) raise DepthExceeded. A writer that raises
-keeps what it had applied: the facts and ledger entries of the steps
-before the failure stay in the KB.
+The writers (`stash`, `set_truth`, `add_rule`) chain depth first: a
+consequence that changes is chained in full before the next instance of
+the change that caused it is applied. The chain is held on an explicit
+stack (see `_chain`), so past ``max_chain_depth``, its one depth bound,
+a writer raises DepthExceeded. A writer that raises keeps what it had
+applied: the facts and ledger entries of the steps before the failure
+stay in the KB.
+
+`kb.load` does not chain each statement: it stores a batch of
+statements, then fires each strongly connected component of the rule
+graph once, in a topological order (`fire_component`). Only a cyclic
+component chains, depth first as above and into its own rules alone;
+elsewhere a changed consequence waits for the rules that read it to
+fire in their turn. The same ``max_chain_depth`` bounds each changed
+sentence's derivation depth.
 
 Every rule instance is ground. Stored facts are ground, each premise
 conjunct is matched against them, and `kb.make_rule` rejects a rule
@@ -64,7 +72,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import DepthExceeded, NoValidResidual, NotCertainRemovable
-from .terms import format_bindings
+from .terms import format_bindings, index_key
 from .truth import (
     TRUE,
     TruthValue,
@@ -122,17 +130,16 @@ def _instances(kb: "KnowledgeBase", rule: "Rule", seed: tuple) -> list:
     return solutions
 
 
-def _affected_instances(kb: "KnowledgeBase", sentence):
-    """(rule, values) for each rule instance in which ``sentence``
-    participates, a rule's instances enumerated only once the previous
-    rule's have been applied.
+def _seeded(kb: "KnowledgeBase", rule: "Rule", sentences) -> dict:
+    """The instances of ``rule`` in which any of ``sentences``
+    participates, as a dict in the order found.
 
     Covers both instances currently enumerable from stored facts and
     instances remembered only by a live justification (whose supporting
     fact may just have vanished).
     """
-    for rule in kb.rules_touching(sentence):
-        found = {}
+    found = {}
+    for sentence in sentences:
         for matcher in rule.matchers:
             seed = matcher(sentence)
             if seed is not None:
@@ -140,8 +147,18 @@ def _affected_instances(kb: "KnowledgeBase", sentence):
         for rule_id, values in kb._by_premise.get(sentence, ()):
             if rule_id == rule.id:
                 found.setdefault(values)
-        for values in found:
-            yield rule, values
+    return found
+
+
+def _affected_instances(kb: "KnowledgeBase", sentence, within=None):
+    """(rule, values) for each rule instance in which ``sentence``
+    participates, a rule's instances enumerated only once the previous
+    rule's have been applied; only of the rules whose ids are in
+    ``within``, when given."""
+    for rule in kb.rules_touching(sentence):
+        if within is None or rule.id in within:
+            for values in _seeded(kb, rule, (sentence,)):
+                yield rule, values
 
 
 def _trace(kb, event: str, rule: "Rule", values: tuple, contribution: TruthValue):
@@ -150,11 +167,10 @@ def _trace(kb, event: str, rule: "Rule", values: tuple, contribution: TruthValue
         kb._emit(f"{event} rule={rule.id} bind={bindings} contrib={contribution}")
 
 
-def _apply_instance(kb, rule, values: tuple):
-    """Apply one rule instance; returns its consequence if the
-    consequence's value changed, else None."""
+def _apply_instance(kb, rule, values: tuple, premises: tuple, consequence) -> bool:
+    """Apply one rule instance, given with its ground premise atoms and
+    consequence; returns whether the consequence's value changed."""
     cutoff = kb.config.inference_cutoff
-    premises, consequence = rule.instantiate(values)
     ptv = premise_value(kb, rule, premises)
     contribution = propagate(ptv, rule.rule_tv)
     existing = kb.find_justification(rule.id, values)
@@ -163,7 +179,7 @@ def _apply_instance(kb, rule, values: tuple):
         delta = delta_mass(existing.contribution, contribution)
         if delta == 0.0 or delta < cutoff:
             _trace(kb, "SKIP", rule, values, contribution)
-            return None
+            return False
         old_tv = kb.retrieve_core(consequence)
         if len(kb._by_consequence[consequence]) == 1:
             # the last live contribution: the residual is the base, exactly
@@ -176,10 +192,10 @@ def _apply_instance(kb, rule, values: tuple):
         _trace(kb, "RETRACT", rule, values, existing.contribution)
         kb.retract_justification(rule.id, values)
     elif contribution.is_vacuous():
-        return None
+        return False
     elif contribution.mass < cutoff:
         _trace(kb, "SKIP", rule, values, contribution)
-        return None
+        return False
     else:
         residual = old_tv = kb.retrieve_core(consequence)
     new_tv = combine(residual, contribution)
@@ -188,21 +204,28 @@ def _apply_instance(kb, rule, values: tuple):
         kb.record_justification(Justification(rule.id, bindings, ptv, contribution, consequence, premises), values)
         _trace(kb, "FIRE", rule, values, contribution)
     kb._set_combined(consequence, new_tv)
-    return consequence if delta_mass(old_tv, new_tv) > 0.0 else None
+    return delta_mass(old_tv, new_tv) > 0.0
 
 
-def _chain(kb: "KnowledgeBase", steps):
+def _chain(kb: "KnowledgeBase", steps, depth=0, within=None, batch=None):
     """Apply the instances ``steps`` yields, depth first, on a stack of
-    `_affected_instances` generators, one per consequence being chained."""
+    `_affected_instances` generators, one per consequence being chained.
+
+    A consequence changed with n generators on the stack is at derivation
+    depth ``depth`` + n. With ``within``, a set of rule ids, only those
+    rules are chained into; with ``batch``, each change is noted in it.
+    """
     stack = [steps]
-    limit = kb.config.max_chain_depth
+    limit = kb.config.max_chain_depth - depth
     while stack:
         for rule, values in stack[-1]:
-            changed = _apply_instance(kb, rule, values)
-            if changed is not None:
+            premises, consequence = rule.instantiate(values)
+            if _apply_instance(kb, rule, values, premises, consequence):
                 if len(stack) >= limit:
-                    raise DepthExceeded(changed, len(stack))
-                stack.append(_affected_instances(kb, changed))
+                    raise DepthExceeded(consequence, depth + len(stack))
+                if batch is not None:
+                    batch.note(consequence, depth + len(stack))
+                stack.append(_affected_instances(kb, consequence, within))
                 break
         else:
             stack.pop()
@@ -221,3 +244,63 @@ def propagate_change(kb: "KnowledgeBase", sentence):
 def fire_rule(kb: "KnowledgeBase", rule: "Rule"):
     """Fire a newly added rule on every premise instance already stored."""
     _chain(kb, ((rule, values) for values in _instances(kb, rule, (None,) * len(rule.variables))))
+
+
+class Batch:
+    """The sentences one `kb.load` batch has changed, each with its
+    derivation depth, and the position of the batch's first rule."""
+
+    def __init__(self, first_rule: int):
+        self.first_rule = first_rule
+        self.depth = {}  # sentence -> derivation depth, in the order first changed
+        # index key -> sentences, kept only when rules before the batch may read them
+        self.by_key = {}
+
+    def note(self, sentence, depth: int):
+        known = self.depth.get(sentence)
+        if known is None:
+            if self.first_rule:
+                self.by_key.setdefault(index_key(sentence), []).append(sentence)
+            self.depth[sentence] = depth
+        elif known < depth:
+            self.depth[sentence] = depth
+
+    def seeds(self, rule: "Rule"):
+        """The changed sentences that may match a premise conjunct of ``rule``."""
+        keys = dict.fromkeys(index_key(core) for core, _positive in rule.conjuncts)
+        if None in keys:
+            return self.depth
+        return [sentence for key in keys for sentence in self.by_key.get(key, ())]
+
+
+def fire_component(kb: "KnowledgeBase", positions: list, cyclic: bool, batch: Batch):
+    """Fire the rules at ``positions``, one strongly connected component
+    of the rule graph, on what ``batch`` has changed (see `kb.load`).
+
+    Each rule fires in turn: one new in the batch on every stored
+    instance, an older one only on the instances the batch's changed
+    sentences seed, so that no instance already applied is applied again.
+    A consequence that changes is at depth 1 + its deepest changed
+    premise. In an acyclic component nothing is chained: the rules that
+    read the consequence fire later. In a cyclic one the change is
+    chained depth first, as a write chains it, but only into the
+    component's own rules.
+    """
+    limit = kb.config.max_chain_depth
+    depth_of = batch.depth.get
+    within = {kb.rules[i].id for i in positions} if cyclic else None
+    for position in positions:
+        rule = kb.rules[position]
+        if position >= batch.first_rule:
+            instances = _instances(kb, rule, (None,) * len(rule.variables))
+        else:
+            instances = _seeded(kb, rule, batch.seeds(rule))
+        for values in instances:
+            premises, consequence = rule.instantiate(values)
+            if _apply_instance(kb, rule, values, premises, consequence):
+                depth = 1 + max([depth_of(atom, 0) for atom in premises])
+                if depth >= limit:
+                    raise DepthExceeded(consequence, depth)
+                batch.note(consequence, depth)
+                if cyclic:
+                    _chain(kb, _affected_instances(kb, consequence, within), depth, within, batch)

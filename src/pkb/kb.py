@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import count
 from operator import attrgetter
 
 from . import forward, sexpr
@@ -38,6 +39,7 @@ from .terms import (
     compile_builder,
     compile_matcher,
     format_bindings,
+    index_key,
     is_ground,
     normalize_negation,
     unify,
@@ -152,14 +154,6 @@ def unwrap_query(pattern: Term, tag: str = "t") -> tuple[Term, str]:
     return pattern, tag
 
 
-def _index_key(sentence: Term):
-    if isinstance(sentence, Compound) and isinstance(sentence.elements[0], Symbol):
-        return (sentence.elements[0].name, len(sentence.elements))
-    if isinstance(sentence, Symbol):
-        return (sentence.name, 0)
-    return None
-
-
 def _filed(index: dict, key, count: int):
     """Positions filed in ``index`` under ``key`` or under None, the
     bucket of terms with no key, ascending (the order they were filed);
@@ -241,27 +235,34 @@ class KnowledgeBase:
             self._drop(core)
             return
         if core not in self._facts:
-            self._index.setdefault(_index_key(core), {})[core] = None
+            self._index.setdefault(index_key(core), {})[core] = None
         self._facts[core] = record
 
     def _drop(self, core: Term):
         if core in self._facts:
             del self._facts[core]
-            bucket = self._index.get(_index_key(core))
+            bucket = self._index.get(index_key(core))
             if bucket is not None:
                 bucket.pop(core, None)
 
     def stash(self, sentence: Term, tv: TruthValue):
         """Combine a new piece of evidence into the sentence's entry."""
+        core = self._store(sentence, tv)
+        if core is not None:
+            forward.propagate_change(self, core)
+
+    def _store(self, sentence: Term, tv: TruthValue):
+        """Combine evidence into the sentence's entry without chaining;
+        the stored core, or None for vacuous evidence, which is ignored."""
         core, tv = self._normalize(sentence, tv)
         if tv.is_vacuous():
-            return
+            return None
         self._forget(core)
         record = self._facts.get(core)
         if record is None:
             record = FactRecord(VACUOUS, VACUOUS)
         self._write(core, FactRecord(combine(record.base, tv), combine(record.tv, tv)))
-        forward.propagate_change(self, core)
+        return core
 
     def set_truth(self, sentence: Term, tv: TruthValue):
         """Replace the directly asserted evidence for the sentence.
@@ -316,7 +317,7 @@ class KnowledgeBase:
     def _bucket(self, pattern: Term):
         """The stored sentences an open pattern may match, in store
         order: its index bucket, or all when it has no index key."""
-        key = _index_key(pattern)
+        key = index_key(pattern)
         return self._facts if key is None else self._index.get(key, ())
 
     def lookup(self, pattern: Term, tag: str = "t", cutoff: float = 1.0):
@@ -356,14 +357,20 @@ class KnowledgeBase:
 
     def add_rule(self, premise: Term, consequence: Term, rule_tv: TruthValue) -> Rule:
         """Store a rule and fire it on everything already present."""
+        rule = self._file_rule(premise, consequence, rule_tv)
+        forward.fire_rule(self, rule)
+        return rule
+
+    def _file_rule(self, premise: Term, consequence: Term, rule_tv: TruthValue) -> Rule:
+        """Make a rule and file it in ``rules`` and both rule indexes,
+        without firing it."""
         rule = make_rule(f"r{len(self.rules) + 1}", premise, consequence, rule_tv)
         position = len(self.rules)
-        for key in {_index_key(core) for core, _ in rule.conjuncts}:
+        for key in {index_key(core) for core, _ in rule.conjuncts}:
             self._rules_by_key.setdefault(key, []).append(position)
-        self._rules_by_consequence.setdefault(_index_key(rule.consequence), []).append(position)
+        self._rules_by_consequence.setdefault(index_key(rule.consequence), []).append(position)
         self.rules.append(rule)
         self._goals = None
-        forward.fire_rule(self, rule)
         return rule
 
     def add_clause(self, literals, tv: TruthValue):
@@ -460,7 +467,7 @@ class KnowledgeBase:
         A goal is filed even when its answers are not tabled, so that an
         entry that used it is dropped through it."""
         _priority_fn, table, dependents = self._goals
-        for read in (key if is_ground(key) else _index_key(key), *subgoals):
+        for read in (key if is_ground(key) else index_key(key), *subgoals):
             dependents.setdefault(read, {})[key] = None
         if answers is not None:
             table[key] = answers
@@ -474,7 +481,7 @@ class KnowledgeBase:
         if self._goals is None:
             return
         _priority_fn, table, dependents = self._goals
-        reads = [core, _index_key(core), None]
+        reads = [core, index_key(core), None]
         while reads:
             for key in dependents.pop(reads.pop(), ()):
                 table.pop(key, None)
@@ -488,7 +495,7 @@ class KnowledgeBase:
         sexpr.check_method(method)
         canonical = canonical_form(pattern)
         matcher = compile_matcher(canonical, ())
-        self._control_by_key.setdefault(_index_key(canonical), []).append(len(self._dispatch))
+        self._control_by_key.setdefault(index_key(canonical), []).append(len(self._dispatch))
         self._dispatch.append((canonical, matcher, method))
         entry = ControlEntry(pattern, method)
         self.control_entries.append(entry)
@@ -502,7 +509,7 @@ class KnowledgeBase:
         goal has no key). A ground goal runs each entry's compiled
         matcher; an open goal unifies with its canonical pattern."""
         ground = is_ground(goal)
-        for i in _filed(self._control_by_key, _index_key(goal), len(self._dispatch)):
+        for i in _filed(self._control_by_key, index_key(goal), len(self._dispatch)):
             pattern, match, method = self._dispatch[i]
             # a match is (), which is false
             if (match(goal) if ground else unify(pattern, goal, {})) is not None:
@@ -514,14 +521,64 @@ class KnowledgeBase:
     def rules_touching(self, sentence: Term) -> list[Rule]:
         """Rules with a premise conjunct that may match the ground
         ``sentence``, in the order they were added."""
-        positions = _filed(self._rules_by_key, _index_key(sentence), len(self.rules))
+        positions = _filed(self._rules_by_key, index_key(sentence), len(self.rules))
         return [self.rules[i] for i in positions]
 
     def rules_concluding(self, goal: Term) -> list[Rule]:
         """Rules whose consequence may unify with ``goal``, in the order
         they were added. A goal with a variable head may meet any rule."""
-        positions = _filed(self._rules_by_consequence, _index_key(goal), len(self.rules))
+        positions = _filed(self._rules_by_consequence, index_key(goal), len(self.rules))
         return [self.rules[i] for i in positions]
+
+    def _rule_components(self) -> list:
+        """The strongly connected components of the rule graph, as
+        (rule positions ascending, cyclic) pairs, each after every
+        component that feeds it.
+
+        The graph has an edge from rule a to rule b when a's consequence
+        may match a premise conjunct of b: both have one index key, or
+        either has none. A component is cyclic when it holds more than one
+        rule or its rule feeds itself. Tarjan's algorithm (1972) runs over
+        each rule's feeders, on an explicit stack, from the first rule on
+        and in rule order, so ties go by rule position.
+        """
+        n = len(self.rules)
+        feeders = [
+            [i for key in dict.fromkeys(index_key(core) for core, _ in rule.conjuncts)
+             for i in _filed(self._rules_by_consequence, key, n)]
+            for rule in self.rules
+        ]
+        # DFS number (n once the rule's component is out) and low-link
+        number, low = [-1] * n, [0] * n
+        stack, work, components, numbering = [], [], [], count()
+
+        def push(v):
+            number[v] = low[v] = next(numbering)
+            stack.append(v)
+            work.append((v, iter(feeders[v])))
+
+        for root in range(n):
+            if number[root] < 0:
+                push(root)
+            while work:
+                v, edges = work[-1]
+                for w in edges:
+                    if number[w] < 0:
+                        push(w)
+                        break
+                    low[v] = min(low[v], number[w])
+                else:
+                    work.pop()
+                    if work:
+                        low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                    if low[v] == number[v]:
+                        component = [stack.pop()]
+                        while component[-1] != v:
+                            component.append(stack.pop())
+                        for w in component:
+                            number[w] = n
+                        components.append((sorted(component), len(component) > 1 or v in feeders[v]))
+        return components
 
     # -- justification ledger -------------------------------------------------
 
@@ -591,19 +648,62 @@ class KnowledgeBase:
         self.config = self.config.copy(**{ENGINE_VARIABLES[name]: value})
 
     def load(self, statements):
-        for stmt in statements:
-            if isinstance(stmt, sexpr.FactStatement):
-                self.stash(stmt.sentence, stmt.tv)
-            elif isinstance(stmt, sexpr.RuleStatement):
-                self.add_rule(stmt.premise, stmt.consequence, stmt.tv)
-            elif isinstance(stmt, sexpr.ClauseStatement):
-                self.add_clause(stmt.literals, stmt.tv)
-            elif isinstance(stmt, sexpr.ControlStatement):
-                self.add_control(stmt.pattern, stmt.method)
-            elif isinstance(stmt, sexpr.SetVarStatement):
-                self.set_variable(stmt.name, stmt.value)
-            else:
-                raise TypeError(f"not a statement: {stmt!r}")
+        """Apply parsed statements in batches, split at each ``setvar``,
+        which applies where it stands.
+
+        Within a batch, rules are filed, clauses and control rows added
+        and facts stored, all in file order, with no chaining; rule ids,
+        clause labels and the rule indexes are as if each were added on
+        its own. Then the rules fire, one strongly connected component of
+        the rule graph at a time, in a topological order (see
+        `_rule_components`): a rule new in the batch on all its stored
+        instances, a rule stored before it only on the instances that
+        sentences the batch changed seed. So on an acyclic rule set every
+        instance is applied once, on final premise values, whatever the
+        order of the statements. The rules of a cyclic component fire in
+        file order and chain into one another depth first, as the writers
+        do (see `forward.fire_component`).
+
+        Each sentence the batch changes has a derivation depth: 0 for a
+        fact of the batch, and for a consequence 1 more than its deepest
+        changed premise, plus its stack depth within a cyclic component.
+        A depth that reaches ``max_chain_depth`` raises DepthExceeded; on
+        a chain that is where a write chaining depth first raises.
+
+        A batch is not all-or-nothing. An error while it is read fires
+        the statements read before it, as if the batch ended there; an
+        error while it fires leaves the batch's statements stored and the
+        firings before the error applied.
+        """
+        statements = iter(statements)
+        while (setvar := self._load_batch(statements)) is not None:
+            self.set_variable(setvar.name, setvar.value)
+
+    def _load_batch(self, statements):
+        """Read statements up to the next ``setvar`` (returned; None at
+        the end), then fire the rules on them (see `load`)."""
+        batch = forward.Batch(len(self.rules))
+        try:
+            for stmt in statements:
+                if isinstance(stmt, sexpr.FactStatement):
+                    core = self._store(stmt.sentence, stmt.tv)
+                    if core is not None:
+                        batch.note(core, 0)
+                elif isinstance(stmt, sexpr.RuleStatement):
+                    self._file_rule(stmt.premise, stmt.consequence, stmt.tv)
+                elif isinstance(stmt, sexpr.ClauseStatement):
+                    self.add_clause(stmt.literals, stmt.tv)
+                elif isinstance(stmt, sexpr.ControlStatement):
+                    self.add_control(stmt.pattern, stmt.method)
+                elif isinstance(stmt, sexpr.SetVarStatement):
+                    return stmt
+                else:
+                    raise TypeError(f"not a statement: {stmt!r}")
+            return None
+        finally:
+            if batch.depth or batch.first_rule < len(self.rules):
+                for positions, cyclic in self._rule_components():
+                    forward.fire_component(self, positions, cyclic, batch)
 
     def load_text(self, text: str):
         self.load(sexpr.parse_kb(text))

@@ -255,6 +255,17 @@ def is_ground(t: Term) -> bool:
     return t._ground
 
 
+def index_key(t: Term):
+    """The (functor name, arity) that facts and rules are filed under:
+    (name, 0) for a symbol, None for a term with no symbol head, which
+    may meet any term."""
+    if isinstance(t, Compound) and isinstance(t.elements[0], Symbol):
+        return (t.elements[0].name, len(t.elements))
+    if isinstance(t, Symbol):
+        return (t.name, 0)
+    return None
+
+
 @lru_cache(maxsize=256)
 def _code(source: str):
     return compile(source, "<rule>", "exec")

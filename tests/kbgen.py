@@ -11,7 +11,8 @@ boundary where `uncombine` has no unique residual.
 import random
 
 from pkb.kb import KnowledgeBase
-from pkb.terms import Compound, Symbol, Variable
+from pkb.sexpr import FactStatement, RuleStatement, print_statement
+from pkb.terms import Compound, Symbol, Variable, is_ground, substitute
 from pkb.truth import TRUE, EngineConfig, TruthValue
 
 CONSTANTS = [Symbol("a"), Symbol("b"), Symbol("c")]
@@ -142,6 +143,56 @@ def random_cyclic_kb(rng: random.Random, n_preds: int = 3, n_rules: int = 4):
         consequence = Compound((head, X if use_var else rng.choice(CONSTANTS)))
         rules.append((premise, consequence, random_tv(rng)))
     return facts, rules
+
+
+def layered_dag_kb(width: int, layers: int):
+    """A layered rule DAG full of diamonds: a rule
+    ``(li_j $x) -> (li+1_k $x)`` at (0.3 . 0.1) for every layer i below
+    ``layers`` and every j, k below ``width``, and ``(l0_j k)`` at
+    (0.5 . 0) for every j. Each of the ``width ** 2 * layers`` rules has
+    one instance, yet a layer-i sentence lies on ``width ** i`` paths
+    from the facts.
+
+    Returns (facts, rules) shaped as `random_var_kb`'s, rules layer by
+    layer.
+    """
+    k = Symbol("k")
+    facts = {Compound((Symbol(f"l0_{j}"), k)): TruthValue(0.5, 0.0) for j in range(width)}
+    rules = [
+        (Compound((Symbol(f"l{i}_{j}"), X)), Compound((Symbol(f"l{i + 1}_{m}"), X)), TruthValue(0.3, 0.1))
+        for i in range(layers)
+        for j in range(width)
+        for m in range(width)
+    ]
+    return facts, rules
+
+
+def ground_var_rules(rules, constants=CONSTANTS):
+    """`random_var_kb`-shaped rules, whose one variable is $x, as
+    `oracles.oracle_bottom_up` takes them: one (conjuncts, consequence,
+    (belief, disbelief)) per constant for a rule over $x, conjuncts as
+    (atom, positive)."""
+    out = []
+    for premise, consequence, tv in rules:
+        parts = premise.elements[1:] if premise.elements[0] == Symbol("and") else (premise,)
+        for const in constants if not is_ground(premise) else (None,):
+            bindings = {X: const} if const else {}
+            conjuncts = [
+                (substitute(part.elements[1], bindings), False)
+                if part.elements[0] == Symbol("not")
+                else (substitute(part, bindings), True)
+                for part in parts
+            ]
+            out.append((conjuncts, substitute(consequence, bindings), (tv.belief, tv.disbelief)))
+    return out
+
+
+def statement_lines(facts, rules) -> list:
+    """`random_var_kb`-shaped facts and rules as `.pkb` statements, one
+    per line: the facts, then the rules."""
+    return [print_statement(FactStatement(sentence, tv)) for sentence, tv in facts.items()] + [
+        print_statement(RuleStatement(premise, consequence, tv)) for premise, consequence, tv in rules
+    ]
 
 
 def build_kb(facts, rules, config=None) -> KnowledgeBase:

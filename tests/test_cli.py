@@ -108,9 +108,14 @@ class TestQuery:
         # (pN k) is solved at depth N, and the bound is max-chain-depth alone
         levels = 3 * sys.getrecursionlimit()
         path = tmp_path / "deep.pkb"
-        # the fact comes first and each rule fires one step as it loads
+        # loading derives (p0 k) at depth N, within N + 1; the query runs
+        # under the bound the file sets last
         rules = "".join(f"(rule (p{i + 1} $x) (p{i} $x) (0.9 . 0))\n" for i in range(levels - 1, -1, -1))
-        path.write_text(f"(setvar max-chain-depth {levels + extra})\n(fact (p{levels} k) (0.5 . 0))\n" + rules)
+        path.write_text(
+            f"(setvar max-chain-depth {levels + 1})\n(fact (p{levels} k) (0.5 . 0))\n"
+            + rules
+            + f"(setvar max-chain-depth {levels + extra})\n"
+        )
         code = main(["--kb", str(path), "query", "(p0 k)", "--method", "bc", "--cutoff", "0"])
         captured = capsys.readouterr()
         if extra:
@@ -252,6 +257,25 @@ class TestTraceAndRepl:
         assert code == 0
         assert "{$x=harry} 0.7" in out
         assert "{} 0.9" in out
+
+    def test_load_onto_a_kb_with_rules(self, tmp_path, capsys, monkeypatch):
+        # b.pkb changes a premise of a.pkb's rules and adds a rule between
+        # them; the old rules fire again only on what it changed
+        first = "(rule (bird $x) (flies $x) (0.7 . 0))\n(rule (flies $x) (travels $x) (0.5 . 0.1))\n(fact (bird Tweety) (0.8 . 0))\n"
+        second = "(fact (bird Tweety) (0.5 . 0))\n(fact (bird Robin) (1 . 0))\n(rule (ostrich $x) (flies $x) (0 . 1))\n(fact (ostrich Tweety) (0.5 . 0))\n"
+        (tmp_path / "a.pkb").write_text(first)
+        (tmp_path / "b.pkb").write_text(second)
+        (tmp_path / "ab.pkb").write_text(first + second)
+        query = ["query", "(travels $x)", "--cutoff", "0"]
+        assert main(["--kb", str(tmp_path / "ab.pkb"), *query]) == 0
+        expected = capsys.readouterr().out
+        assert main(["--kb", str(tmp_path / "a.pkb"), "load", str(tmp_path / "b.pkb")]) == 0
+        lines = iter([f"load {tmp_path / 'b.pkb'}", 'query "(travels $x)" --cutoff 0', "quit"])
+        monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+        assert main(["--trace", "--kb", str(tmp_path / "a.pkb")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith(expected) and expected.count("\n") == 2
+        assert "SKIP" not in captured.err and captured.err.count("RETRACT") == 2
 
     def test_repl_recovers_from_errors(self, capsys, monkeypatch):
         lines = iter(["query (((", "nonsense walrus", "exit"])

@@ -10,7 +10,15 @@ from pkb.kb import KnowledgeBase
 from pkb.sexpr import parse_sentence as S
 from pkb.truth import TRUE, VACUOUS, EngineConfig, TruthValue, combine
 
-from kbgen import build_kb, ground_rules_to_terms, random_ground_kb, random_var_kb
+from kbgen import (
+    build_kb,
+    ground_rules_to_terms,
+    ground_var_rules,
+    layered_dag_kb,
+    random_ground_kb,
+    random_var_kb,
+    statement_lines,
+)
 from oracles import oracle_bottom_up
 
 TOL = 1e-9
@@ -370,6 +378,61 @@ class TestCyclesAndDepth:
         kb.add_rule(S("(q $x)"), S("(p $x)"), TruthValue(0.7, 0.0))
         kb.stash(S("(p a)"), TruthValue(0.9, 0.0))
         assert kb.retrieve(S("(q a)")).belief > 0.5
+
+
+class TestBatchLoad:
+    @pytest.mark.parametrize("facts_first", [False, True], ids=["rules_first", "facts_first_rules_reversed"])
+    def test_dag_load_fires_each_instance_once(self, facts_first):
+        facts, rules = layered_dag_kb(2, 12)
+        lines = statement_lines(facts, rules)
+        if facts_first:
+            lines = lines[: len(facts)] + lines[len(facts) :][::-1]
+        else:
+            lines = lines[len(facts) :] + lines[: len(facts)]
+        events = []
+        kb = KnowledgeBase(trace=events.append)
+        kb.load_text("\n".join(lines))
+        assert [line.split()[0] for line in events] == ["FIRE"] * 48
+        assert len({line.split(" contrib=")[0] for line in events}) == 48
+        base = {sentence: (tv.belief, tv.disbelief) for sentence, tv in facts.items()}
+        expected = oracle_bottom_up(base, ground_var_rules(rules, [S("k")]))
+        got = final_values(kb)
+        assert set(got) == set(expected)
+        for sentence, (belief, disbelief) in expected.items():
+            assert tv_close(got[sentence], TruthValue(belief, disbelief), tol=1e-12)
+
+    def test_rule_components_come_in_topological_order(self):
+        kb = KnowledgeBase()
+        kb.load_text(
+            "(rule (b $x) (c $x) (0.5 . 0)) (rule (a $x) (b $x) (0.5 . 0))"  # r2 feeds r1
+            " (rule (c $x) (d $x) (0.5 . 0)) (rule (d $x) (c $x) (0.5 . 0))"  # a 2-cycle fed by r1
+            " (rule (p a) (p b) (0.5 . 0))"  # feeds itself
+        )
+        assert kb._rule_components() == [([1], False), ([0], False), ([2, 3], True), ([4], True)]
+
+    def test_second_load_equals_one_load(self):
+        # the rules of the first load fire again only on what the second
+        # changed, so no instance is applied twice and nothing is skipped
+        rng = random.Random(52010)
+        for _ in range(40):
+            facts, rules = random_var_kb(rng, levels=4)
+            lines = rng.sample(statement_lines(facts, rules), len(facts) + len(rules))
+            split = rng.randrange(len(lines) + 1)
+            whole = KnowledgeBase()
+            whole.load_text("\n".join(lines))
+            events = []
+            kb = KnowledgeBase(trace=events.append)
+            kb.load_text("\n".join(lines[:split]))
+            kb.load_text("\n".join(lines[split:]))
+            assert_kb_equal(kb, whole, tol=1e-12)
+            assert not [line for line in events if line.startswith("SKIP")]
+
+    def test_error_while_reading_fires_what_was_read(self):
+        kb = KnowledgeBase()
+        with pytest.raises(ValueError, match="not bound by the premise"):
+            kb.load_text("(rule (p $x) (q $x) (0.5 . 0)) (fact (p a) (1 . 0)) (rule (p $x) (r $y) (1 . 0))")
+        assert [rule.id for rule in kb.rules] == ["r1"]
+        assert kb.retrieve(S("(q a)")) == TruthValue(0.5, 0.0)
 
 
 class TestTrace:
