@@ -53,7 +53,7 @@ whose consequence has a variable the premise does not bind; so a
 complete premise binding grounds the premise, the consequence and the
 justification's premise atoms, and no instance needs a groundness check.
 
-Rules are compiled when they are made (see `kb.Rule`). An instance is
+Rules are compiled on first use (see `kb.Rule`). An instance is
 the tuple of its premise variables' values, in name order, and that is
 also its ledger key. The changed fact is matched against each conjunct
 by a compiled matcher, and one compiled builder gives the instance's
@@ -241,9 +241,17 @@ def propagate_change(kb: "KnowledgeBase", sentence):
     _chain(kb, _affected_instances(kb, sentence))
 
 
+def _stored_instances(kb: "KnowledgeBase", rule: "Rule") -> list:
+    """Every complete instance of ``rule`` on stored facts; none, with
+    the rule left uncompiled, when a conjunct has no stored fact to match."""
+    if not all(kb._bucket(core) for core, _positive in rule.conjuncts):
+        return []
+    return _instances(kb, rule, (None,) * len(rule.variables))
+
+
 def fire_rule(kb: "KnowledgeBase", rule: "Rule"):
     """Fire a newly added rule on every premise instance already stored."""
-    _chain(kb, ((rule, values) for values in _instances(kb, rule, (None,) * len(rule.variables))))
+    _chain(kb, ((rule, values) for values in _stored_instances(kb, rule)))
 
 
 class Batch:
@@ -292,7 +300,7 @@ def fire_component(kb: "KnowledgeBase", positions: list, cyclic: bool, batch: Ba
     for position in positions:
         rule = kb.rules[position]
         if position >= batch.first_rule:
-            instances = _instances(kb, rule, (None,) * len(rule.variables))
+            instances = _stored_instances(kb, rule)
         else:
             instances = _seeded(kb, rule, batch.seeds(rule))
         for values in instances:

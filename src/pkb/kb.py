@@ -24,7 +24,7 @@ None); no engine takes either as an argument.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count
 from operator import attrgetter
 
@@ -72,21 +72,58 @@ FactRecord.__doc__ = "One stored sentence: direct evidence and the pooled value.
 _pooled_tv = attrgetter("tv")
 
 
-Rule = namedtuple(
-    "Rule", "id premise consequence rule_tv conjuncts variables matchers patterns instantiate head"
-)
-Rule.__doc__ = """A conditional ``premise -> consequence`` carrying its own truth pair.
+class Rule:
+    """A conditional ``premise -> consequence`` carrying its own truth pair.
 
-The pair is the value the consequence earns when the premise holds
-outright; partial premises scale it down. A consequence written as
-``(not c)`` is stored as ``c`` with the pair swapped.
+    The pair is the value the consequence earns when the premise holds
+    outright; partial premises scale it down. A consequence written as
+    ``(not c)`` is stored as ``c`` with the pair swapped.
 
-`make_rule` compiles the rule. An instance is the tuple of the values
-of ``variables``, the premise variables in name order. For conjunct i,
-``matchers[i]`` gives the instance values a ground atom fixes (None for
-the rest) and ``patterns[i]`` the conjunct under a partial instance;
-``instantiate`` gives an instance's ground premise atoms and consequence,
-and ``head`` the values a ground goal fixes of the consequence."""
+    The rule is compiled on first use. An instance is the tuple of the
+    values of ``variables``, the premise variables in name order. For
+    conjunct i, ``matchers[i]`` gives the instance values a ground atom
+    fixes (None for the rest) and ``patterns[i]`` the conjunct under a
+    partial instance; ``instantiate`` gives an instance's ground premise
+    atoms and consequence, and ``head`` the values a ground goal fixes of
+    the consequence. Until the rule is compiled, each of these functions
+    is a stand-in whose first call compiles the rule, replacing all of
+    them, and then answers; so the engines read plain slots, and a rule
+    that never fires is never compiled.
+    """
+
+    __slots__ = (
+        "id", "premise", "consequence", "rule_tv", "conjuncts", "variables",
+        "matchers", "patterns", "instantiate", "head",
+    )
+
+    def __init__(self, rule_id, premise, consequence, rule_tv, conjuncts, variables):
+        self.id, self.premise, self.consequence, self.rule_tv = rule_id, premise, consequence, rule_tv
+        self.conjuncts, self.variables = conjuncts, variables
+        first_call, positions = self._first_call, range(len(conjuncts))
+        self.matchers = tuple(partial(first_call, "matchers", i) for i in positions)
+        self.patterns = tuple(partial(first_call, "patterns", i) for i in positions)
+        self.instantiate = partial(first_call, "instantiate", None)
+        self.head = partial(first_call, "head", None)
+
+    def compile(self):
+        """Replace the stand-ins with the compiled functions; a compiled
+        rule is left as it is."""
+        if type(self.head) is not partial:  # stand-ins are partials, compiled functions plain
+            return
+        cores = tuple(core for core, _positive in self.conjuncts)
+        variables = self.variables
+        self.matchers = tuple(compile_matcher(core, variables) for core in cores)
+        self.patterns = tuple(compile_builder(core, variables, partial=True) for core in cores)
+        self.instantiate = compile_builder((cores, self.consequence), variables)
+        self.head = compile_matcher(self.consequence, variables)
+
+    def _first_call(self, field: str, i, arg):
+        # a stand-in may be called after the rule is compiled, by a caller
+        # that read it before
+        self.compile()
+        function = getattr(self, field)
+        return (function if i is None else function[i])(arg)
+
 
 ControlEntry = namedtuple("ControlEntry", "pattern method")
 ControlEntry.__doc__ = """Meta-level directive: goals matching ``pattern`` use ``method``.
@@ -95,7 +132,8 @@ Entries are tried in the order they were added."""
 
 
 def make_rule(rule_id: str, premise: Term, consequence: Term, rule_tv: TruthValue) -> Rule:
-    """Normalize, validate and compile a rule.
+    """Normalize and validate a rule; it is compiled on first use (see
+    `Rule`).
 
     Splits an ``(and ...)`` premise into conjuncts, rewrites a negated
     consequence into core + swapped pair, and checks that firing the
@@ -118,13 +156,7 @@ def make_rule(rule_id: str, premise: Term, consequence: Term, rule_tv: TruthValu
         names = ", ".join(sorted("$" + v.name for v in missing))
         raise ValueError(f"rule {rule_id}: consequence variables {names} not bound by the premise")
     variables = tuple(sorted(premise_vars, key=attrgetter("name")))
-    return Rule(
-        rule_id, premise, cons_core, rule_tv, conjuncts, variables,
-        tuple(compile_matcher(core, variables) for core in cores),
-        tuple(compile_builder(core, variables, partial=True) for core in cores),
-        compile_builder((cores, cons_core), variables),
-        compile_matcher(cons_core, variables),
-    )
+    return Rule(rule_id, premise, cons_core, rule_tv, conjuncts, variables)
 
 
 def unwrap_query(pattern: Term, tag: str = "t") -> tuple[Term, str]:
@@ -180,6 +212,8 @@ class KnowledgeBase:
         # consequence; None holds rules whose indexed term has a variable head
         self._rules_by_key: dict = {}
         self._rules_by_consequence: dict = {}
+        # (rule count, _rule_components() of that many rules)
+        self._components: tuple = (0, [])
         self.clauses: list = []
         self._drop_partition()
         # (priority function, {goal key: answers}, a read of the store (a
@@ -253,7 +287,8 @@ class KnowledgeBase:
 
     def _store(self, sentence: Term, tv: TruthValue):
         """Combine evidence into the sentence's entry without chaining;
-        the stored core, or None for vacuous evidence, which is ignored."""
+        the stored core if its pooled value moved, else None. Vacuous
+        evidence is ignored."""
         core, tv = self._normalize(sentence, tv)
         if tv.is_vacuous():
             return None
@@ -261,8 +296,9 @@ class KnowledgeBase:
         record = self._facts.get(core)
         if record is None:
             record = FactRecord(VACUOUS, VACUOUS)
-        self._write(core, FactRecord(combine(record.base, tv), combine(record.tv, tv)))
-        return core
+        new = combine(record.tv, tv)
+        self._write(core, FactRecord(combine(record.base, tv), new))
+        return core if delta_mass(record.tv, new) > 0.0 else None
 
     def set_truth(self, sentence: Term, tv: TruthValue):
         """Replace the directly asserted evidence for the sentence.
@@ -540,9 +576,12 @@ class KnowledgeBase:
         either has none. A component is cyclic when it holds more than one
         rule or its rule feeds itself. Tarjan's algorithm (1972) runs over
         each rule's feeders, on an explicit stack, from the first rule on
-        and in rule order, so ties go by rule position.
+        and in rule order, so ties go by rule position. The result is
+        kept until a rule is added.
         """
         n = len(self.rules)
+        if self._components[0] == n:  # rules are only ever appended
+            return self._components[1]
         feeders = [
             [i for key in dict.fromkeys(index_key(core) for core, _ in rule.conjuncts)
              for i in _filed(self._rules_by_consequence, key, n)]
@@ -578,6 +617,7 @@ class KnowledgeBase:
                         for w in component:
                             number[w] = n
                         components.append((sorted(component), len(component) > 1 or v in feeders[v]))
+        self._components = (n, components)
         return components
 
     # -- justification ledger -------------------------------------------------
@@ -660,7 +700,8 @@ class KnowledgeBase:
         instances, a rule stored before it only on the instances that
         sentences the batch changed seed. So on an acyclic rule set every
         instance is applied once, on final premise values, whatever the
-        order of the statements. The rules of a cyclic component fire in
+        order of the statements. A new rule with no stored instance is
+        not compiled (see `Rule`). The rules of a cyclic component fire in
         file order and chain into one another depth first, as the writers
         do (see `forward.fire_component`).
 

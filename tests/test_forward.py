@@ -5,17 +5,22 @@ import sys
 
 import pytest
 
+import pkb.kb
+from pkb.backward import prove
 from pkb.errors import DepthExceeded
-from pkb.kb import KnowledgeBase
+from pkb.kb import KnowledgeBase, Rule, make_rule
 from pkb.sexpr import parse_sentence as S
+from pkb.terms import Compound
 from pkb.truth import TRUE, VACUOUS, EngineConfig, TruthValue, combine
 
 from kbgen import (
+    CONSTANTS,
     build_kb,
     ground_rules_to_terms,
     ground_var_rules,
     layered_dag_kb,
     random_ground_kb,
+    random_tv,
     random_var_kb,
     statement_lines,
 )
@@ -435,6 +440,120 @@ class TestBatchLoad:
         assert kb.retrieve(S("(q a)")) == TruthValue(0.5, 0.0)
 
 
+class TestFirstUseCompilation:
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The ids of the rules compiled, in the order first compiled."""
+        ids = {}
+        compile_rule = Rule.compile
+
+        def recording(rule):
+            ids.setdefault(rule.id)
+            compile_rule(rule)
+
+        monkeypatch.setattr(Rule, "compile", recording)
+        return ids
+
+    RULES = "(rule (p $x) (q $x) (0.5 . 0)) (rule (s $x) (t $x) (0.5 . 0))"
+
+    def test_loading_compiles_no_rule_without_a_stored_instance(self, compiled):
+        kb = KnowledgeBase()
+        kb.load_text(self.RULES + " (fact (p a) (1 . 0))")
+        assert list(compiled) == ["r1"]
+        assert kb.retrieve(S("(q a)")) == TruthValue(0.5, 0.0)
+
+    def test_a_write_compiles_the_rules_it_touches(self, compiled):
+        kb = KnowledgeBase()
+        kb.load_text(self.RULES)
+        assert not compiled
+        kb.stash(S("(p a)"), TRUE)
+        assert list(compiled) == ["r1"]
+        assert kb.retrieve(S("(q a)")) == TruthValue(0.5, 0.0)
+
+    def test_a_later_load_compiles_the_older_rules_it_seeds(self, compiled):
+        kb = KnowledgeBase()
+        kb.load_text(self.RULES)
+        kb.load_text("(fact (s a) (1 . 0)) (rule (q $x) (v $x) (0.5 . 0))")
+        assert list(compiled) == ["r2"]
+        assert kb.retrieve(S("(t a)")) == TruthValue(0.5, 0.0)
+
+    @pytest.mark.parametrize("goal", ["(q a)", "(q $y)"])
+    def test_prove_compiles_the_rules_concluding_its_goal(self, compiled, goal):
+        kb = KnowledgeBase()
+        kb.load_text(self.RULES)
+        assert prove(kb, S(goal)) == []
+        assert list(compiled) == ["r1"]
+
+    def test_add_rule_compiles_a_rule_with_stored_instances(self, compiled):
+        kb = KnowledgeBase()
+        kb.stash(S("(p a)"), TRUE)
+        kb.add_rule(S("(s $x)"), S("(t $x)"), TRUE)
+        kb.add_rule(S("(and (p $x) (s $x))"), S("(t $x)"), TRUE)
+        assert not compiled
+        kb.add_rule(S("(p $x)"), S("(q $x)"), TRUE)
+        assert list(compiled) == ["r3"]
+        assert kb.retrieve(S("(q a)")) == TRUE
+
+    def test_a_rule_below_the_cutoff_stays_uncompiled(self, compiled):
+        kb = KnowledgeBase()
+        kb.load_text("(setvar inference-cutoff 0.3) (rule (p $x) (q $x) (0.2 . 0)) (rule (r $x) (q $x) (0.9 . 0))")
+        prove(kb, S("(q a)"))
+        assert list(compiled) == ["r2"]
+
+    def test_load_compiles_only_the_rules_that_fire(self, monkeypatch):
+        # a backward-join-shaped text: 200 rules that nothing seeds, a
+        # join and two rules over it
+        calls = []
+        for name in ("compile_matcher", "compile_builder"):
+            original = getattr(pkb.kb, name)
+            monkeypatch.setattr(pkb.kb, name, lambda *args, f=original, **kw: calls.append(args[0]) or f(*args, **kw))
+        lines = [f"(rule (u{i} $x) (t{i} $x) (0.9 . 0))" for i in range(200)]
+        lines += [
+            "(rule (and (p $x) (q $x)) (r $x) (0.9 . 0))",
+            "(rule (r $x) (s $x) (0.8 . 0))",
+            "(rule (and (w $x) (p $x)) (v $x) (0.7 . 0))",
+        ]
+        lines += [f"(fact ({p} k{i}) (0.6 . 0.1))" for i in range(20) for p in "pq"]
+        lines += [f"(fact (w k{i}) (0.5 . 0))" for i in range(0, 20, 10)]
+        events = []
+        kb = KnowledgeBase(trace=events.append)
+        kb.load_text("\n".join(lines))
+        fired = {line.split()[1] for line in events if line.startswith("FIRE")}
+        assert fired == {"rule=r201", "rule=r202", "rule=r203"}
+        # a matcher and a builder for each conjunct and for the consequence
+        assert len(calls) == 2 * (3 + 2 + 3)
+
+    def test_equals_compiling_every_rule_when_made(self, monkeypatch):
+        def eager(*args):
+            rule = make_rule(*args)
+            rule.compile()
+            return rule
+
+        def run(lines, writes, goals):
+            events = []
+            kb = KnowledgeBase(trace=events.append)
+            kb.load_text("\n".join(lines))
+            for method, sentence, tv in writes:
+                getattr(kb, method)(sentence, tv)
+            answers = [prove(kb, goal) for goal in goals]
+            store = [(s, r.base.belief.hex(), r.base.disbelief.hex(), r.tv.belief.hex(), r.tv.disbelief.hex())
+                     for s, r in kb.facts()]
+            return events, answers, store
+
+        rng = random.Random(28028)
+        for _ in range(40):
+            facts, rules = random_var_kb(rng, levels=4)
+            lines = rng.sample(statement_lines(facts, rules), len(facts) + len(rules))
+            atoms = [*facts, *(Compound((s.elements[0], c)) for s in facts for c in CONSTANTS)]
+            writes = [(rng.choice(["stash", "set_truth"]), rng.choice(atoms), random_tv(rng)) for _ in range(8)]
+            goals = [consequence for _premise, consequence, _tv in rules]
+            goals += [Compound((goal.elements[0], rng.choice(CONSTANTS))) for goal in goals]
+            lazy = run(lines, writes, goals)
+            with monkeypatch.context() as patch:
+                patch.setattr(pkb.kb, "make_rule", eager)
+                assert run(lines, writes, goals) == lazy
+
+
 class TestTrace:
     def test_fire_line_format(self):
         events = []
@@ -442,6 +561,19 @@ class TestTrace:
         kb.add_rule(S("(foo $x)"), S("(goo $x)"), TruthValue(0.7, 0.0))
         kb.stash(S("(foo fred)"), TRUE)
         assert "FIRE rule=r1 bind={$x=fred} contrib=(0.7 . 0)" in events
+
+    @pytest.mark.parametrize("write", ["load", "stash"])
+    def test_evidence_that_moves_no_value_fires_nothing(self, write):
+        events = []
+        kb = KnowledgeBase(trace=events.append)
+        kb.load_text("(rule (p $x) (q $x) (0.5 . 0)) (fact (p a) (1 . 0))")
+        events.clear()
+        if write == "load":
+            kb.load_text("(fact (p a) (0.5 . 0))")
+        else:
+            kb.stash(S("(p a)"), TruthValue(0.5, 0.0))
+        assert events == []
+        assert kb.retrieve(S("(p a)")) == TRUE
 
     def test_retract_then_fire_on_update(self):
         events = []
