@@ -273,9 +273,9 @@ class Batch:
         elif known < depth:
             self.depth[sentence] = depth
 
-    def seeds(self, rule: "Rule"):
-        """The changed sentences that may match a premise conjunct of ``rule``."""
-        keys = dict.fromkeys(index_key(core) for core, _positive in rule.conjuncts)
+    def seeds(self, keys: tuple):
+        """The changed sentences that may match a conjunct filed under one
+        of the index ``keys``."""
         if None in keys:
             return self.depth
         return [sentence for key in keys for sentence in self.by_key.get(key, ())]
@@ -302,7 +302,7 @@ def fire_component(kb: "KnowledgeBase", positions: list, cyclic: bool, batch: Ba
         if position >= batch.first_rule:
             instances = _stored_instances(kb, rule)
         else:
-            instances = _seeded(kb, rule, batch.seeds(rule))
+            instances = _seeded(kb, rule, batch.seeds(kb._rule_keys[position]))
         for values in instances:
             premises, consequence = rule.instantiate(values)
             if _apply_instance(kb, rule, values, premises, consequence):

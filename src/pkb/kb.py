@@ -212,6 +212,8 @@ class KnowledgeBase:
         # consequence; None holds rules whose indexed term has a variable head
         self._rules_by_key: dict = {}
         self._rules_by_consequence: dict = {}
+        # per rule, the distinct index keys of its premise conjuncts
+        self._rule_keys: list[tuple] = []
         # (rule count, _rule_components() of that many rules)
         self._components: tuple = (0, [])
         self.clauses: list = []
@@ -402,8 +404,10 @@ class KnowledgeBase:
         without firing it."""
         rule = make_rule(f"r{len(self.rules) + 1}", premise, consequence, rule_tv)
         position = len(self.rules)
-        for key in {index_key(core) for core, _ in rule.conjuncts}:
+        keys = tuple(dict.fromkeys(index_key(core) for core, _ in rule.conjuncts))
+        for key in keys:
             self._rules_by_key.setdefault(key, []).append(position)
+        self._rule_keys.append(keys)
         self._rules_by_consequence.setdefault(index_key(rule.consequence), []).append(position)
         self.rules.append(rule)
         self._goals = None
@@ -583,9 +587,7 @@ class KnowledgeBase:
         if self._components[0] == n:  # rules are only ever appended
             return self._components[1]
         feeders = [
-            [i for key in dict.fromkeys(index_key(core) for core, _ in rule.conjuncts)
-             for i in _filed(self._rules_by_consequence, key, n)]
-            for rule in self.rules
+            [i for key in keys for i in _filed(self._rules_by_consequence, key, n)] for keys in self._rule_keys
         ]
         # DFS number (n once the rule's component is out) and low-link
         number, low = [-1] * n, [0] * n

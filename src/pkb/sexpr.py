@@ -17,16 +17,16 @@ wrapper is stripped and the truth value swapped, so printing always
 emits the normalized form. Printing and parsing round-trip:
 parse(print(s)) == s for every valid statement.
 
-One regular expression splits the text into tokens, which are plain
-strings. Tokens carry no position: a `ParseError`'s line and column are
-worked out from the text only when a parse fails.
+The text is split into tokens, which are plain strings, by ``str.split``
+once comments are cut out and parentheses spaced. Tokens carry no
+position: a `ParseError`'s line and column are worked out from the text,
+with one regular expression, only when a parse fails.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from math import isfinite
 
 from .errors import ParseError
 from .terms import (
@@ -75,24 +75,25 @@ Statement = FactStatement | RuleStatement | ClauseStatement | ControlStatement |
 
 # A token is "(", ")" or a word: a run of characters that are neither
 # whitespace nor one of "();". A comment matches with an empty group.
+# Only `_Parser.fail` scans with it: the parser splits the same tokens
+# out with str.split, which splits where the pattern's \s matches.
 _TOKEN = re.compile(r";[^\n]*|([()]|[^\s();]+)")
+_COMMENT = re.compile(r";[^\n]*")
 
 _NOT_ATOMS = ("(", ")", ".", "")
 
 
 class _Parser:
-    """Recursive descent over the token strings; ``""`` ends the input."""
+    """Reads the token strings forward from index ``pos``; ``""`` ends
+    the input. A term is read on an explicit stack, not by recursion."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = [*filter(None, _TOKEN.findall(text)), ""]
+        if ";" in text:
+            text = _COMMENT.sub("", text)
+        self.tokens = [*text.replace("(", " ( ").replace(")", " ) ").split(), ""]
         self.pos = 0
-
-    def next(self) -> str:
-        # A caller that gets the end marker fails at once, so nothing
-        # reads past it.
-        self.pos += 1
-        return self.tokens[self.pos - 1]
+        self.words = {}  # word token -> the term it reads as, in this parse
 
     def fail(self, message: str, index: int):
         """Raise a ParseError at token ``index``, the only place a
@@ -102,109 +103,135 @@ class _Parser:
         line = self.text.count("\n", 0, offset) + 1
         raise ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
 
-    def expect(self, kind: str) -> str:
-        """The next token, which must be ``kind``, or any atom for kind "atom"."""
-        tok = self.next()
+    def expect(self, kind: str, index: int) -> str:
+        """The token at ``index``, which must be ``kind``, or any word for kind "atom"."""
+        tok = self.tokens[index]
         if tok != kind and (kind != "atom" or tok in _NOT_ATOMS):
-            self.fail(f"expected {kind!r}, got {tok or 'end of input'!r}", self.pos - 1)
+            self.fail(f"expected {kind!r}, got {tok or 'end of input'!r}", index)
         return tok
 
-    # -- terms --------------------------------------------------------------
-
-    def term(self, depth: int = 0) -> Term:
-        if depth > _MAX_DEPTH:
-            self.fail("expression nested too deeply", self.pos)
-        tok = self.next()
-        if tok == "(":
-            start = self.pos - 1
-            elements = []
-            while self.tokens[self.pos] != ")":
-                if not self.tokens[self.pos]:
-                    self.fail("unclosed '('", self.pos)
-                if self.tokens[self.pos] == ".":
-                    self.fail("'.' is only valid inside a truth pair", self.pos)
-                elements.append(self.term(depth + 1))
-            self.pos += 1
-            if not elements:
-                self.fail("empty '()' is not a term", start)
-            return Compound(tuple(elements))
-        if tok in _NOT_ATOMS:
-            self.fail(f"unexpected {tok!r}", self.pos - 1)
-        if tok.startswith("$"):
-            if tok == "$":
-                self.fail("variable name missing after '$'", self.pos - 1)
-            return Variable(tok[1:])
-        if tok[0].isalpha():  # of float spellings, only inf and nan start with a letter
-            return Symbol(tok)
-        try:
-            value = float(tok)
-        except ValueError:
-            return Symbol(tok)
-        return Number(value) if isfinite(value) else Symbol(tok)
-
-    def real(self) -> float:
-        tok = self.expect("atom")
+    def real(self, index: int) -> float:
+        tok = self.expect("atom", index)
         try:
             return float(tok)
         except ValueError:
-            self.fail(f"expected a number, got {tok!r}", self.pos - 1)
+            self.fail(f"expected a number, got {tok!r}", index)
+
+    # -- terms --------------------------------------------------------------
+
+    def word(self, index: int) -> Term:
+        """The Symbol, Variable or Number that the token at ``index`` reads as."""
+        tok = self.tokens[index]
+        if tok in _NOT_ATOMS:
+            self.fail(f"unexpected {tok!r}", index)
+        if tok.startswith("$"):
+            if tok == "$":
+                self.fail("variable name missing after '$'", index)
+            term = Variable(tok[1:])
+        elif tok[0].isalpha():  # of float spellings, only inf and nan start with a letter
+            term = Symbol(tok)
+        else:
+            try:
+                term = Number(tok)
+            except ValueError:  # not a finite real (see `Number`)
+                term = Symbol(tok)
+        self.words[tok] = term
+        return term
+
+    def term(self) -> Term:
+        tokens, words, pos = self.tokens, self.words, self.pos
+        self.pos = pos + 1
+        if tokens[pos] != "(":
+            return words.get(tokens[pos]) or self.word(pos)
+        open_compounds = []  # (start, elements) of each enclosing compound
+        start, elements = pos, []
+        while True:
+            pos += 1
+            tok = tokens[pos]
+            if tok == ")":
+                if not elements:
+                    self.fail("empty '()' is not a term", start)
+                term = Compound(tuple(elements))
+                if not open_compounds:
+                    self.pos = pos + 1
+                    return term
+                start, elements = open_compounds.pop()
+                elements.append(term)
+            elif not tok:
+                self.fail("unclosed '('", pos)
+            elif tok == ".":
+                self.fail("'.' is only valid inside a truth pair", pos)
+            elif len(open_compounds) >= _MAX_DEPTH:
+                self.fail("expression nested too deeply", pos)
+            elif tok == "(":
+                open_compounds.append((start, elements))
+                start, elements = pos, []
+            else:
+                elements.append(words.get(tok) or self.word(pos))
 
     def truth_pair(self) -> TruthValue:
-        self.expect("(")
-        a = self.real()
-        self.expect(".")
-        b = self.real()
-        self.expect(")")
-        return TruthValue(a, b)
+        """``( a . b )``, read as one window of five tokens. Only a window
+        that is no pair is gone through token by token, for the error."""
+        pos = self.pos
+        try:
+            left, a, dot, b, right = self.tokens[pos : pos + 5]
+            pair = left == "(" and dot == "." and right == ")" and (float(a), float(b))
+        except ValueError:
+            pair = None
+        if not pair:
+            self.expect("(", pos)
+            self.real(pos + 1)
+            self.expect(".", pos + 2)
+            self.real(pos + 3)
+            self.expect(")", pos + 4)  # not ")", or the window were a pair
+        self.pos = pos + 5
+        return TruthValue(*pair)
 
     # -- statements ----------------------------------------------------------
 
-    def literal(self) -> tuple:
-        atom = self.term()
-        core, flipped = normalize_negation(atom)
-        return core, not flipped
-
     def statement(self) -> Statement:
-        self.expect("(")
-        kind = self.expect("atom")
+        tokens, pos = self.tokens, self.pos
+        self.expect("(", pos)
+        kind = self.expect("atom", pos + 1)
+        self.pos = pos + 2
         if kind == "fact":
-            sentence = self.term()
+            core, flipped = normalize_negation(self.term())
             tv = self.truth_pair()
-            core, flipped = normalize_negation(sentence)
             stmt = FactStatement(core, negate(tv) if flipped else tv)
         elif kind == "rule":
             premise = self.term()
-            consequence = self.term()
+            core, flipped = normalize_negation(self.term())
             tv = self.truth_pair()
-            core, flipped = normalize_negation(consequence)
             stmt = RuleStatement(premise, core, negate(tv) if flipped else tv)
         elif kind == "clause":
-            self.expect("(")
-            or_at = self.pos
-            word = self.expect("atom")
-            if word != "or":
-                self.fail(f"expected 'or', got {word!r}", or_at)
+            pos += 2
+            self.expect("(", pos)
+            if self.expect("atom", pos + 1) != "or":
+                self.fail(f"expected 'or', got {tokens[pos + 1]!r}", pos + 1)
+            self.pos = pos + 2
             literals = []
-            while self.tokens[self.pos] not in (")", ""):
-                literals.append(self.literal())
-            self.expect(")")
+            while tokens[self.pos] not in (")", ""):
+                core, flipped = normalize_negation(self.term())
+                literals.append((core, not flipped))
+            self.expect(")", self.pos)
+            self.pos += 1
             if not literals:
-                self.fail("clause needs at least one literal", or_at)
-            tv = self.truth_pair()
-            stmt = ClauseStatement(tuple(literals), tv)
+                self.fail("clause needs at least one literal", pos + 1)
+            stmt = ClauseStatement(tuple(literals), self.truth_pair())
         elif kind == "control":
             pattern = self.term()
-            method = self.expect("atom")
+            method = self.expect("atom", self.pos)
             if method not in CONTROL_METHODS:
-                self.fail(_unknown_method(method), self.pos - 1)
+                self.fail(_unknown_method(method), self.pos)
+            self.pos += 1
             stmt = ControlStatement(pattern, method)
         elif kind == "setvar":
-            name = self.expect("atom")
-            value = self.real()
-            stmt = SetVarStatement(name, value)
+            stmt = SetVarStatement(self.expect("atom", pos + 2), self.real(pos + 3))
+            self.pos = pos + 4
         else:
-            self.fail(f"unknown statement kind {kind!r}", self.pos - 1)
-        self.expect(")")
+            self.fail(f"unknown statement kind {kind!r}", pos + 1)
+        self.expect(")", self.pos)
+        self.pos += 1
         return stmt
 
 

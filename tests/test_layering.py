@@ -8,7 +8,9 @@ nor `inspect`, which cost most of its import time when it used them.
 
 The chaining engines run on explicit stacks, so that ``max_chain_depth``
 is their one depth bound, not the interpreter's recursion limit: no
-function of `forward` or `backward` reaches itself through calls.
+function of `forward` or `backward` reaches itself through calls. Nor
+does any function or `_Parser` method of `sexpr`, whose one nesting
+bound is its ``_MAX_DEPTH``.
 """
 
 import ast
@@ -86,17 +88,32 @@ def _find_cycle(graph) -> list | None:
     return None
 
 
+def _functions(body) -> dict:
+    return {node.name: node for node in body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
 def call_graph(tree) -> dict:
-    """module-level function -> the module-level functions of the same
-    module that it calls by name, nested function bodies included."""
-    functions = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    """function -> the functions of the same module that it calls, nested
+    function bodies included: a module-level function called by name, and
+    in a method of class C another method m of C called as ``self.m``,
+    named ``C.m``."""
+    functions = {name: (node, {}) for name, node in _functions(tree.body).items()}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            defs = _functions(cls.body)
+            methods = {name: f"{cls.name}.{name}" for name in defs}
+            functions.update({methods[name]: (node, methods) for name, node in defs.items()})
+
+    def callee(func, methods):
+        if isinstance(func, ast.Name):
+            return func.id if func.id in functions else None
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "self":
+            return methods.get(func.attr)
+        return None
+
     return {
-        name: {
-            call.func.id
-            for call in ast.walk(node)
-            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id in functions
-        }
-        for name, node in functions.items()
+        name: {found for call in ast.walk(node) if isinstance(call, ast.Call) and (found := callee(call.func, methods))}
+        for name, (node, methods) in functions.items()
     }
 
 
@@ -129,7 +146,7 @@ def test_cycle_finder_sees_a_cycle():
     assert _find_cycle({"kb": {"forward"}, "forward": {"truth"}, "truth": set()}) is None
 
 
-@pytest.mark.parametrize("module", ["forward", "backward"])
+@pytest.mark.parametrize("module", ["forward", "backward", "sexpr"])
 def test_engine_call_graph_is_acyclic(module):
     assert _find_cycle(call_graph(MODULES[module])) is None
 
@@ -139,6 +156,16 @@ def test_call_graph_sees_recursion_through_a_nested_function():
     graph = call_graph(tree)
     assert graph == {"f": {"g"}, "g": {"f"}, "k": {"k"}}
     assert _find_cycle(graph) == ["f", "g", "f"]
+
+
+def test_call_graph_sees_recursion_through_self():
+    tree = ast.parse(
+        "class P:\n    def term(self):\n        return self.word() or self.term()\n"
+        "    def word(self):\n        return other.term()\n\ndef term():\n    return P().term()\n"
+    )
+    graph = call_graph(tree)
+    assert graph == {"term": set(), "P.term": {"P.word", "P.term"}, "P.word": set()}
+    assert _find_cycle(graph) == ["P.term", "P.term"]
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

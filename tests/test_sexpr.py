@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from pkb.errors import ParseError, RangeError
 from pkb.sexpr import (
+    _TOKEN,
     ClauseStatement,
     ControlStatement,
     FactStatement,
     RuleStatement,
     SetVarStatement,
+    _Parser,
     parse_kb,
     parse_sentence,
     parse_truth,
@@ -145,11 +147,24 @@ ERROR_POSITIONS = [
     # End of input after a trailing comment is the end of the text.
     (parse_kb, "(fact p ; c", "expected '(', got 'end of input'", 1, 12),
     (parse_kb, "(fact p (1 . 0)\n; tail", "expected ')', got 'end of input'", 2, 7),
+    # A sixth field names a row whose message an earlier row has.
+    (parse_kb, "(fact (a (b (c d", "unclosed '('", 1, 17, "depth 3"),
+    (parse_kb, "(fact (a (b . c)) (1 . 0))", "'.' is only valid inside a truth pair", 1, 13, "nested"),
+    (parse_kb, "(rule p\n" + "(" * 500 + "q", "expression nested too deeply", 2, 402, "consequence"),
+    (parse_kb, "(clause (or p\n" + "(" * 500 + "q", "expression nested too deeply", 2, 402, "literal"),
+    (parse_kb, "(fact p (0.3 . 0.2 0.1))", "expected ')', got '0.1'", 1, 20),
+    (parse_kb, "(fact p (0.3 .))", "expected 'atom', got ')'", 1, 15),
+    (parse_kb, "(fact p (x . 0.2))", "expected a number, got 'x'", 1, 10, "belief"),
+    (parse_kb, "(fact p (0.3 . 0.2", "expected ')', got 'end of input'", 1, 19, "pair cut off"),
+    (parse_kb, "(fact p (0.3", "expected '.', got 'end of input'", 1, 13),
+    (parse_kb, "(fact p ((0.3 . 0.2))", "expected 'atom', got '('", 1, 10),
 ]
 
 
 @pytest.mark.parametrize(
-    "parse, text, message, line, column", ERROR_POSITIONS, ids=[row[2] for row in ERROR_POSITIONS]
+    "parse, text, message, line, column",
+    [row[:5] for row in ERROR_POSITIONS],
+    ids=[row[2] if len(row) == 5 else f"{row[2]} ({row[5]})" for row in ERROR_POSITIONS],
 )
 def test_parse_error_position(parse, text, message, line, column):
     with pytest.raises(ParseError) as err:
@@ -282,13 +297,25 @@ def _statements(draw):
     return SetVarStatement("inference-cutoff", draw(st.floats(min_value=0, max_value=1, allow_nan=False)))
 
 
+# Characters and chunks fuzzed text is drawn from: among them
+# whitespace beyond ASCII, a ";" glued to a word, and a comment that
+# can end the input with no newline.
+FUZZ_ALPHABET = [*"()$.;ab1 \n\t-efgor+notclausefactrule\"'", "\r", "\xa0", "\u3000", "\x1c", "ab;c", "; end"]
+
+
 class TestFuzz:
     def test_fuzzed_input_never_crashes(self):
         rng = random.Random(20260808)
-        alphabet = "()$.;ab1 \n\t-efgor+notclausefactrule\"'"
         for _ in range(10_000):
-            text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 60)))
+            text = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randrange(0, 60)))
             try:
                 parse_kb(text)
             except (ParseError, RangeError):
                 pass
+
+    def test_tokens_equal_the_token_pattern(self):
+        # _TOKEN, with which error positions are worked out, is the oracle
+        rng = random.Random(20261020)
+        for _ in range(10_000):
+            text = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randrange(0, 60)))
+            assert _Parser(text).tokens == [*filter(None, _TOKEN.findall(text)), ""], repr(text)
