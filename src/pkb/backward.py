@@ -24,7 +24,9 @@ soon as possible). Every task reads and updates the live accumulation
 table at execution time; nothing works from a snapshot taken when the
 task was queued, so interleaved updates are never double-counted.
 Recursion into a variant of an ancestor goal contributes nothing (a
-sound, terminating reading of rule cycles).
+sound, terminating reading of rule cycles). A goal no rule concludes
+(variable-headed consequences included) is answered in place by the fact
+task a frame would run, with the same depth check, filing and lines.
 
 Results are tabled (SLG resolution, Chen & Warren 1996, without its
 completion step). Within one top-level call every goal solved is kept
@@ -50,7 +52,7 @@ result whose proof reaches a rule cycle is never tabled, so such an
 answer is what one call gives, whatever was asked before.
 
 Rules are proved on instances in the compiled form forward chaining
-uses (see `kb.Rule` and `_prove_conjuncts`), so nothing is renamed apart.
+uses (see `kb.Rule` and `_run_agenda`), so nothing is renamed apart.
 
 Settings are read from ``kb.config``. Trace lines, like every engine's,
 go through ``KnowledgeBase.trace`` and are built only when it is set:
@@ -76,8 +78,8 @@ from .terms import (
     variables_in,
 )
 from .truth import (
+    TRUE,
     VACUOUS,
-    TruthValue,
     check_cutoff,
     combine,
     conjoin,
@@ -100,13 +102,13 @@ def _solve(goal, kb: KnowledgeBase, priority_fn) -> list:
     One loop drives every goal being solved. Each has a frame on
     ``stack`` whose agenda, a generator, yields the subgoals it needs
     and is sent their answers. A subgoal is answered from the memo, cut
-    as a variant of a goal on the stack, or else evaluated on a frame of
-    its own; so ``max_chain_depth`` is the stack's one bound. While a
-    goal is evaluated, ``subgoals`` holds the keys of the subgoals it
-    solved and ``low`` the earliest memo position its evaluation
-    depended on (-1 once it met a cut). When its agenda finishes, its
-    answers are memoized, and also tabled if it depended on nothing
-    begun before it.
+    as a variant of a goal on the stack, or else evaluated: in place if
+    no rule concludes it, else on a frame of its own; so
+    ``max_chain_depth`` is the stack's one bound. While a goal is
+    evaluated, ``subgoals`` holds the keys of the subgoals it solved and
+    ``low`` the earliest memo position its evaluation depended on (-1
+    once it met a cut). When its agenda finishes, its answers are
+    memoized, and also tabled if it depended on nothing begun before it.
     """
     key = canonical_form(goal)
     answers = kb.goal_table(priority_fn).get(key)
@@ -119,11 +121,18 @@ def _solve(goal, kb: KnowledgeBase, priority_fn) -> list:
     limit = kb.config.max_chain_depth
     agenda, subgoals, low = None, set(), 0
     while True:
-        if goal is not None:  # evaluate goal on a new frame
+        if goal is not None:  # evaluate goal
             if len(stack) >= limit:
                 raise DepthExceeded(goal, len(stack))
-            stack[key] = agenda, subgoals, low, len(memo)
-            agenda, subgoals, low, answers = _run_agenda(goal, key, kb, priority_fn), set(), len(memo), None
+            if rules := kb.rules_concluding(goal):  # on a new frame
+                stack[key] = agenda, subgoals, low, len(memo)
+                agenda, subgoals, low, answers = _run_agenda(goal, key, rules, kb, priority_fn), set(), len(memo), None
+            else:  # in place: a frame of its fact task alone, no subgoal
+                answers = list(_fact_task(goal, kb, {}, set()).items())
+                kb.table_goal(key, answers, ())
+                memo[key] = answers, len(memo)
+                if not stack:
+                    return answers
         try:
             goal = agenda.send(answers)
         except StopIteration as done:
@@ -151,65 +160,51 @@ def _values(variables: tuple, theta) -> tuple:
     return tuple([None if (t := substitute(v, theta)) == v else t for v in variables])
 
 
-def _prove_conjuncts(rule, seed: tuple):
-    """(values, premise tv) for each complete instance of ``rule``
-    extending ``seed``, solving conjuncts left to right so that values
-    one fixes narrow the next: a generator that yields each conjunct's
-    goal, is sent its answers and returns the list. A seed from an open
-    goal may hold open values, over free rule variables and the goal's
-    canonical ones (which never clash with the rule's); then fixing one
-    value can narrow others, so each answer's values are unified in."""
-    linked = not all(v is None or v._ground for v in seed)
-    solutions = [(seed, TruthValue(1.0, 0.0))]
-    for pattern, matcher, (_core, positive) in zip(rule.patterns, rule.matchers, rule.conjuncts):
-        extended = []
-        for values, acc in solutions:
-            for instance, tv in (yield pattern(values)):
-                found = matcher(instance)
-                if linked:
-                    theta = {v: t for v, t in zip(rule.variables, values) if t is not None}
-                    for v, f in zip(rule.variables, found):
-                        if f is not None:
-                            theta = unify(v, f, theta)
-                    merged = _values(rule.variables, theta)
-                else:
-                    merged = tuple([f if v is None else v for v, f in zip(values, found)])
-                extended.append((merged, conjoin(acc, tv if positive else negate(tv))))
-        solutions = extended
-    return solutions
+def _accumulate(kb: KnowledgeBase, answers: dict, accepted: set, instance, contribution):
+    """Pool a non-vacuous ``contribution`` into an unaccepted ``instance``'s
+    answer, and accept the instance once that reaches ``accept_as_true``."""
+    if instance in accepted or contribution.is_vacuous():
+        return
+    acc = answers.get(instance)
+    answers[instance] = acc = contribution if acc is None else combine(acc, contribution)
+    threshold = kb.config.accept_as_true
+    if acc.belief < threshold and acc.disbelief < threshold:
+        return
+    accepted.add(instance)
+    if kb.trace is not None:
+        tag, value = ("t", acc.belief) if acc.belief >= threshold else ("not", acc.disbelief)
+        kb._emit(f"ACCEPT goal={instance} tag={tag} at={value}")
 
 
-def _run_agenda(goal, key, kb: KnowledgeBase, priority_fn):
-    """``goal``'s answers, [(ground instance, tv)]: a generator that
-    yields each subgoal its tasks need, is sent its answers and returns
-    the list."""
+def _fact_task(goal, kb: KnowledgeBase, answers: dict, accepted: set) -> dict:
+    """Pool each stored fact ``goal`` matches into ``answers``, emit the
+    TASK line, which shows the answer of the instance a task pooled into
+    last (a ground goal has no other), and return ``answers``."""
+    last = goal
+    for last, record, _values in kb._match(goal, ()):
+        _accumulate(kb, answers, accepted, last, record.base)
+    if kb.trace is not None:
+        kb._emit(f"TASK goal={goal} src=fact acc={answers.get(last, VACUOUS)}")
+    return answers
+
+
+def _run_agenda(goal, key, rules: list, kb: KnowledgeBase, priority_fn):
+    """``goal``'s answers, [(ground instance, tv)], from its facts and
+    ``rules``: a generator that yields each subgoal its tasks need, is
+    sent its answers and returns the list. A rule task extends the seed
+    the goal gives the rule through its conjuncts left to right, so that
+    values one fixes narrow the next. A seed from an open goal may hold
+    open values, over free rule variables and the goal's canonical ones
+    (which never clash with the rule's); then fixing one value can
+    narrow others, so each answer's values are unified in."""
     config = kb.config
     answers: dict = {}
     accepted: set = set()
     goal_ground = is_ground(goal)
 
-    def accumulate(instance, contribution):
-        if instance in accepted or contribution.is_vacuous():
-            return
-        acc = combine(answers.get(instance, VACUOUS), contribution)
-        answers[instance] = acc
-        for tag, value in (("t", acc.belief), ("not", acc.disbelief)):
-            if value >= config.accept_as_true:
-                accepted.add(instance)
-                if kb.trace is not None:
-                    kb._emit(f"ACCEPT goal={instance} tag={tag} at={value}")
-                break
-
-    def current_acc(instance):
-        if instance is not None and instance in answers:
-            return answers[instance]
-        if goal_ground and answers:
-            return next(iter(answers.values()))
-        return VACUOUS
-
     # (priority, task): None is the fact lookup, anything else a rule
     tasks = [(priority_fn("fact"), None)]
-    for rule in kb.rules_concluding(goal):
+    for rule in rules:
         if rule.rule_tv.mass < config.inference_cutoff:
             continue  # could never shift any conclusion enough to matter
         if goal_ground:
@@ -220,25 +215,40 @@ def _run_agenda(goal, key, kb: KnowledgeBase, priority_fn):
         if seed is None:
             continue
         tasks.append((priority_fn("rule", rule), (rule, seed)))
-    # a stable sort: equal priorities keep the order they were added in
-    tasks.sort(key=lambda task: -task[0])
+    if len(tasks) > 1:  # a stable sort: equal priorities keep the order added
+        tasks.sort(key=lambda task: -task[0])
 
     for _priority, task in tasks:
         if goal_ground and accepted:
             break
-        last = None
         if task is None:
-            for instance, record, _found in kb._match(goal, ()):
-                accumulate(instance, record.base)
-                last = instance
-        else:
-            rule, seed = task
-            for values, premise_tv in (yield from _prove_conjuncts(rule, seed)):
+            _fact_task(goal, kb, answers, accepted)
+            continue
+        rule, seed = task
+        linked = not all(v is None or v._ground for v in seed)
+        solutions = [(seed, TRUE)]  # (values, premise tv)
+        for pattern, matcher, (_core, positive) in zip(rule.patterns, rule.matchers, rule.conjuncts):
+            extended = []
+            for values, acc in solutions:
+                for instance, tv in (yield pattern(values)):
+                    found = matcher(instance)
+                    if linked:
+                        theta = {v: t for v, t in zip(rule.variables, values) if t is not None}
+                        for v, f in zip(rule.variables, found):
+                            if f is not None:
+                                theta = unify(v, f, theta)
+                        merged = _values(rule.variables, theta)
+                    else:
+                        merged = tuple([f if v is None else v for v, f in zip(values, found)])
+                    extended.append((merged, conjoin(acc, tv if positive else negate(tv))))
+            solutions = extended
+        last = goal  # a ground goal is the consequence of each of its instances
+        for values, premise_tv in solutions:
+            if not goal_ground:
                 last = rule.instantiate(values)[1]
-                accumulate(last, propagate(premise_tv, rule.rule_tv))
+            _accumulate(kb, answers, accepted, last, propagate(premise_tv, rule.rule_tv))
         if kb.trace is not None:
-            source = "fact" if task is None else f"rule:{task[0].id}"
-            kb._emit(f"TASK goal={goal} src={source} acc={current_acc(last)}")
+            kb._emit(f"TASK goal={goal} src=rule:{rule.id} acc={answers.get(last, VACUOUS)}")
 
     return list(answers.items())
 

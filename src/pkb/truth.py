@@ -33,7 +33,7 @@ Each result is bit-identical to what the checked constructor makes.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import inf
+from math import inf, isfinite
 from operator import attrgetter
 
 from .errors import NoValidResidual, NotCertainRemovable, RangeError, TotalConflict
@@ -75,7 +75,7 @@ TAG_DUAL = {
 
 def _clean(value: float, name: str) -> float:
     value = float(value)
-    if value != value or value in (float("inf"), float("-inf")):
+    if not isfinite(value):
         raise RangeError(f"{name} must be a finite real, got {value!r}")
     if value < 0.0:
         if value < -DRIFT_TOLERANCE:

@@ -363,6 +363,36 @@ class TestConsequenceIndex:
         assert tv_close(got, oracle_combine((0.8, 0.0), (0.5, 0.0)))
         assert "TASK goal=(bird tweety) src=rule:r2 acc=(0.8 . 0)" in events
 
+    def test_variable_headed_consequence_concludes_a_subgoal(self):
+        # no rule is filed under bird, but r2 in the variable-head bucket
+        # concludes (bird jenny): it is proved through r2, not answered
+        # from the store alone
+        events = []
+        kb = KnowledgeBase()
+        kb.load_text(
+            """
+            (rule (and (bird $x) (small $x)) (wren $x) (0.9 . 0))
+            (rule (isa $p $x) ($p $x) (0.8 . 0))
+            (fact (isa bird jenny) (1 . 0))
+            (fact (small jenny) (0.5 . 0))
+            """
+        )
+        kb.trace = events.append
+        assert prove(kb, S("(wren jenny)")) == [({}, TruthValue(0.4 * 0.9, 0.0))]
+        assert events == [
+            "TASK goal=(wren jenny) src=fact acc=(0 . 0)",
+            "TASK goal=(bird jenny) src=fact acc=(0 . 0)",
+            "ACCEPT goal=(isa bird jenny) tag=t at=1.0",
+            "TASK goal=(isa bird jenny) src=fact acc=(1 . 0)",
+            "TASK goal=(bird jenny) src=rule:r2 acc=(0.8 . 0)",
+            "TASK goal=(small jenny) src=fact acc=(0.5 . 0)",
+            "TASK goal=(isa small jenny) src=fact acc=(0 . 0)",
+            "TASK goal=(small jenny) src=rule:r2 acc=(0.5 . 0)",
+            "TASK goal=(wren jenny) src=rule:r1 acc=(0.36000000000000004 . 0)",
+            "TASK goal=(isa wren jenny) src=fact acc=(0 . 0)",
+            "TASK goal=(wren jenny) src=rule:r2 acc=(0.36000000000000004 . 0)",
+        ]
+
     def test_variable_headed_goal_consults_every_rule(self):
         kb = KnowledgeBase()
         kb.load_text(
@@ -786,3 +816,9 @@ class TestGoalTable:
             (got, lines), (expected, fresh_lines) = _traced(call, kb), _traced(call, fresh)
             assert got == expected
             assert lines in ([], fresh_lines)
+            # tracing takes no path of its own: untraced, the fresh KB
+            # answers the same
+            untraced = KnowledgeBase()
+            for step in history:
+                _outcome(step, untraced)
+            assert _outcome(call, untraced) == expected

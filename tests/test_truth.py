@@ -62,6 +62,13 @@ class TestConstruction:
         with pytest.raises(RangeError):
             TruthValue(float("nan"), 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["belief", "disbelief"])
+    def test_rejects_a_non_finite_field(self, field, bad):
+        with pytest.raises(RangeError) as caught:
+            TruthValue(**{"belief": 0.0, "disbelief": 0.0, field: bad})
+        assert str(caught.value) == f"{field} must be a finite real, got {bad!r}"
+
     def test_clamps_drift(self):
         tv = TruthValue(1.0 + 5e-13, -5e-13)
         assert tv.belief == 1.0
