@@ -9,14 +9,21 @@ a variable head puts its rule in a bucket every change consults). Live
 justifications are filed by each ground premise atom, so the instances
 remembered for the fact are read directly, even when the fact itself
 has just been dropped from the store. Instances not yet fired are
-enumerated from stored facts, seeded by the fact.
+enumerated from stored facts, seeded by the fact: it fixes the variables
+of each conjunct it matches, and only the other conjuncts are probed in
+the store, since under that seed the matched conjunct is the fact
+itself. A fact no longer stored seeds nothing; only its remembered
+instances are revisited. The rules a fact's index key touches are kept
+per key until a rule is added (`kb.rules_touching`).
 
 An instance that already fired left a justification behind; its stale
 contribution is removed from the consequence with `uncombine` and the
 fresh one combined in, so evidence from other sources is never
 disturbed. Instances whose contribution would shift the consequence by
 less mass than the configured inference cutoff are left alone: the old
-result stands and the rule is not re-fired.
+result stands and the rule is not re-fired. Applying an instance reads
+the consequence's entry once, after those tests, and writes it back
+with its base unchanged.
 
 A contribution with no uncommitted mass (a certain one, or a
 (0.9 . 0.1) rule at a certain premise) cannot be divided out; then the
@@ -75,6 +82,7 @@ from .errors import DepthExceeded, NoValidResidual, NotCertainRemovable
 from .terms import format_bindings, index_key
 from .truth import (
     TRUE,
+    VACUOUS,
     TruthValue,
     combine,
     conjoin,
@@ -105,20 +113,30 @@ def premise_value(kb: "KnowledgeBase", rule: "Rule", premises) -> TruthValue:
     vacuous) and pool through `conjoin`; negated conjuncts read the
     swapped pair.
     """
+    facts = kb._facts
     value = TRUE
     for atom, (_core, positive) in zip(premises, rule.conjuncts):
-        tv = kb.retrieve_core(atom)
+        record = facts.get(atom)
+        tv = VACUOUS if record is None else record.tv
         if not positive:
             tv = negate(tv)
         value = conjoin(value, tv)
     return value
 
 
-def _instances(kb: "KnowledgeBase", rule: "Rule", seed: tuple) -> list:
+def _instances(kb: "KnowledgeBase", rule: "Rule", seed: tuple, seeded_by=None) -> list:
     """All complete instances of ``rule`` extending ``seed``, a tuple of
-    values with None for the variables it leaves open."""
+    values with None for the variables it leaves open.
+
+    With ``seeded_by``, the position of the conjunct whose matcher gave
+    ``seed`` from a stored sentence, that conjunct is not probed: under
+    the seed it is the sentence itself, so only the other conjuncts are
+    matched against the store."""
+    patterns = rule.patterns
+    if seeded_by is not None:
+        patterns = patterns[:seeded_by] + patterns[seeded_by + 1 :]
     solutions = [seed]
-    for pattern in rule.patterns:
+    for pattern in patterns:
         extended = []
         for values in solutions:
             for _sentence, _record, found in kb._match(pattern(values), rule.variables):
@@ -134,16 +152,20 @@ def _seeded(kb: "KnowledgeBase", rule: "Rule", sentences) -> dict:
     """The instances of ``rule`` in which any of ``sentences``
     participates, as a dict in the order found.
 
-    Covers both instances currently enumerable from stored facts and
-    instances remembered only by a live justification (whose supporting
-    fact may just have vanished).
+    A stored sentence seeds each conjunct it matches, and only the
+    other conjuncts are probed (see `_instances`). A sentence no longer
+    stored seeds nothing; its instances remembered by a live
+    justification are read off the premise index, stored or not.
     """
     found = {}
+    facts = kb._facts
     for sentence in sentences:
-        for matcher in rule.matchers:
-            seed = matcher(sentence)
-            if seed is not None:
-                found.update(dict.fromkeys(_instances(kb, rule, seed)))
+        if sentence in facts:
+            for i, matcher in enumerate(rule.matchers):
+                seed = matcher(sentence)
+                if seed is not None:
+                    for values in _instances(kb, rule, seed, i):
+                        found[values] = None
         for rule_id, values in kb._by_premise.get(sentence, ()):
             if rule_id == rule.id:
                 found.setdefault(values)
@@ -162,48 +184,58 @@ def _affected_instances(kb: "KnowledgeBase", sentence, within=None):
 
 
 def _trace(kb, event: str, rule: "Rule", values: tuple, contribution: TruthValue):
-    if kb.trace is not None:
-        bindings = format_bindings(dict(zip(rule.variables, values)))
-        kb._emit(f"{event} rule={rule.id} bind={bindings} contrib={contribution}")
+    bindings = format_bindings(dict(zip(rule.variables, values)))
+    kb._emit(f"{event} rule={rule.id} bind={bindings} contrib={contribution}")
 
 
 def _apply_instance(kb, rule, values: tuple, premises: tuple, consequence) -> bool:
     """Apply one rule instance, given with its ground premise atoms and
-    consequence; returns whether the consequence's value changed."""
-    cutoff = kb.config.inference_cutoff
+    consequence; returns whether the consequence's value changed.
+
+    The consequence's record is read once, after the skip tests, and its
+    base is written back with the new pooled value."""
     ptv = premise_value(kb, rule, premises)
     contribution = propagate(ptv, rule.rule_tv)
-    existing = kb.find_justification(rule.id, values)
+    cutoff = kb._config.inference_cutoff
+    trace = kb.trace
+    existing = kb._ledger.get((rule.id, values))
+    vacuous = contribution.belief == 0.0 and contribution.disbelief == 0.0
 
     if existing is not None:
         delta = delta_mass(existing.contribution, contribution)
         if delta == 0.0 or delta < cutoff:
-            _trace(kb, "SKIP", rule, values, contribution)
+            if trace is not None:
+                _trace(kb, "SKIP", rule, values, contribution)
             return False
-        old_tv = kb.retrieve_core(consequence)
+    elif vacuous:
+        return False
+    elif contribution.belief + contribution.disbelief < cutoff:
+        if trace is not None:
+            _trace(kb, "SKIP", rule, values, contribution)
+        return False
+    record = kb._facts.get(consequence)
+    base, old_tv = (VACUOUS, VACUOUS) if record is None else record
+    if existing is None:
+        residual = old_tv
+    else:
         if len(kb._by_consequence[consequence]) == 1:
             # the last live contribution: the residual is the base, exactly
-            residual = kb.pooled_value(consequence, exclude=existing)
+            residual = kb.pooled_value(consequence, base, exclude=existing)
         else:
             try:
                 residual = uncombine(old_tv, existing.contribution)
             except (NotCertainRemovable, NoValidResidual):
-                residual = kb.pooled_value(consequence, exclude=existing)
-        _trace(kb, "RETRACT", rule, values, existing.contribution)
+                residual = kb.pooled_value(consequence, base, exclude=existing)
+        if trace is not None:
+            _trace(kb, "RETRACT", rule, values, existing.contribution)
         kb.retract_justification(rule.id, values)
-    elif contribution.is_vacuous():
-        return False
-    elif contribution.mass < cutoff:
-        _trace(kb, "SKIP", rule, values, contribution)
-        return False
-    else:
-        residual = old_tv = kb.retrieve_core(consequence)
     new_tv = combine(residual, contribution)
-    if not contribution.is_vacuous():
+    if not vacuous:
         bindings = dict(zip(rule.variables, values))
         kb.record_justification(Justification(rule.id, bindings, ptv, contribution, consequence, premises), values)
-        _trace(kb, "FIRE", rule, values, contribution)
-    kb._set_combined(consequence, new_tv)
+        if trace is not None:
+            _trace(kb, "FIRE", rule, values, contribution)
+    kb._set_combined(consequence, base, new_tv)
     return delta_mass(old_tv, new_tv) > 0.0
 
 

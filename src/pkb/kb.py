@@ -214,6 +214,9 @@ class KnowledgeBase:
         self._rules_by_consequence: dict = {}
         # per rule, the distinct index keys of its premise conjuncts
         self._rule_keys: list[tuple] = []
+        # index key -> rules_touching() of a sentence with that key, kept
+        # until a rule is added
+        self._touching: dict = {}
         # (rule count, _rule_components() of that many rules)
         self._components: tuple = (0, [])
         self.clauses: list = []
@@ -318,10 +321,9 @@ class KnowledgeBase:
         if delta_mass(old, new) > 0.0:
             forward.propagate_change(self, core)
 
-    def _set_combined(self, core: Term, new_tv: TruthValue):
-        """Adjust an entry's pooled value (chaining only; base unchanged)."""
-        record = self._facts.get(core)
-        base = record.base if record else VACUOUS
+    def _set_combined(self, core: Term, base: TruthValue, new_tv: TruthValue):
+        """Adjust an entry's pooled value, given with its stored base
+        (chaining only; base unchanged)."""
         self._write(core, FactRecord(base, new_tv))
 
     # -- reads --------------------------------------------------------------
@@ -332,10 +334,6 @@ class KnowledgeBase:
         record = self._facts.get(core)
         tv = record.tv if record else VACUOUS
         return negate(tv) if flipped else tv
-
-    def retrieve_core(self, core: Term) -> TruthValue:
-        record = self._facts.get(core)
-        return record.tv if record else VACUOUS
 
     def _match(self, pattern: Term, variables: tuple) -> list:
         """(sentence, record, values) for each stored fact ``pattern``
@@ -410,6 +408,7 @@ class KnowledgeBase:
         self._rule_keys.append(keys)
         self._rules_by_consequence.setdefault(index_key(rule.consequence), []).append(position)
         self.rules.append(rule)
+        self._touching = {}
         self._goals = None
         return rule
 
@@ -558,17 +557,28 @@ class KnowledgeBase:
 
     # -- rule indexes -----------------------------------------------------------
 
-    def rules_touching(self, sentence: Term) -> list[Rule]:
+    def rules_touching(self, sentence: Term) -> tuple:
         """Rules with a premise conjunct that may match the ground
-        ``sentence``, in the order they were added."""
-        positions = _filed(self._rules_by_key, index_key(sentence), len(self.rules))
-        return [self.rules[i] for i in positions]
+        ``sentence``, in the order they were added; kept per index key
+        until a rule is added."""
+        key = index_key(sentence)
+        rules = self._touching.get(key)
+        if rules is None:
+            positions = _filed(self._rules_by_key, key, len(self.rules))
+            rules = self._touching[key] = tuple([self.rules[i] for i in positions])
+        return rules
 
     def rules_concluding(self, goal: Term) -> list[Rule]:
         """Rules whose consequence may unify with ``goal``, in the order
-        they were added. A goal with a variable head may meet any rule."""
-        positions = _filed(self._rules_by_consequence, index_key(goal), len(self.rules))
-        return [self.rules[i] for i in positions]
+        they were added. A goal with a variable head may meet any rule;
+        one with an index key meets the rules filed under it and those
+        with a variable-headed consequence, but for a compound one of
+        another arity, which cannot unify with it."""
+        key = index_key(goal)
+        rules = [self.rules[i] for i in _filed(self._rules_by_consequence, key, len(self.rules))]
+        if key is None or None not in self._rules_by_consequence:
+            return rules
+        return [r for r in rules if not isinstance(r.consequence, Compound) or len(r.consequence.elements) == key[1]]
 
     def _rule_components(self) -> list:
         """The strongly connected components of the rule graph, as
@@ -628,8 +638,9 @@ class KnowledgeBase:
         """File a firing record under its rule and instance values."""
         key = (j.rule_id, values)
         self._ledger[key] = j
-        for index, atom in self._filings(j):
-            index.setdefault(atom, {})[key] = None
+        for index, atoms in ((self._by_consequence, (j.consequence,)), (self._by_premise, j.premises)):
+            for atom in atoms:
+                index.setdefault(atom, {})[key] = None
 
     def find_justification(self, rule_id: str, values: tuple) -> forward.Justification | None:
         """The live record of a rule instance, given by its instance values."""
@@ -641,17 +652,14 @@ class KnowledgeBase:
         j = self._ledger.pop(key, None)
         if j is None:
             raise NotFound(f"no justification for {rule_id} at {values}")
-        for index, atom in self._filings(j):
-            refs = index.get(atom)
-            if refs is not None:
-                refs.pop(key, None)
-                if not refs:
-                    del index[atom]
+        for index, atoms in ((self._by_consequence, (j.consequence,)), (self._by_premise, j.premises)):
+            for atom in atoms:
+                refs = index.get(atom)
+                if refs is not None:
+                    refs.pop(key, None)
+                    if not refs:
+                        del index[atom]
         return j.contribution
-
-    def _filings(self, j: forward.Justification) -> list:
-        """(index, atom) for each place a justification is filed."""
-        return [(self._by_consequence, j.consequence)] + [(self._by_premise, atom) for atom in j.premises]
 
     def _justifications_for(self, consequence: Term):
         return [self._ledger[k] for k in self._by_consequence.get(consequence, ())]

@@ -393,6 +393,27 @@ class TestConsequenceIndex:
             "TASK goal=(wren jenny) src=rule:r2 acc=(0.36000000000000004 . 0)",
         ]
 
+    def test_variable_headed_consequence_of_another_arity_runs_no_frame(self, monkeypatch):
+        # ($p $x) cannot unify with a 3-ary goal, so (isa bird jenny) is
+        # answered in place; (bird jenny) still meets r1 on a frame
+        frames = []
+        run_agenda = pkb.backward._run_agenda
+
+        def recording(goal, *args):
+            frames.append(str(goal))
+            return run_agenda(goal, *args)
+
+        monkeypatch.setattr(pkb.backward, "_run_agenda", recording)
+        kb = KnowledgeBase()
+        kb.load_text("(rule (isa $p $x) ($p $x) (0.8 . 0)) (fact (isa bird jenny) (1 . 0))")
+        assert kb.rules_concluding(S("(isa bird jenny)")) == []
+        assert kb.rules_concluding(S("bird")) == []
+        assert kb.rules_concluding(S("(bird jenny)")) == kb.rules
+        assert prove(kb, S("(isa bird jenny)")) == [({}, TRUE)]
+        assert frames == []
+        assert prove(kb, S("(bird jenny)")) == [({}, TruthValue(0.8, 0.0))]
+        assert frames == ["(bird jenny)"]
+
     def test_variable_headed_goal_consults_every_rule(self):
         kb = KnowledgeBase()
         kb.load_text(

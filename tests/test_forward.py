@@ -230,6 +230,36 @@ class TestRebuildEquivalence:
                 # the base exactly, not drift such as (0 . 1.1e-16)
                 assert_kb_equal(kb, build_kb(final_base, rules))
 
+    def test_dropped_facts_equal_fresh_kb(self):
+        # set_truth to (0 . 0) drops a fact: its instances are then found
+        # only through the ledger, not by seeding the rules' conjuncts
+        rng = random.Random(52006)
+        joins = 0
+        for _ in range(120):
+            facts, rules = random_var_kb(rng)
+            if not any(premise.elements[0] == S("and") for premise, _c, _tv in rules):
+                continue
+            joins += 1
+            kb = build_kb(facts, rules)
+            final_base = dict(facts)
+            pool = sorted({Compound((s.elements[0], c)) for s in facts for c in CONSTANTS}, key=str)
+            for _step in range(12):
+                sentence = rng.choice(pool)
+                roll = rng.random()
+                if roll < 0.35:
+                    kb.set_truth(sentence, VACUOUS)
+                    final_base.pop(sentence, None)
+                elif roll < 0.7:
+                    tv = random_tv_for(rng)
+                    kb.stash(sentence, tv)
+                    final_base[sentence] = combine(final_base.get(sentence, VACUOUS), tv)
+                else:
+                    tv = random_tv_for(rng)
+                    kb.set_truth(sentence, tv)
+                    final_base[sentence] = tv
+            assert_kb_equal(kb, build_kb(final_base, rules))
+        assert joins >= 40
+
     def test_order_independence(self):
         rng = random.Random(52002)
         for _ in range(20):
@@ -324,6 +354,55 @@ class TestIndexedPropagation:
         assert events == ["RETRACT rule=r1 bind={$x=a} contrib=(0.4 . 0)"]
         assert tv_close(kb.retrieve(S("(r a)")), TruthValue(0.2, 0.0))
         assert kb.why(S("(r a)")) == []
+
+
+class TestInstanceWork:
+    """A stored sentence that seeds conjunct i of a rule is not probed
+    for conjunct i again: only the other conjuncts go to the store."""
+
+    CHAIN = "".join(f"(rule (p{k} $x) (p{k + 1} $x) (0.9 . 0))" for k in range(5))
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        """The patterns `KnowledgeBase._match` is called with, in order."""
+        patterns = []
+        match = KnowledgeBase._match
+
+        def counting(kb, pattern, variables):
+            patterns.append(pattern)
+            return match(kb, pattern, variables)
+
+        monkeypatch.setattr(KnowledgeBase, "_match", counting)
+        return patterns
+
+    def test_a_single_conjunct_chain_probes_nothing(self, probes):
+        kb = KnowledgeBase()
+        kb.load_text(self.CHAIN)
+        kb.stash(S("(p0 k)"), TruthValue(0.5, 0.0))
+        assert tv_close(kb.retrieve(S("(p5 k)")), TruthValue(0.5 * 0.9**5, 0.0))
+        assert probes == []
+
+    def test_a_join_probes_only_the_other_conjunct(self, probes):
+        kb = KnowledgeBase()
+        kb.load_text(self.CHAIN + "(rule (and (p5 $x) (q $x)) (j $x) (0.8 . 0)) (fact (q k) (0.5 . 0))")
+        probes.clear()
+        kb.stash(S("(p0 k)"), TruthValue(0.5, 0.0))  # (p5 k) seeds one instance
+        assert probes == [S("(q k)")]
+        probes.clear()
+        kb.stash(S("(q m)"), TruthValue(0.5, 0.0))  # seeds one, with no (p5 m) stored
+        kb.stash(S("(q k)"), TruthValue(0.5, 0.0))  # seeds one, with (p5 k) stored
+        assert probes == [S("(p5 m)"), S("(p5 k)")]
+        assert kb.retrieve(S("(j m)")) == VACUOUS
+        assert tv_close(kb.retrieve(S("(j k)")), TruthValue(0.5 * 0.9**5 * 0.75 * 0.8, 0.0))
+
+    def test_rules_touching_is_kept_until_a_rule_is_added(self):
+        kb = KnowledgeBase()
+        kb.load_text(self.CHAIN)
+        touching = kb.rules_touching(S("(p1 k)"))
+        assert touching == (kb.rules[1],)
+        assert kb.rules_touching(S("(p1 m)")) is touching
+        kb.add_rule(S("(and (q $x) (p1 $x))"), S("(j $x)"), TruthValue(0.5, 0.0))
+        assert kb.rules_touching(S("(p1 k)")) == (kb.rules[1], kb.rules[5])
 
 
 class TestCyclesAndDepth:
