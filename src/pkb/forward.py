@@ -13,8 +13,9 @@ enumerated from stored facts, seeded by the fact: it fixes the variables
 of each conjunct it matches, and only the other conjuncts are probed in
 the store, since under that seed the matched conjunct is the fact
 itself. A fact no longer stored seeds nothing; only its remembered
-instances are revisited. The rules a fact's index key touches are kept
-per key until a rule is added (`kb.rules_touching`).
+instances are revisited. The rules a fact's index key touches, and their
+components (below), are kept per key until a rule is added
+(`kb.rules_touching`).
 
 An instance that already fired left a justification behind; its stale
 contribution is removed from the consequence with `uncombine` and the
@@ -38,21 +39,24 @@ at (0.5 . 0), (a k) settles at 0.8403 and (b k) at 0.7563 (backward
 gives 0.5 and 0.45) after 81 chain steps; a (1 . 0) 2-cycle reaches
 (1 . 0) after 108. Both exceed the default depth of 64.
 
-The writers (`stash`, `set_truth`, `add_rule`) chain depth first: a
-consequence that changes is chained in full before the next instance of
-the change that caused it is applied. The chain is held on an explicit
-stack (see `_chain`), so past ``max_chain_depth``, its one depth bound,
-a writer raises DepthExceeded. A writer that raises keeps what it had
-applied: the facts and ledger entries of the steps before the failure
-stay in the KB.
-
-`kb.load` does not chain each statement: it stores a batch of
-statements, then fires each strongly connected component of the rule
-graph once, in a topological order (`fire_component`). Only a cyclic
-component chains, depth first as above and into its own rules alone;
-elsewhere a changed consequence waits for the rules that read it to
-fire in their turn. The same ``max_chain_depth`` bounds each changed
-sentence's derivation depth.
+Every writer chains through one `Batch`: `kb.load` stores a batch of
+statements, `stash` and `set_truth` one sentence, and `add_rule` files
+one rule, then the batch fires the strongly connected components of the
+rule graph that its new rules and changed sentences reach, each once, in
+a topological order, on a heap of component numbers (semi-naive
+evaluation, one stratum at a time; Bancilhon & Ramakrishnan 1986). A
+changed sentence queues the components whose rules read its index key,
+and a component that nothing reaches is never visited. Only a cyclic
+component chains, depth first and into its own rules alone (`_chain`,
+on an explicit stack); elsewhere a changed consequence waits for the
+rules that read it to fire in their turn, so on an acyclic rule set each
+instance is applied once, on final premise values. Each changed
+sentence has a derivation depth: 0 for what the batch stored, and for a
+consequence 1 + its deepest changed premise, plus its stack depth within
+a cyclic component. A depth that reaches ``max_chain_depth`` raises
+DepthExceeded; on a chain that is the chain's length. A batch that
+raises keeps what it had applied: the facts and ledger entries of the
+steps before the failure stay in the KB.
 
 Every rule instance is ground. Stored facts are ground, each premise
 conjunct is matched against them, and `kb.make_rule` rejects a rule
@@ -63,9 +67,10 @@ justification's premise atoms, and no instance needs a groundness check.
 Rules are compiled on first use (see `kb.Rule`). An instance is
 the tuple of its premise variables' values, in name order, and that is
 also its ledger key. The changed fact is matched against each conjunct
-by a compiled matcher, and one compiled builder gives the instance's
+by a compiled matcher, and one compiled builder gives a new instance's
 ground premise atoms and consequence, which `premise_value` and the
-justification share.
+justification share; an instance that fired before reuses its
+justification's (see `_seeded`).
 
 Settings are read from ``kb.config``. With ``KnowledgeBase.trace``
 set, and only then, one line is built and emitted per event:
@@ -76,6 +81,8 @@ set, and only then, one line is built and emitted per event:
 from __future__ import annotations
 
 from collections import namedtuple
+from heapq import heappop, heappush
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .errors import DepthExceeded, NoValidResidual, NotCertainRemovable
@@ -150,37 +157,50 @@ def _instances(kb: "KnowledgeBase", rule: "Rule", seed: tuple, seeded_by=None) -
 
 def _seeded(kb: "KnowledgeBase", rule: "Rule", sentences) -> dict:
     """The instances of ``rule`` in which any of ``sentences``
-    participates, as a dict in the order found.
+    participates, as instance values -> (ground premise atoms,
+    consequence), in the order found.
 
     A stored sentence seeds each conjunct it matches, and only the
     other conjuncts are probed (see `_instances`). A sentence no longer
     stored seeds nothing; its instances remembered by a live
     justification are read off the premise index, stored or not.
+
+    An instance with a live justification takes its atoms from it, so
+    that they are built once and every later probe for them meets the
+    same objects; a new one is built, with the stored sentence that
+    seeded conjunct i standing for itself as premise i. Either way a
+    probe of the store or the ledger for an atom mostly hits its key by
+    identity, with no term comparison.
     """
     found = {}
-    facts = kb._facts
+    facts, ledger, rule_id = kb._facts, kb._ledger, rule.id
     for sentence in sentences:
+        remembered = kb._by_premise.get(sentence, ())
         if sentence in facts:
             for i, matcher in enumerate(rule.matchers):
                 seed = matcher(sentence)
                 if seed is not None:
                     for values in _instances(kb, rule, seed, i):
-                        found[values] = None
-        for rule_id, values in kb._by_premise.get(sentence, ()):
-            if rule_id == rule.id:
-                found.setdefault(values)
+                        if (rule_id, values) in remembered:
+                            found.setdefault(values)  # filled in below
+                        else:
+                            premises, consequence = rule.instantiate(values)
+                            found[values] = (*premises[:i], sentence, *premises[i + 1 :]), consequence
+        for key in remembered:
+            if key[0] == rule_id and found.get(key[1]) is None:
+                found[key[1]] = (j := ledger[key]).premises, j.consequence
     return found
 
 
-def _affected_instances(kb: "KnowledgeBase", sentence, within=None):
-    """(rule, values) for each rule instance in which ``sentence``
-    participates, a rule's instances enumerated only once the previous
-    rule's have been applied; only of the rules whose ids are in
-    ``within``, when given."""
+def _affected_instances(kb: "KnowledgeBase", sentence, within: set):
+    """(rule, values, (premises, consequence)) for each instance in which
+    ``sentence`` participates of the rules whose ids are in ``within``, a
+    rule's instances enumerated only once the previous rule's have been
+    applied."""
     for rule in kb.rules_touching(sentence):
-        if within is None or rule.id in within:
-            for values in _seeded(kb, rule, (sentence,)):
-                yield rule, values
+        if rule.id in within:
+            for values, instance in _seeded(kb, rule, (sentence,)).items():
+                yield rule, values, instance
 
 
 def _trace(kb, event: str, rule: "Rule", values: tuple, contribution: TruthValue):
@@ -239,108 +259,126 @@ def _apply_instance(kb, rule, values: tuple, premises: tuple, consequence) -> bo
     return delta_mass(old_tv, new_tv) > 0.0
 
 
-def _chain(kb: "KnowledgeBase", steps, depth=0, within=None, batch=None):
-    """Apply the instances ``steps`` yields, depth first, on a stack of
-    `_affected_instances` generators, one per consequence being chained.
-
-    A consequence changed with n generators on the stack is at derivation
-    depth ``depth`` + n. With ``within``, a set of rule ids, only those
-    rules are chained into; with ``batch``, each change is noted in it.
-    """
-    stack = [steps]
+def _chain(kb: "KnowledgeBase", sentence, depth: int, within: set, batch: "Batch"):
+    """Chain the change to ``sentence``, at derivation depth ``depth``,
+    into the rules whose ids are in ``within``, one cyclic component:
+    depth first, on a stack of `_affected_instances` generators, one per
+    consequence being chained, so that a consequence changed with n
+    generators on the stack is at depth ``depth`` + n. Each change is
+    noted in ``batch``."""
+    stack = [_affected_instances(kb, sentence, within)]
     limit = kb.config.max_chain_depth - depth
     while stack:
-        for rule, values in stack[-1]:
-            premises, consequence = rule.instantiate(values)
+        for rule, values, (premises, consequence) in stack[-1]:
             if _apply_instance(kb, rule, values, premises, consequence):
                 if len(stack) >= limit:
                     raise DepthExceeded(consequence, depth + len(stack))
-                if batch is not None:
-                    batch.note(consequence, depth + len(stack))
+                batch.note(consequence, depth + len(stack))
                 stack.append(_affected_instances(kb, consequence, within))
                 break
         else:
             stack.pop()
 
 
-def propagate_change(kb: "KnowledgeBase", sentence):
-    """Push one fact's truth-value change through the rule base.
-
-    The entry for ``sentence`` must already hold its new value. Raises
-    DepthExceeded when consequences keep changing past the configured
-    chain depth (cyclic rule sets).
-    """
-    _chain(kb, _affected_instances(kb, sentence))
-
-
-def _stored_instances(kb: "KnowledgeBase", rule: "Rule") -> list:
-    """Every complete instance of ``rule`` on stored facts; none, with
-    the rule left uncompiled, when a conjunct has no stored fact to match."""
+def _stored_instances(kb: "KnowledgeBase", rule: "Rule") -> dict:
+    """Every instance of ``rule`` on stored facts, shaped as `_seeded`
+    gives them; none, with the rule left uncompiled, when a conjunct has
+    no stored fact to match."""
     if not all(kb._bucket(core) for core, _positive in rule.conjuncts):
-        return []
-    return _instances(kb, rule, (None,) * len(rule.variables))
-
-
-def fire_rule(kb: "KnowledgeBase", rule: "Rule"):
-    """Fire a newly added rule on every premise instance already stored."""
-    _chain(kb, ((rule, values) for values in _stored_instances(kb, rule)))
+        return {}
+    return {values: rule.instantiate(values) for values in _instances(kb, rule, (None,) * len(rule.variables))}
 
 
 class Batch:
-    """The sentences one `kb.load` batch has changed, each with its
-    derivation depth, and the position of the batch's first rule."""
+    """One run of forward chaining: the sentences it has changed, each
+    with its derivation depth, and a heap of the rule-graph components
+    still to fire, by their position in `kb._rule_components`, each with
+    the changed sentences its rules read. The rules at ``first_rule`` and
+    after are new in the batch."""
 
-    def __init__(self, first_rule: int):
-        self.first_rule = first_rule
-        self.depth = {}  # sentence -> derivation depth, in the order first changed
-        # index key -> sentences, kept only when rules before the batch may read them
-        self.by_key = {}
+    __slots__ = ("kb", "touching", "first_rule", "depth", "queue", "pending")
+
+    def __init__(self, kb: "KnowledgeBase", first_rule: int, stored=()):
+        """A batch whose rules from ``first_rule`` on are new, and whose
+        ``stored`` sentences changed, each at depth 0."""
+        self.kb, self.touching, self.first_rule = kb, kb._touching, first_rule  # no rule is filed while it runs
+        # changed sentence -> derivation depth; the heap of component
+        # numbers; queued component -> changed sentences its rules read
+        self.depth, self.queue, self.pending = {}, [], {}
+        for sentence in stored:
+            self.note(sentence, 0)
 
     def note(self, sentence, depth: int):
+        """Record a change to ``sentence`` at derivation ``depth``; the
+        first change queues the components whose rules read it."""
+        readers = (self.touching.get(key := index_key(sentence)) or self.kb._reading(key))[1]
         known = self.depth.get(sentence)
         if known is None:
-            if self.first_rule:
-                self.by_key.setdefault(index_key(sentence), []).append(sentence)
             self.depth[sentence] = depth
+            for component in readers:
+                if component not in self.pending:
+                    self.pending[component] = []
+                    heappush(self.queue, component)
+                self.pending[component].append(sentence)
         elif known < depth:
             self.depth[sentence] = depth
 
-    def seeds(self, keys: tuple):
-        """The changed sentences that may match a conjunct filed under one
-        of the index ``keys``."""
-        if None in keys:
-            return self.depth
-        return [sentence for key in keys for sentence in self.by_key.get(key, ())]
+    def run(self):
+        """Fire the new rules and every component the changes reach, one
+        strongly connected component of the rule graph at a time, in
+        topological order, until none is queued.
 
+        Each rule of a component fires in turn: one new in the batch on
+        every stored instance, an older one only on the instances that the
+        changed sentences it reads seed, so that no instance already
+        applied is applied again. A consequence that changes is at depth 1
+        + its deepest changed premise. In an acyclic component nothing is
+        chained: the rules that read the consequence fire later. In a
+        cyclic one the change is chained depth first, but only into the
+        component's own rules (see `_chain`).
 
-def fire_component(kb: "KnowledgeBase", positions: list, cyclic: bool, batch: Batch):
-    """Fire the rules at ``positions``, one strongly connected component
-    of the rule graph, on what ``batch`` has changed (see `kb.load`).
-
-    Each rule fires in turn: one new in the batch on every stored
-    instance, an older one only on the instances the batch's changed
-    sentences seed, so that no instance already applied is applied again.
-    A consequence that changes is at depth 1 + its deepest changed
-    premise. In an acyclic component nothing is chained: the rules that
-    read the consequence fire later. In a cyclic one the change is
-    chained depth first, as a write chains it, but only into the
-    component's own rules.
-    """
-    limit = kb.config.max_chain_depth
-    depth_of = batch.depth.get
-    within = {kb.rules[i].id for i in positions} if cyclic else None
-    for position in positions:
-        rule = kb.rules[position]
-        if position >= batch.first_rule:
-            instances = _stored_instances(kb, rule)
+        A batch whose one new rule is all it holds (`kb.add_rule`) fires
+        that rule alone, as the one component of a graph of its own, when
+        no rule reads its consequence, so that it is in no cycle, or when
+        it has no stored instance, so that it fires nothing. So the rule
+        graph's components are computed only once a change has a reader.
+        """
+        kb, rules = self.kb, self.kb.rules
+        queue, pending, first = self.queue, self.pending, self.first_rule
+        if first == len(rules) - 1 and not self.depth and _alone(kb, rules[first]):
+            components, pending[0] = [((first,), False)], ()
         else:
-            instances = _seeded(kb, rule, batch.seeds(kb._rule_keys[position]))
-        for values in instances:
-            premises, consequence = rule.instantiate(values)
-            if _apply_instance(kb, rule, values, premises, consequence):
-                depth = 1 + max([depth_of(atom, 0) for atom in premises])
-                if depth >= limit:
-                    raise DepthExceeded(consequence, depth)
-                batch.note(consequence, depth)
-                if cyclic:
-                    _chain(kb, _affected_instances(kb, consequence, within), depth, within, batch)
+            for position in range(first, len(rules)):  # the new rules' components
+                pending.setdefault(kb._component_numbers()[position], [])
+            components = kb._components[1]  # current whenever a component is queued
+        queue[:] = sorted(pending)  # pending holds what is queued
+        limit, depth_of, note = kb._config.max_chain_depth, self.depth.get, self.note
+        while queue:
+            component = queue[0]
+            positions, cyclic = components[component]
+            within = {rules[i].id for i in positions} if cyclic else None
+            for position in positions:
+                rule = rules[position]
+                seeded = _stored_instances(kb, rule) if position >= first else _seeded(kb, rule, pending[component])
+                for values, (premises, consequence) in seeded.items():
+                    if _apply_instance(kb, rule, values, premises, consequence):
+                        # 1 + the deepest changed premise; most rules have one
+                        if len(premises) == 1:
+                            depth = 1 + depth_of(premises[0], 0)
+                        else:
+                            depth = 1 + max(map(depth_of, premises, repeat(0)))
+                        if depth >= limit:
+                            raise DepthExceeded(consequence, depth)
+                        note(consequence, depth)
+                        if cyclic:
+                            _chain(kb, consequence, depth, within, self)
+            # what the component changed queued only later components
+            del pending[heappop(queue)]
+
+
+def _alone(kb: "KnowledgeBase", rule: "Rule") -> bool:
+    """Whether ``rule``, new and the only one in its batch, can fire with
+    no other rule: no rule reads its consequence, or a conjunct has no
+    stored fact to match, so that it has no instance."""
+    key, read = index_key(rule.consequence), kb._rules_by_key
+    return not (key is None or key in read or None in read) or not all(kb._bucket(c) for c, _ in rule.conjuncts)

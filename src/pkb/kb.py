@@ -214,11 +214,12 @@ class KnowledgeBase:
         self._rules_by_consequence: dict = {}
         # per rule, the distinct index keys of its premise conjuncts
         self._rule_keys: list[tuple] = []
-        # index key -> rules_touching() of a sentence with that key, kept
-        # until a rule is added
+        # index key -> (rules_touching() of a sentence with that key, their
+        # component numbers), kept until a rule is added (see _reading)
         self._touching: dict = {}
-        # (rule count, _rule_components() of that many rules)
-        self._components: tuple = (0, [])
+        # (rule count, _rule_components() of that many rules, each rule's
+        # component number)
+        self._components: tuple = (0, [], [])
         self.clauses: list = []
         self._drop_partition()
         # (priority function, {goal key: answers}, a read of the store (a
@@ -285,10 +286,12 @@ class KnowledgeBase:
                 bucket.pop(core, None)
 
     def stash(self, sentence: Term, tv: TruthValue):
-        """Combine a new piece of evidence into the sentence's entry."""
+        """Combine a new piece of evidence into the sentence's entry, then
+        chain the change forward as a batch of that one sentence (see
+        `load`)."""
         core = self._store(sentence, tv)
         if core is not None:
-            forward.propagate_change(self, core)
+            forward.Batch(self, len(self.rules), (core,)).run()
 
     def _store(self, sentence: Term, tv: TruthValue):
         """Combine evidence into the sentence's entry without chaining;
@@ -310,7 +313,8 @@ class KnowledgeBase:
 
         Rule contributions recorded in the ledger stay in force; the
         entry's pooled value is rebuilt from the new base plus those
-        contributions, and the change is propagated forward.
+        contributions, and the change is chained forward as a batch of
+        that one sentence (see `load`).
         """
         core, tv = self._normalize(sentence, tv)
         self._forget(core)
@@ -319,7 +323,7 @@ class KnowledgeBase:
         new = self.pooled_value(core, tv)
         self._write(core, FactRecord(tv, new))
         if delta_mass(old, new) > 0.0:
-            forward.propagate_change(self, core)
+            forward.Batch(self, len(self.rules), (core,)).run()
 
     def _set_combined(self, core: Term, base: TruthValue, new_tv: TruthValue):
         """Adjust an entry's pooled value, given with its stored base
@@ -392,9 +396,13 @@ class KnowledgeBase:
     # -- rules, clauses, control ----------------------------------------------
 
     def add_rule(self, premise: Term, consequence: Term, rule_tv: TruthValue) -> Rule:
-        """Store a rule and fire it on everything already present."""
+        """Store a rule, then fire it on everything already present, as a
+        batch whose one new rule it is (see `load`). Unless the rule may be
+        in a cycle and has stored instances, it fires alone, and the rule
+        graph's components are computed only once a change it makes has a
+        reader (see `forward.Batch.run`)."""
         rule = self._file_rule(premise, consequence, rule_tv)
-        forward.fire_rule(self, rule)
+        forward.Batch(self, len(self.rules) - 1).run()
         return rule
 
     def _file_rule(self, premise: Term, consequence: Term, rule_tv: TruthValue) -> Rule:
@@ -561,12 +569,18 @@ class KnowledgeBase:
         """Rules with a premise conjunct that may match the ground
         ``sentence``, in the order they were added; kept per index key
         until a rule is added."""
-        key = index_key(sentence)
-        rules = self._touching.get(key)
-        if rules is None:
+        return self._reading(index_key(sentence))[0]
+
+    def _reading(self, key) -> tuple:
+        """(`rules_touching`, their component numbers ascending) of a
+        ground sentence with index key ``key``, kept until a rule is added.
+        The components are computed only when there is such a rule."""
+        entry = self._touching.get(key)
+        if entry is None:
             positions = _filed(self._rules_by_key, key, len(self.rules))
-            rules = self._touching[key] = tuple([self.rules[i] for i in positions])
-        return rules
+            components = sorted({self._component_numbers()[i] for i in positions})
+            entry = self._touching[key] = tuple([self.rules[i] for i in positions]), tuple(components)
+        return entry
 
     def rules_concluding(self, goal: Term) -> list[Rule]:
         """Rules whose consequence may unify with ``goal``, in the order
@@ -599,7 +613,7 @@ class KnowledgeBase:
         feeders = [
             [i for key in keys for i in _filed(self._rules_by_consequence, key, n)] for keys in self._rule_keys
         ]
-        # DFS number (n once the rule's component is out) and low-link
+        # DFS number (n + its component's number once that is out) and low-link
         number, low = [-1] * n, [0] * n
         stack, work, components, numbering = [], [], [], count()
 
@@ -627,10 +641,15 @@ class KnowledgeBase:
                         while component[-1] != v:
                             component.append(stack.pop())
                         for w in component:
-                            number[w] = n
+                            number[w] = n + len(components)  # out, and n + its component's number
                         components.append((sorted(component), len(component) > 1 or v in feeders[v]))
-        self._components = (n, components)
+        self._components = (n, components, [k - n for k in number])
         return components
+
+    def _component_numbers(self) -> list:
+        """Each rule's position in `_rule_components`, by rule position."""
+        self._rule_components()
+        return self._components[2]
 
     # -- justification ledger -------------------------------------------------
 
@@ -704,22 +723,25 @@ class KnowledgeBase:
         Within a batch, rules are filed, clauses and control rows added
         and facts stored, all in file order, with no chaining; rule ids,
         clause labels and the rule indexes are as if each were added on
-        its own. Then the rules fire, one strongly connected component of
-        the rule graph at a time, in a topological order (see
-        `_rule_components`): a rule new in the batch on all its stored
-        instances, a rule stored before it only on the instances that
-        sentences the batch changed seed. So on an acyclic rule set every
-        instance is applied once, on final premise values, whatever the
-        order of the statements. A new rule with no stored instance is
-        not compiled (see `Rule`). The rules of a cyclic component fire in
-        file order and chain into one another depth first, as the writers
-        do (see `forward.fire_component`).
+        its own. Then the batch fires, as every write does: `stash` and
+        `set_truth` run a batch of one sentence and `add_rule` one of one
+        rule (see `forward.Batch`). It visits only the strongly connected
+        components of the rule graph that hold a new rule or read a
+        changed sentence, one at a time, in a topological order (see
+        `_rule_components`): a rule new in the batch fires on all its
+        stored instances, a rule stored before it only on the instances
+        that sentences the batch changed seed. So on an acyclic rule set
+        every instance is applied once, on final premise values, whatever
+        the order of the statements. A new rule with no stored
+        instance is not compiled (see `Rule`). The rules of a cyclic
+        component fire in file order and chain into one another depth
+        first.
 
         Each sentence the batch changes has a derivation depth: 0 for a
         fact of the batch, and for a consequence 1 more than its deepest
         changed premise, plus its stack depth within a cyclic component.
         A depth that reaches ``max_chain_depth`` raises DepthExceeded; on
-        a chain that is where a write chaining depth first raises.
+        a chain, that is the chain's length.
 
         A batch is not all-or-nothing. An error while it is read fires
         the statements read before it, as if the batch ended there; an
@@ -733,13 +755,13 @@ class KnowledgeBase:
     def _load_batch(self, statements):
         """Read statements up to the next ``setvar`` (returned; None at
         the end), then fire the rules on them (see `load`)."""
-        batch = forward.Batch(len(self.rules))
+        first_rule, stored = len(self.rules), []
         try:
             for stmt in statements:
                 if isinstance(stmt, sexpr.FactStatement):
                     core = self._store(stmt.sentence, stmt.tv)
                     if core is not None:
-                        batch.note(core, 0)
+                        stored.append(core)
                 elif isinstance(stmt, sexpr.RuleStatement):
                     self._file_rule(stmt.premise, stmt.consequence, stmt.tv)
                 elif isinstance(stmt, sexpr.ClauseStatement):
@@ -752,9 +774,8 @@ class KnowledgeBase:
                     raise TypeError(f"not a statement: {stmt!r}")
             return None
         finally:
-            if batch.depth or batch.first_rule < len(self.rules):
-                for positions, cyclic in self._rule_components():
-                    forward.fire_component(self, positions, cyclic, batch)
+            # noted once every rule is filed, so that each queues its readers
+            forward.Batch(self, first_rule, stored).run()
 
     def load_text(self, text: str):
         self.load(sexpr.parse_kb(text))

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import pkb.forward
 import pkb.kb
 from pkb.backward import prove
 from pkb.errors import DepthExceeded
@@ -308,6 +309,50 @@ class TestRebuildEquivalence:
                     acc = combine(acc, contribution)
                 assert tv_close(acc, record.tv)
 
+    @pytest.mark.parametrize("kbs", ["var", "dag"])
+    def test_write_sequences_equal_the_oracle(self, kbs):
+        # stash, set_truth and add_rule in any order leave what the
+        # bottom-up oracle makes of the final base and the rules added;
+        # a write may hit any sentence, a consequence too
+        rng = random.Random(16016)
+        for _ in range(40 if kbs == "var" else 6):
+            if kbs == "var":
+                facts, rules = random_var_kb(rng, levels=4)
+                constants = CONSTANTS
+            else:
+                facts, rules = layered_dag_kb(*rng.choice([(2, 6), (3, 4), (2, 10)]))
+                constants = [S("k")]
+            heads = {s.elements[0] for s in facts} | {c.elements[0] for _p, c, _tv in rules}
+            pool = sorted({Compound((head, c)) for head in heads for c in constants}, key=str)
+            held = rng.sample(rules, rng.randrange(len(rules) + 1))
+            added = [rule for rule in rules if rule not in held]
+            kb = KnowledgeBase(config=EngineConfig(max_chain_depth=1000))
+            kb.load_text("\n".join(statement_lines(facts, added)))
+            base = dict(facts)
+            for _step in range(12):
+                roll = rng.random()
+                if held and roll < 0.3:
+                    rule = held.pop()
+                    kb.add_rule(*rule)
+                    added.append(rule)
+                    continue
+                sentence, tv = rng.choice(pool), random_tv(rng)
+                if roll < 0.65:
+                    kb.stash(sentence, tv)
+                    base[sentence] = combine(base.get(sentence, VACUOUS), tv)
+                else:
+                    tv = VACUOUS if rng.random() < 0.2 else tv
+                    kb.set_truth(sentence, tv)
+                    base[sentence] = tv
+            expected = oracle_bottom_up(
+                {s: (tv.belief, tv.disbelief) for s, tv in base.items() if not tv.is_vacuous()},
+                ground_var_rules(added, constants),
+            )
+            got = final_values(kb)
+            assert set(got) == set(expected)
+            for sentence, (belief, disbelief) in expected.items():
+                assert tv_close(got[sentence], TruthValue(belief, disbelief)), sentence
+
 
 class TestIndexedPropagation:
     def test_variable_functor_premise_fires_and_retracts(self):
@@ -465,8 +510,11 @@ class TestCyclesAndDepth:
 
 
 class TestBatchLoad:
+    @pytest.mark.parametrize("write", ["load", "stash", "set_truth", "add_rule", "load_one_fact"])
     @pytest.mark.parametrize("facts_first", [False, True], ids=["rules_first", "facts_first_rules_reversed"])
-    def test_dag_load_fires_each_instance_once(self, facts_first):
+    def test_dag_load_fires_each_instance_once(self, facts_first, write):
+        # a layer-i sentence lies on 2 ** i paths from the facts, yet each
+        # writer applies each instance it reaches once, on final values
         facts, rules = layered_dag_kb(2, 12)
         lines = statement_lines(facts, rules)
         if facts_first:
@@ -475,15 +523,84 @@ class TestBatchLoad:
             lines = lines[len(facts) :] + lines[: len(facts)]
         events = []
         kb = KnowledgeBase(trace=events.append)
-        kb.load_text("\n".join(lines))
-        assert [line.split()[0] for line in events] == ["FIRE"] * 48
-        assert len({line.split(" contrib=")[0] for line in events}) == 48
-        base = {sentence: (tv.belief, tv.disbelief) for sentence, tv in facts.items()}
-        expected = oracle_bottom_up(base, ground_var_rules(rules, [S("k")]))
+        base = dict(facts)
+        first, pair = S("(l0_0 k)"), TruthValue(0.3, 0.1)
+        if write == "add_rule":  # (l0_0 $x) -> (l1_0 $x) comes last
+            kb.load_text("\n".join(line for line in lines if line != statement_lines({}, rules[:1])[0]))
+            events.clear()
+            kb.add_rule(*rules[0])
+        else:
+            kb.load_text("\n".join(lines))
+            if write != "load":
+                events.clear()
+                if write == "stash":
+                    kb.stash(first, pair)
+                elif write == "set_truth":
+                    kb.set_truth(first, pair)
+                else:
+                    kb.load_text("(fact (l0_0 k) (0.3 . 0.1))")
+                base[first] = pair if write == "set_truth" else combine(base[first], pair)
+        # a RETRACT comes before the FIRE of the same instance
+        applied = [line.split(" contrib=")[0].split(" ", 1)[1] for line in events if not line.startswith("RETRACT")]
+        assert len(applied) == len(set(applied)) <= 48
+        if write == "load":
+            assert [line.split()[0] for line in events] == ["FIRE"] * 48
+        expected = oracle_bottom_up(
+            {sentence: (tv.belief, tv.disbelief) for sentence, tv in base.items()},
+            ground_var_rules(rules, [S("k")]),
+        )
         got = final_values(kb)
         assert set(got) == set(expected)
         for sentence, (belief, disbelief) in expected.items():
             assert tv_close(got[sentence], TruthValue(belief, disbelief), tol=1e-12)
+
+    @pytest.mark.parametrize("write", ["stash", "load"])
+    def test_a_sentence_no_rule_reads_queues_nothing(self, write, monkeypatch):
+        facts, rules = layered_dag_kb(2, 12)
+        events, queued = [], []
+        kb = KnowledgeBase(trace=events.append)
+        kb.load_text("\n".join(statement_lines(facts, rules)))
+        events.clear()
+        push = pkb.forward.heappush
+        monkeypatch.setattr(pkb.forward, "heappush", lambda heap, item: queued.append(item) or push(heap, item))
+        if write == "stash":
+            kb.stash(S("(m0_0 k)"), TruthValue(0.5, 0.0))
+        else:
+            kb.load_text("(fact (m0_0 k) (0.5 . 0))")
+        assert kb.retrieve(S("(m0_0 k)")) == TruthValue(0.5, 0.0)
+        assert events == [] and queued == []
+        kb.stash(S("(l12_0 k)"), TruthValue(0.5, 0.0))  # read by no rule either
+        assert events == [] and queued == []
+        kb.stash(S("(l11_0 k)"), TruthValue(0.5, 0.0))  # read by r45 and r46
+        assert queued == [kb._component_numbers()[44], kb._component_numbers()[45]]
+
+    def test_add_rule_builds_no_components_while_no_change_is_read(self, monkeypatch):
+        # a new rule that no rule reads is in no cycle, so it fires alone,
+        # and building a chain rule by rule stays linear
+        builds = []
+        rule_components = KnowledgeBase._rule_components
+
+        def counting(kb):
+            if kb._components[0] != len(kb.rules):
+                builds.append(len(kb.rules))
+            return rule_components(kb)
+
+        monkeypatch.setattr(KnowledgeBase, "_rule_components", counting)
+        levels = 2000
+        last, value = S(f"(p{levels} k)"), 0.5 * 0.9**levels
+        kb = KnowledgeBase(config=EngineConfig(max_chain_depth=levels + 1))
+        kb.stash(S("(p0 k)"), TruthValue(0.5, 0.0))
+        for level in range(levels):  # each rule fires on what the one before derived
+            kb.add_rule(S(f"(p{level} $x)"), S(f"(p{level + 1} $x)"), TruthValue(0.9, 0.0))
+        assert builds == []
+        assert kb.retrieve(last).belief == pytest.approx(value, rel=1e-9)
+        kb = KnowledgeBase(config=EngineConfig(max_chain_depth=levels + 1))
+        for level in reversed(range(levels)):  # nothing is stored, so nothing fires
+            kb.add_rule(S(f"(p{level} $x)"), S(f"(p{level + 1} $x)"), TruthValue(0.9, 0.0))
+        assert builds == []
+        kb.stash(S("(p0 k)"), TruthValue(0.5, 0.0))
+        assert builds == [levels]
+        assert kb.retrieve(last).belief == pytest.approx(value, rel=1e-9)
 
     def test_rule_components_come_in_topological_order(self):
         kb = KnowledgeBase()

@@ -8,9 +8,10 @@ nor `inspect`, which cost most of its import time when it used them.
 
 The chaining engines run on explicit stacks, so that ``max_chain_depth``
 is their one depth bound, not the interpreter's recursion limit: no
-function of `forward` or `backward` reaches itself through calls. Nor
-does any function or `_Parser` method of `sexpr`, whose one nesting
-bound is its ``_MAX_DEPTH``.
+function of `forward` or `backward` reaches itself through calls, nor
+does any method of `kb`, whose writers all chain through one forward
+batch loop on an explicit queue. Nor does any function or `_Parser`
+method of `sexpr`, whose one nesting bound is its ``_MAX_DEPTH``.
 """
 
 import ast
@@ -146,7 +147,7 @@ def test_cycle_finder_sees_a_cycle():
     assert _find_cycle({"kb": {"forward"}, "forward": {"truth"}, "truth": set()}) is None
 
 
-@pytest.mark.parametrize("module", ["forward", "backward", "sexpr"])
+@pytest.mark.parametrize("module", ["forward", "backward", "kb", "sexpr"])
 def test_engine_call_graph_is_acyclic(module):
     assert _find_cycle(call_graph(MODULES[module])) is None
 
