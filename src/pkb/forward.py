@@ -311,15 +311,13 @@ class Batch:
     def note(self, sentence, depth: int):
         """Record a change to ``sentence`` at derivation ``depth``; the
         first change queues the components whose rules read it."""
-        readers = (self.touching.get(key := index_key(sentence)) or self.kb._reading(key))[1]
         known = self.depth.get(sentence)
         if known is None:
             self.depth[sentence] = depth
-            for component in readers:
+            for component in (self.touching.get(key := index_key(sentence)) or self.kb._reading(key))[1]:
                 if component not in self.pending:
-                    self.pending[component] = []
                     heappush(self.queue, component)
-                self.pending[component].append(sentence)
+                self.pending.setdefault(component, []).append(sentence)
         elif known < depth:
             self.depth[sentence] = depth
 
@@ -330,12 +328,13 @@ class Batch:
 
         Each rule of a component fires in turn: one new in the batch on
         every stored instance, an older one only on the instances that the
-        changed sentences it reads seed, so that no instance already
-        applied is applied again. A consequence that changes is at depth 1
-        + its deepest changed premise. In an acyclic component nothing is
-        chained: the rules that read the consequence fire later. In a
-        cyclic one the change is chained depth first, but only into the
-        component's own rules (see `_chain`).
+        changed sentences it reads seed, those that reached the component
+        before it fired, so that no instance already applied is applied
+        again. A consequence that changes is at depth 1 + its deepest
+        changed premise. In an acyclic component nothing is chained: the
+        rules that read the consequence fire later. In a cyclic one the
+        change is chained depth first, but only into the component's own
+        rules (see `_chain`), so its later rules need not see it.
 
         A batch whose one new rule is all it holds (`kb.add_rule`) fires
         that rule alone, as the one component of a graph of its own, when
@@ -345,6 +344,8 @@ class Batch:
         """
         kb, rules = self.kb, self.kb.rules
         queue, pending, first = self.queue, self.pending, self.first_rule
+        if not pending and first == len(rules):  # no change has a reader
+            return
         if first == len(rules) - 1 and not self.depth and _alone(kb, rules[first]):
             components, pending[0] = [((first,), False)], ()
         else:
@@ -357,16 +358,16 @@ class Batch:
             component = queue[0]
             positions, cyclic = components[component]
             within = {rules[i].id for i in positions} if cyclic else None
+            seeds = pending[component][:]  # what the component changes is chained within it (`_chain`)
             for position in positions:
                 rule = rules[position]
-                seeded = _stored_instances(kb, rule) if position >= first else _seeded(kb, rule, pending[component])
+                seeded = _stored_instances(kb, rule) if position >= first else _seeded(kb, rule, seeds)
                 for values, (premises, consequence) in seeded.items():
                     if _apply_instance(kb, rule, values, premises, consequence):
                         # 1 + the deepest changed premise; most rules have one
-                        if len(premises) == 1:
-                            depth = 1 + depth_of(premises[0], 0)
-                        else:
-                            depth = 1 + max(map(depth_of, premises, repeat(0)))
+                        depth = 1 + (
+                            depth_of(premises[0], 0) if len(premises) == 1 else max(map(depth_of, premises, repeat(0)))
+                        )
                         if depth >= limit:
                             raise DepthExceeded(consequence, depth)
                         note(consequence, depth)

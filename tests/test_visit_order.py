@@ -88,7 +88,6 @@ FIRE rule=r8 bind={$x=k} contrib=(0.135305856 . 0)
 RETRACT rule=r7 bind={$x=k} contrib=(0.19329408000000003 . 0)
 FIRE rule=r7 bind={$x=k} contrib=(0.26185435824586756 . 0)
 SKIP rule=r8 bind={$x=k} contrib=(0.18329805077210728 . 0)
-SKIP rule=r8 bind={$x=k} contrib=(0.18329805077210728 . 0)
 FIRE rule=r9 bind={$x=k, $y=k} contrib=(0.2 . 0)
    (e k) base=0x1.999999999999ap-1 0x0.0p+0 tv=0x1.999999999999ap-1 0x0.0p+0
    (a k) base=0x1.0000000000000p-1 0x0.0p+0 tv=0x1.0000000000000p-1 0x0.0p+0
@@ -132,7 +131,6 @@ FIRE rule=r6 bind={$x=k} contrib=(0.1671631778393352 . 0)
 RETRACT rule=r7 bind={$x=k} contrib=(0.26185435824586756 . 0)
 FIRE rule=r7 bind={$x=k} contrib=(0.19589561387907273 . 0)
 SKIP rule=r8 bind={$x=k} contrib=(0.1371269297153509 . 0)
-SKIP rule=r8 bind={$x=k} contrib=(0.1371269297153509 . 0)
 RETRACT rule=r9 bind={$x=k, $y=k} contrib=(0.25263157894736843 . 0)
 FIRE rule=r9 bind={$x=k, $y=k} contrib=(0.12631578947368421 . 0)
    (e k) base=0x1.999999999999ap-2 0x0.0p+0 tv=0x1.999999999999ap-2 0x0.0p+0
@@ -174,7 +172,6 @@ FIRE rule=r7 bind={$x=m} contrib=(0.490503673433088 . 0)
 RETRACT rule=r8 bind={$x=m} contrib=(0.28492128000000005 . 0)
 FIRE rule=r8 bind={$x=m} contrib=(0.34335257140316155 . 0)
 SKIP rule=r7 bind={$x=m} contrib=(0.5076222655029556 . 0)
-SKIP rule=r8 bind={$x=m} contrib=(0.34335257140316155 . 0)
 FIRE rule=r9 bind={$x=k, $y=m} contrib=(0.3157894736842105 . 0)
 FIRE rule=r9 bind={$x=m, $y=m} contrib=(0.5 . 0)
    (e k) base=0x1.999999999999ap-2 0x0.0p+0 tv=0x1.999999999999ap-2 0x0.0p+0
