@@ -4,8 +4,8 @@ Proving a goal means pooling evidence from every applicable source:
 directly asserted facts that unify with it, and every rule whose
 consequence unifies with it, each rule's contribution scaled by the
 recursively proved value of its premise. Candidate rules come from the
-knowledge base's consequence index, so a goal only meets rules filed
-under its predicate and rules whose consequence has a variable head.
+knowledge base's consequence index, so a goal meets only the rules
+whose consequence it may unify with by head and arity (`terms.TermIndex`).
 Succeeding once is not enough; a later source may disconfirm what an
 earlier one confirmed, so all sources are consulted unless a stopping
 rule applies.

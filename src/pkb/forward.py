@@ -2,20 +2,18 @@
 
 When a fact's truth value changes, the rule instances it feeds are
 revisited, found through two indexes the KB keeps so that the work per
-change follows what the fact touches, not the size of the KB. Rules are
-filed by the (functor, arity) of each premise conjunct, so only rules
-with a conjunct that can match the fact are consulted (a conjunct with
-a variable head puts its rule in a bucket every change consults). Live
-justifications are filed by each ground premise atom, so the instances
-remembered for the fact are read directly, even when the fact itself
-has just been dropped from the store. Instances not yet fired are
-enumerated from stored facts, seeded by the fact: it fixes the variables
-of each conjunct it matches, and only the other conjuncts are probed in
-the store, since under that seed the matched conjunct is the fact
-itself. A fact no longer stored seeds nothing; only its remembered
-instances are revisited. The rules a fact's index key touches, and their
-components (below), are kept per key until a rule is added
-(`kb.rules_touching`).
+change follows what the fact touches, not the size of the KB. Only the
+rules with a premise conjunct that meets the fact (see
+`terms.TermIndex`) are consulted. Live justifications are filed by each
+ground premise atom, so the instances remembered for the fact are read
+directly, even when it has just been dropped from the store. Instances
+not yet fired are enumerated from stored facts, seeded by the fact: it
+fixes the variables of each conjunct it matches, and only the other
+conjuncts are probed in the store, since under that seed the matched
+conjunct is the fact itself. A fact no longer stored seeds nothing; only
+its remembered instances are revisited. The rules a fact's index key
+touches, and their components (below), are kept per key until a rule is
+added (`kb.rules_touching`).
 
 An instance that already fired left a justification behind; its stale
 contribution is removed from the consequence with `uncombine` and the
@@ -284,7 +282,7 @@ def _stored_instances(kb: "KnowledgeBase", rule: "Rule") -> dict:
     """Every instance of ``rule`` on stored facts, shaped as `_seeded`
     gives them; none, with the rule left uncompiled, when a conjunct has
     no stored fact to match."""
-    if not all(kb._bucket(core) for core, _positive in rule.conjuncts):
+    if not all(kb._fact_index.meeting(core) for core, _positive in rule.conjuncts):
         return {}
     return {values: rule.instantiate(values) for values in _instances(kb, rule, (None,) * len(rule.variables))}
 
@@ -314,7 +312,7 @@ class Batch:
         known = self.depth.get(sentence)
         if known is None:
             self.depth[sentence] = depth
-            for component in (self.touching.get(key := index_key(sentence)) or self.kb._reading(key))[1]:
+            for component in (self.touching.get(index_key(sentence)) or self.kb._reading(sentence))[1]:
                 if component not in self.pending:
                     heappush(self.queue, component)
                 self.pending.setdefault(component, []).append(sentence)
@@ -350,7 +348,7 @@ class Batch:
             components, pending[0] = [((first,), False)], ()
         else:
             for position in range(first, len(rules)):  # the new rules' components
-                pending.setdefault(kb._component_numbers()[position], [])
+                pending.setdefault(kb._component_numbers()[rules[position]], [])
             components = kb._components[1]  # current whenever a component is queued
         queue[:] = sorted(pending)  # pending holds what is queued
         limit, depth_of, note = kb._config.max_chain_depth, self.depth.get, self.note
@@ -381,5 +379,5 @@ def _alone(kb: "KnowledgeBase", rule: "Rule") -> bool:
     """Whether ``rule``, new and the only one in its batch, can fire with
     no other rule: no rule reads its consequence, or a conjunct has no
     stored fact to match, so that it has no instance."""
-    key, read = index_key(rule.consequence), kb._rules_by_key
-    return not (key is None or key in read or None in read) or not all(kb._bucket(c) for c, _ in rule.conjuncts)
+    facts = kb._fact_index
+    return not (kb._rule_premises.meeting(rule.consequence) and all(facts.meeting(c) for c, _ in rule.conjuncts))

@@ -35,6 +35,7 @@ from .terms import (
     Compound,
     Symbol,
     Term,
+    TermIndex,
     canonical_form,
     compile_builder,
     compile_matcher,
@@ -186,40 +187,20 @@ def unwrap_query(pattern: Term, tag: str = "t") -> tuple[Term, str]:
     return pattern, tag
 
 
-def _filed(index: dict, key, count: int):
-    """Positions filed in ``index`` under ``key`` or under None, the
-    bucket of terms with no key, ascending (the order they were filed);
-    all ``count`` positions when ``key`` is None, since a term with no
-    key may meet any filed term."""
-    if key is None:
-        return range(count)
-    positions = index.get(key, ())
-    wildcard = index.get(None)
-    if wildcard:
-        positions = sorted(set(positions).union(wildcard))
-    return positions
-
-
 class KnowledgeBase:
     """Facts, rules, clauses, control entries and the justification ledger."""
 
     def __init__(self, config: EngineConfig | None = None, trace=None):
         self.trace = trace  # callable taking one line of text, or None
         self._facts: dict[Term, FactRecord] = {}
-        self._index: dict = {}
+        self._fact_index = TermIndex(self._facts)
         self.rules: list[Rule] = []
-        # index key -> positions in self.rules, by premise conjunct and by
-        # consequence; None holds rules whose indexed term has a variable head
-        self._rules_by_key: dict = {}
-        self._rules_by_consequence: dict = {}
-        # per rule, the distinct index keys of its premise conjuncts
-        self._rule_keys: list[tuple] = []
+        self._rule_premises, self._rule_consequences = TermIndex(self.rules), TermIndex(self.rules)
         # index key -> (rules_touching() of a sentence with that key, their
         # component numbers), kept until a rule is added (see _reading)
         self._touching: dict = {}
-        # (rule count, _rule_components() of that many rules, each rule's
-        # component number)
-        self._components: tuple = (0, [], [])
+        # (rule count, _rule_components() of that many rules, rule -> its component number)
+        self._components: tuple = (0, [], {})
         self.clauses: list = []
         self._drop_partition()
         # (priority function, {goal key: answers}, a read of the store (a
@@ -233,9 +214,9 @@ class KnowledgeBase:
         # per control entry, compiled once: (its pattern in canonical form,
         # whose variables no parsed goal can share, so dispatch unifies it
         # with an open goal as is; its one-way matcher of ground goals; its
-        # method); positions filed by the pattern's index key, as rules are
+        # method), filed by the pattern; each has its own matcher, so no two are equal
         self._dispatch: list[tuple] = []
-        self._control_by_key: dict = {}
+        self._control_index = TermIndex(self._dispatch)
         # (rule id, instance values in the order of the rule's
         # variables) -> justification
         self._ledger: dict[tuple, forward.Justification] = {}
@@ -275,15 +256,12 @@ class KnowledgeBase:
             self._drop(core)
             return
         if core not in self._facts:
-            self._index.setdefault(index_key(core), {})[core] = None
+            self._fact_index.file(core, core)
         self._facts[core] = record
 
     def _drop(self, core: Term):
-        if core in self._facts:
-            del self._facts[core]
-            bucket = self._index.get(index_key(core))
-            if bucket is not None:
-                bucket.pop(core, None)
+        if self._facts.pop(core, None) is not None:
+            self._fact_index.unfile(core, core)
 
     def stash(self, sentence: Term, tv: TruthValue):
         """Combine a new piece of evidence into the sentence's entry, then
@@ -343,22 +321,16 @@ class KnowledgeBase:
         """(sentence, record, values) for each stored fact ``pattern``
         matches: the one match against the store. A ground pattern is one
         probe, with values None; an open one is compiled (once while it
-        stays in a bounded cache) and run over its bucket, giving the
-        values of ``variables`` (None where absent)."""
+        stays in a bounded cache) and run over the facts it meets, giving
+        the values of ``variables`` (None where absent)."""
         if is_ground(pattern):
             record = self._facts.get(pattern)
             return [] if record is None else [(pattern, record, None)]
-        candidates = self._bucket(pattern)
+        candidates = self._fact_index.meeting(pattern)
         if not candidates:
             return []
         matcher = open_matcher(pattern, variables)
         return [(s, self._facts[s], values) for s in candidates if (values := matcher(s)) is not None]
-
-    def _bucket(self, pattern: Term):
-        """The stored sentences an open pattern may match, in store
-        order: its index bucket, or all when it has no index key."""
-        key = index_key(pattern)
-        return self._facts if key is None else self._index.get(key, ())
 
     def lookup(self, pattern: Term, tag: str = "t", cutoff: float = 1.0):
         """Stored-fact query: every binding whose tagged value reaches
@@ -371,17 +343,17 @@ class KnowledgeBase:
         variables by name; a bad tag or cutoff raises even when nothing
         matches.
 
-        Cost: one probe for a ground pattern, else one pass over its
-        `_bucket` that applies the tag and cutoff to each fact's pooled
-        pair first; only the facts kept are matched and given a bindings
-        dict.
+        Cost: one probe for a ground pattern, else one pass over the
+        facts it meets that applies the tag and cutoff to each fact's
+        pooled pair first; only the facts kept are matched and given a
+        bindings dict.
         """
         core, tag = unwrap_query(pattern, tag)
         facts = self._facts
         if is_ground(core):
             record = facts.get(core)
             return tagged_answers(() if record is None else (({}, record.tv),), tag, cutoff)
-        bucket = self._bucket(core)
+        bucket = self._fact_index.meeting(core)
         kept = tagged_answers(zip(bucket, map(_pooled_tv, map(facts.__getitem__, bucket))), tag, cutoff)
         if not kept:
             return []
@@ -409,13 +381,10 @@ class KnowledgeBase:
         """Make a rule and file it in ``rules`` and both rule indexes,
         without firing it."""
         rule = make_rule(f"r{len(self.rules) + 1}", premise, consequence, rule_tv)
-        position = len(self.rules)
-        keys = tuple(dict.fromkeys(index_key(core) for core, _ in rule.conjuncts))
-        for key in keys:
-            self._rules_by_key.setdefault(key, []).append(position)
-        self._rule_keys.append(keys)
-        self._rules_by_consequence.setdefault(index_key(rule.consequence), []).append(position)
         self.rules.append(rule)
+        for core, _positive in rule.conjuncts:
+            self._rule_premises.file(core, rule)
+        self._rule_consequences.file(rule.consequence, rule)
         self._touching = {}
         self._goals = None
         return rule
@@ -509,8 +478,8 @@ class KnowledgeBase:
         """File goal ``key`` as a dependent of its read of the store and
         of each goal key in ``subgoals``, then table ``answers`` under it
         in the table `goal_table` last returned, unless they are None. A
-        ground goal reads its own record, an open one its index bucket
-        (the whole store when its head is a variable, filed under None).
+        ground goal reads its own record, an open one the facts it meets
+        (every fact for one with no index key, filed under None).
         A goal is filed even when its answers are not tabled, so that an
         entry that used it is dropped through it."""
         _priority_fn, table, dependents = self._goals
@@ -535,15 +504,13 @@ class KnowledgeBase:
                 reads.append(key)
 
     def add_control(self, pattern: Term, method: str) -> ControlEntry:
-        """Append a control entry, compiled and filed under its pattern's
-        index key (None for a pattern with no symbol head, such as
-        ``($p a)``, ``$g`` or a number). An unknown method raises
-        ValueError and adds nothing."""
+        """Append a control entry, compiled and filed by its pattern; an
+        unknown method raises ValueError and adds nothing."""
         sexpr.check_method(method)
         canonical = canonical_form(pattern)
-        matcher = compile_matcher(canonical, ())
-        self._control_by_key.setdefault(index_key(canonical), []).append(len(self._dispatch))
-        self._dispatch.append((canonical, matcher, method))
+        row = (canonical, compile_matcher(canonical, ()), method)
+        self._dispatch.append(row)
+        self._control_index.file(canonical, row)
         entry = ControlEntry(pattern, method)
         self.control_entries.append(entry)
         return entry
@@ -551,13 +518,12 @@ class KnowledgeBase:
     def dispatch(self, goal: Term) -> str | None:
         """Method named by the first control entry matching the goal.
 
-        Only the entries filed under the goal's index key or under None
-        are tried, in the order they were added (every entry when the
-        goal has no key). A ground goal runs each entry's compiled
-        matcher; an open goal unifies with its canonical pattern."""
+        Only the entries whose patterns meet the goal (see
+        `terms.TermIndex`) are tried, in the order they were added. A
+        ground goal runs each entry's compiled matcher; an open goal
+        unifies with its canonical pattern."""
         ground = is_ground(goal)
-        for i in _filed(self._control_by_key, index_key(goal), len(self._dispatch)):
-            pattern, match, method = self._dispatch[i]
+        for pattern, match, method in self._control_index.meeting(goal):
             # a match is (), which is false
             if (match(goal) if ground else unify(pattern, goal, {})) is not None:
                 return method
@@ -566,33 +532,23 @@ class KnowledgeBase:
     # -- rule indexes -----------------------------------------------------------
 
     def rules_touching(self, sentence: Term) -> tuple:
-        """Rules with a premise conjunct that may match the ground
-        ``sentence``, in the order they were added; kept per index key
-        until a rule is added."""
-        return self._reading(index_key(sentence))[0]
+        """Rules with a premise conjunct that meets the ground
+        ``sentence``, in the order they were added (see `_reading`)."""
+        return self._reading(sentence)[0]
 
-    def _reading(self, key) -> tuple:
+    def _reading(self, sentence: Term) -> tuple:
         """(`rules_touching`, their component numbers ascending) of a
-        ground sentence with index key ``key``, kept until a rule is added.
-        The components are computed only when there is such a rule."""
-        entry = self._touching.get(key)
+        ground sentence, kept per index key until a rule is added. The
+        components are computed only when there is such a rule."""
+        entry = self._touching.get(key := index_key(sentence))
         if entry is None:
-            positions = _filed(self._rules_by_key, key, len(self.rules))
-            components = sorted({self._component_numbers()[i] for i in positions})
-            entry = self._touching[key] = tuple([self.rules[i] for i in positions]), tuple(components)
+            rules = tuple(self._rule_premises.meeting(sentence))
+            entry = self._touching[key] = rules, tuple(sorted({self._component_numbers()[r] for r in rules}))
         return entry
 
     def rules_concluding(self, goal: Term) -> list[Rule]:
-        """Rules whose consequence may unify with ``goal``, in the order
-        they were added. A goal with a variable head may meet any rule;
-        one with an index key meets the rules filed under it and those
-        with a variable-headed consequence, but for a compound one of
-        another arity, which cannot unify with it."""
-        key = index_key(goal)
-        rules = [self.rules[i] for i in _filed(self._rules_by_consequence, key, len(self.rules))]
-        if key is None or None not in self._rules_by_consequence:
-            return rules
-        return [r for r in rules if not isinstance(r.consequence, Compound) or len(r.consequence.elements) == key[1]]
+        """Rules whose consequence meets ``goal``, in the order added."""
+        return list(self._rule_consequences.meeting(goal))
 
     def _rule_components(self) -> list:
         """The strongly connected components of the rule graph, as
@@ -600,8 +556,8 @@ class KnowledgeBase:
         component that feeds it.
 
         The graph has an edge from rule a to rule b when a's consequence
-        may match a premise conjunct of b: both have one index key, or
-        either has none. A component is cyclic when it holds more than one
+        meets a premise conjunct of b (see `terms.TermIndex`), as it must
+        to match one. A component is cyclic when it holds more than one
         rule or its rule feeds itself. Tarjan's algorithm (1972) runs over
         each rule's feeders, on an explicit stack, from the first rule on
         and in rule order, so ties go by rule position. The result is
@@ -610,9 +566,8 @@ class KnowledgeBase:
         n = len(self.rules)
         if self._components[0] == n:  # rules are only ever appended
             return self._components[1]
-        feeders = [
-            [i for key in keys for i in _filed(self._rules_by_consequence, key, n)] for keys in self._rule_keys
-        ]
+        position, concluding = {rule: i for i, rule in enumerate(self.rules)}, self._rule_consequences.meeting
+        feeders = [[position[r] for core, _ in rule.conjuncts for r in concluding(core)] for rule in self.rules]
         # DFS number (n + its component's number once that is out) and low-link
         number, low = [-1] * n, [0] * n
         stack, work, components, numbering = [], [], [], count()
@@ -643,11 +598,11 @@ class KnowledgeBase:
                         for w in component:
                             number[w] = n + len(components)  # out, and n + its component's number
                         components.append((sorted(component), len(component) > 1 or v in feeders[v]))
-        self._components = (n, components, [k - n for k in number])
+        self._components = (n, components, {rule: k - n for rule, k in zip(self.rules, number)})
         return components
 
-    def _component_numbers(self) -> list:
-        """Each rule's position in `_rule_components`, by rule position."""
+    def _component_numbers(self) -> dict:
+        """Each rule's position in `_rule_components`, by rule."""
         self._rule_components()
         return self._components[2]
 

@@ -256,14 +256,61 @@ def is_ground(t: Term) -> bool:
 
 
 def index_key(t: Term):
-    """The (functor name, arity) that facts and rules are filed under:
-    (name, 0) for a symbol, None for a term with no symbol head, which
-    may meet any term."""
+    """The (functor name, arity) of a term with a symbol head, (name, 0)
+    for a symbol, else None: the key `TermIndex` reads a term by."""
     if isinstance(t, Compound) and isinstance(t.elements[0], Symbol):
         return (t.elements[0].name, len(t.elements))
     if isinstance(t, Symbol):
         return (t.name, 0)
     return None
+
+
+class TermIndex:
+    """Entries filed under terms, read back by the terms that may meet
+    them: predicate indexing, as in the WAM (Warren 1983; Graf, *Term
+    Indexing*, 1996), kept by the fact store, both rule indexes and the
+    control table. A term with an `index_key` meets the entries filed
+    under terms with that key, under variables, and under compounds of
+    its arity with a variable head, so ``($p $x)`` is met only at arity
+    2; a number, or a compound headed by one or by a compound, meets no
+    term with a key. A term with no key meets every entry: ``everything``,
+    the owner's collection of them in filing order. Each key's bucket
+    holds every entry its terms meet, in filing order, so a read is one
+    dict read. `unfile` takes back the filing of a ground term.
+    """
+
+    __slots__ = ("everything", "buckets", "wild")
+
+    def __init__(self, everything):
+        # index key -> {entry: None}; (arity, None for a variable, entry) per filing under a variable or variable head
+        self.everything, self.buckets, self.wild = everything, {}, []
+
+    def file(self, term: Term, entry):
+        key = index_key(term)
+        if key is not None:
+            if key not in self.buckets:
+                self.buckets[key] = self._wild_meeting(key)
+            self.buckets[key][entry] = None
+        elif isinstance(head := term.elements[0] if isinstance(term, Compound) else term, Variable):
+            arity = None if head is term else len(term.elements)
+            self.wild.append((arity, entry))
+            for (_name, n), bucket in self.buckets.items():
+                if arity in (None, n):
+                    bucket[entry] = None
+
+    def unfile(self, term: Term, entry):
+        if (key := index_key(term)) is not None:
+            del self.buckets[key][entry]
+
+    def meeting(self, term: Term):
+        """The entries filed under terms that may meet ``term``."""
+        key = index_key(term)
+        if key is None:
+            return self.everything
+        return self.buckets.get(key) or (self._wild_meeting(key) if self.wild else ())
+
+    def _wild_meeting(self, key) -> dict:
+        return dict.fromkeys(entry for arity, entry in self.wild if arity in (None, key[1]))
 
 
 @lru_cache(maxsize=256)

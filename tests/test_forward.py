@@ -572,7 +572,7 @@ class TestBatchLoad:
         kb.stash(S("(l12_0 k)"), TruthValue(0.5, 0.0))  # read by no rule either
         assert events == [] and queued == []
         kb.stash(S("(l11_0 k)"), TruthValue(0.5, 0.0))  # read by r45 and r46
-        assert queued == [kb._component_numbers()[44], kb._component_numbers()[45]]
+        assert queued == [kb._component_numbers()[kb.rules[44]], kb._component_numbers()[kb.rules[45]]]
 
     def test_add_rule_builds_no_components_while_no_change_is_read(self, monkeypatch):
         # a new rule that no rule reads is in no cycle, so it fires alone,
@@ -610,6 +610,17 @@ class TestBatchLoad:
             " (rule (p a) (p b) (0.5 . 0))"  # feeds itself
         )
         assert kb._rule_components() == [([1], False), ([0], False), ([2, 3], True), ([4], True)]
+
+    def test_variable_headed_terms_meet_only_their_arity(self):
+        # ($p $x) has arity 2, so it cannot feed its own premise (isa $p $x)
+        # of arity 3, and ($p a) cannot match (foo a b)
+        kb = KnowledgeBase()
+        kb.load_text("(rule (isa $p $x) ($p $x) (0.8 . 0))")
+        assert kb._rule_components() == [([0], False)]
+        kb = KnowledgeBase()
+        kb.load_text("(rule ($p a) (seen $p) (0.5 . 0))")
+        assert kb.rules_touching(S("(foo a b)")) == ()
+        assert kb.rules_touching(S("(foo a)")) == (kb.rules[0],)
 
     def test_second_load_equals_one_load(self):
         # the rules of the first load fire again only on what the second

@@ -21,10 +21,13 @@ from pkb.sexpr import CONTROL_METHODS, parse_sentence as S
 from pkb.terms import (
     Compound,
     Number,
+    Variable,
     canonical_form,
     compound,
     format_bindings,
+    index_key,
     normalize_negation,
+    substitute,
     sym,
     unify,
     var,
@@ -320,6 +323,38 @@ class TestMatchFacts:
         }
 
 
+class TestStoreIndex:
+    @given(
+        seed=st.integers(0, 10**6),
+        writes=st.lists(st.tuples(st.sampled_from(["stash", "set_truth", "drop"]), st.integers(0, 60)), max_size=12),
+    )
+    def test_buckets_agree_with_the_store(self, seed, writes):
+        # each write may add or drop facts, consequences included; a
+        # dropped fact stored again goes to the end of its bucket, as it
+        # does in the store
+        rng = random.Random(seed)
+        facts, rules = random_var_kb(rng)
+        kb = build_kb(facts, rules)
+        atoms = sorted({S(f"(p{level}_{i} {c})") for level in range(2) for i in range(2) for c in "abc"}, key=str)
+        for kind, i in writes:
+            atom = atoms[i % len(atoms)]
+            if kind == "stash":
+                kb.stash(atom, random_tv(rng))
+            else:
+                kb.set_truth(atom, VACUOUS if kind == "drop" else random_tv(rng))
+        first = next((s for s, _ in kb.facts() if str(s).startswith("(p0_")), None)
+        if first is not None:
+            kb.set_truth(first, VACUOUS)  # a level-0 fact has no rule contribution, so this drops it
+            assert kb.retrieve(first) == VACUOUS
+            kb.stash(first, random_tv(rng))
+        grouped = {}
+        for sentence, _record in kb.facts():
+            grouped.setdefault(index_key(sentence), []).append(sentence)
+        assert {key: list(bucket) for key, bucket in kb._fact_index.buckets.items() if bucket} == grouped
+        for pattern in [S(f"({name} $x)") for name, _arity in grouped] + [compound(P, X), X]:
+            assert kb.lookup(pattern, "mass", 0.0) == tagged_answers(_scan(kb, pattern), "mass", 0.0)
+
+
 class TestUnwrapQuery:
     def test_plain(self):
         assert unwrap_query(S("(foo fred)"), "t") == (S("(foo fred)"), "t")
@@ -461,7 +496,30 @@ def control_terms(draw, depth=0):
     if depth == 2 or draw(st.integers(0, 3)) == 0:
         return draw(st.sampled_from([*CONTROL_LEAVES, compound(sym("r"), X, X)]))
     head = draw(st.sampled_from([sym("p"), sym("q"), sym("r"), P, Number(1.0)]))
-    return Compound((head, *draw(st.lists(control_terms(depth + 1), max_size=2))))
+    return Compound((head, *draw(st.lists(control_terms(depth + 1), max_size=3))))
+
+
+@st.composite
+def rule_terms(draw):
+    """(premise, consequence) of a rule over `control_terms`: one or two
+    conjuncts, and a consequence with its variables missing from them
+    replaced by ``a``."""
+    conjuncts = draw(st.lists(control_terms(), min_size=1, max_size=2))
+    consequence = draw(control_terms())
+    bound = set().union(*map(variables_in, conjuncts))
+    consequence = substitute(consequence, {v: sym("a") for v in variables_in(consequence) - bound})
+    return Compound((sym("and"), *conjuncts)), consequence
+
+
+def _meets(term, filed) -> bool:
+    """Whether ``term`` meets an entry filed under ``filed``, as the
+    `TermIndex` docstring states the rule."""
+    key = index_key(term)
+    if key is None or isinstance(filed, Variable):
+        return True
+    if isinstance(filed, Compound) and isinstance(filed.elements[0], Variable):
+        return len(filed.elements) == key[1]
+    return index_key(filed) == key
 
 
 def _scan_dispatch(kb, goal):
@@ -519,13 +577,32 @@ class TestControl:
         assert str(parsed.value) == f"1:17: {added.value}"
         assert kb.control_entries == [] and kb.dispatch(S("(p a)")) is None
 
-    @given(entries=st.lists(st.tuples(control_terms(), st.sampled_from(CONTROL_METHODS)), max_size=8), data=st.data())
-    def test_indexed_dispatch_equals_the_scan(self, entries, data):
+    @given(
+        entries=st.lists(st.tuples(control_terms(), st.sampled_from(CONTROL_METHODS)), max_size=8),
+        rules=st.lists(rule_terms(), max_size=8),
+        data=st.data(),
+    )
+    def test_indexed_dispatch_equals_the_scan(self, entries, rules, data):
+        # every index reader against a scan: dispatch against unify, the
+        # rule indexes against the meet rule, which must keep every rule
+        # that unifies with the goal
         kb = KnowledgeBase()
         for pattern, method in data.draw(st.permutations(entries)):
             kb.add_control(pattern, method)
+        for premise, consequence in rules:
+            kb.add_rule(premise, consequence, TRUE)
         for goal in data.draw(st.lists(control_terms(), min_size=1, max_size=6)):
             assert kb.dispatch(goal) == _scan_dispatch(kb, goal)
+            touching = tuple(r for r in kb.rules if any(_meets(goal, core) for core, _ in r.conjuncts))
+            assert kb.rules_touching(goal) == touching
+            concluding = kb.rules_concluding(goal)
+            assert concluding == [r for r in kb.rules if _meets(goal, r.consequence)]
+            assert all(r in concluding for r in kb.rules if unify(canonical_form(r.consequence), goal, {}) is not None)
+            assert all(
+                r in touching
+                for r in kb.rules
+                if any(unify(canonical_form(core), goal, {}) is not None for core, _ in r.conjuncts)
+            )
 
     def test_ground_goal_dispatch_makes_no_unify_call(self, kb, monkeypatch):
         calls = []

@@ -12,6 +12,10 @@ function of `forward` or `backward` reaches itself through calls, nor
 does any method of `kb`, whose writers all chain through one forward
 batch loop on an explicit queue. Nor does any function or `_Parser`
 method of `sexpr`, whose one nesting bound is its ``_MAX_DEPTH``.
+
+Terms are filed by `index_key` only in `terms.TermIndex`, so no other
+module keeps an index of its own beside the store's, the rules' and the
+control table's.
 """
 
 import ast
@@ -167,6 +171,29 @@ def test_call_graph_sees_recursion_through_self():
     graph = call_graph(tree)
     assert graph == {"term": set(), "P.term": {"P.word", "P.term"}, "P.word": set()}
     assert _find_cycle(graph) == ["P.term", "P.term"]
+
+
+def _calls_index_key(node) -> bool:
+    """Whether ``node`` calls ``index_key``, by name or as an attribute."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == "index_key") or (
+        isinstance(func, ast.Attribute) and func.attr == "index_key"
+    )
+
+
+def test_only_terms_files_by_index_key():
+    filed = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items()
+        if name != "terms"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "setdefault"
+        and node.args
+        and _calls_index_key(node.args[0])
+    ]
+    assert filed == []
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
