@@ -34,8 +34,8 @@ float drift is left behind as a value with no evidence under it.
 A cycle's output is fed back in as fresh evidence. With
 ``(a $x) -> (b $x)`` and ``(b $x) -> (a $x)`` at (0.9 . 0) and ``(a k)``
 at (0.5 . 0), (a k) settles at 0.8403 and (b k) at 0.7563 (backward
-gives 0.5 and 0.45) after 81 chain steps; a (1 . 0) 2-cycle reaches
-(1 . 0) after 108. Both exceed the default depth of 64.
+gives 0.5 and 0.45) once ``max_chain_depth`` is 81; a (1 . 0) 2-cycle
+reaches (1 . 0) once it is 108. Both exceed the default depth of 64.
 
 Every writer chains through one `Batch`: `kb.load` stores a batch of
 statements, `stash` and `set_truth` one sentence, and `add_rule` files
@@ -44,17 +44,19 @@ rule graph that its new rules and changed sentences reach, each once, in
 a topological order, on a heap of component numbers (semi-naive
 evaluation, one stratum at a time; Bancilhon & Ramakrishnan 1986). A
 changed sentence queues the components whose rules read its index key,
-and a component that nothing reaches is never visited. Only a cyclic
-component chains, depth first and into its own rules alone (`_chain`,
-on an explicit stack); elsewhere a changed consequence waits for the
-rules that read it to fire in their turn, so on an acyclic rule set each
-instance is applied once, on final premise values. Each changed
-sentence has a derivation depth: 0 for what the batch stored, and for a
-consequence 1 + its deepest changed premise, plus its stack depth within
-a cyclic component. A depth that reaches ``max_chain_depth`` raises
-DepthExceeded; on a chain that is the chain's length. A batch that
-raises keeps what it had applied: the facts and ledger entries of the
-steps before the failure stay in the KB.
+and a component that nothing reaches is never visited. A changed
+consequence waits for the rules that read it to fire in their turn, so
+on an acyclic rule set each instance is applied once, on final premise
+values. A cyclic component fires in waves, each seeding the
+component's rules with what the last one changed, until a wave changes
+nothing: semi-naive iteration to a fixpoint. Each changed sentence has
+a derivation depth: 0 for what the batch stored, and for a consequence
+1 + its deepest changed premise, kept as the deepest seen. A depth that
+reaches ``max_chain_depth`` raises DepthExceeded; on a chain that is
+the chain's length, and since each wave's changes lie deeper than its
+seeds, it also bounds the waves. A batch that raises keeps what it had
+applied: the facts and ledger entries of the steps before the failure
+stay in the KB.
 
 Every rule instance is ground. Stored facts are ground, each premise
 conjunct is matched against them, and `kb.make_rule` rejects a rule
@@ -190,17 +192,6 @@ def _seeded(kb: "KnowledgeBase", rule: "Rule", sentences) -> dict:
     return found
 
 
-def _affected_instances(kb: "KnowledgeBase", sentence, within: set):
-    """(rule, values, (premises, consequence)) for each instance in which
-    ``sentence`` participates of the rules whose ids are in ``within``, a
-    rule's instances enumerated only once the previous rule's have been
-    applied."""
-    for rule in kb.rules_touching(sentence):
-        if rule.id in within:
-            for values, instance in _seeded(kb, rule, (sentence,)).items():
-                yield rule, values, instance
-
-
 def _trace(kb, event: str, rule: "Rule", values: tuple, contribution: TruthValue):
     bindings = format_bindings(dict(zip(rule.variables, values)))
     kb._emit(f"{event} rule={rule.id} bind={bindings} contrib={contribution}")
@@ -253,29 +244,8 @@ def _apply_instance(kb, rule, values: tuple, premises: tuple, consequence) -> bo
         kb.record_justification(Justification(rule.id, bindings, ptv, contribution, consequence, premises), values)
         if trace is not None:
             _trace(kb, "FIRE", rule, values, contribution)
-    kb._set_combined(consequence, base, new_tv)
+    kb._write(consequence, base, new_tv)
     return delta_mass(old_tv, new_tv) > 0.0
-
-
-def _chain(kb: "KnowledgeBase", sentence, depth: int, within: set, batch: "Batch"):
-    """Chain the change to ``sentence``, at derivation depth ``depth``,
-    into the rules whose ids are in ``within``, one cyclic component:
-    depth first, on a stack of `_affected_instances` generators, one per
-    consequence being chained, so that a consequence changed with n
-    generators on the stack is at depth ``depth`` + n. Each change is
-    noted in ``batch``."""
-    stack = [_affected_instances(kb, sentence, within)]
-    limit = kb.config.max_chain_depth - depth
-    while stack:
-        for rule, values, (premises, consequence) in stack[-1]:
-            if _apply_instance(kb, rule, values, premises, consequence):
-                if len(stack) >= limit:
-                    raise DepthExceeded(consequence, depth + len(stack))
-                batch.note(consequence, depth + len(stack))
-                stack.append(_affected_instances(kb, consequence, within))
-                break
-        else:
-            stack.pop()
 
 
 def _stored_instances(kb: "KnowledgeBase", rule: "Rule") -> dict:
@@ -329,10 +299,13 @@ class Batch:
         changed sentences it reads seed, those that reached the component
         before it fired, so that no instance already applied is applied
         again. A consequence that changes is at depth 1 + its deepest
-        changed premise. In an acyclic component nothing is chained: the
-        rules that read the consequence fire later. In a cyclic one the
-        change is chained depth first, but only into the component's own
-        rules (see `_chain`), so its later rules need not see it.
+        changed premise, kept as the deepest seen. In an acyclic component
+        that is all: the rules that read the consequence fire later. A
+        cyclic one fires again in waves: each of its rules that reads what
+        the last wave changed fires on the instances those changes seed,
+        until a wave changes nothing, so later components see only its
+        final values. A wave's changes lie deeper than its seeds, so
+        ``max_chain_depth`` bounds the waves.
 
         A batch whose one new rule is all it holds (`kb.add_rule`) fires
         that rule alone, as the one component of a graph of its own, when
@@ -355,22 +328,33 @@ class Batch:
         while queue:
             component = queue[0]
             positions, cyclic = components[component]
-            within = {rules[i].id for i in positions} if cyclic else None
-            seeds = pending[component][:]  # what the component changes is chained within it (`_chain`)
-            for position in positions:
-                rule = rules[position]
-                seeded = _stored_instances(kb, rule) if position >= first else _seeded(kb, rule, seeds)
-                for values, (premises, consequence) in seeded.items():
-                    if _apply_instance(kb, rule, values, premises, consequence):
-                        # 1 + the deepest changed premise; most rules have one
-                        depth = 1 + (
-                            depth_of(premises[0], 0) if len(premises) == 1 else max(map(depth_of, premises, repeat(0)))
-                        )
-                        if depth >= limit:
-                            raise DepthExceeded(consequence, depth)
-                        note(consequence, depth)
-                        if cyclic:
-                            _chain(kb, consequence, depth, within, self)
+            # the first wave's seeds: the changes that reached the component
+            seeds, fresh, firing, changed = pending[component][:], first, positions, {} if cyclic else None
+            while True:
+                for position in firing:
+                    rule = rules[position]
+                    seeded = _stored_instances(kb, rule) if position >= fresh else _seeded(kb, rule, seeds)
+                    for values, (premises, consequence) in seeded.items():
+                        if _apply_instance(kb, rule, values, premises, consequence):
+                            # 1 + the deepest changed premise; most rules have one
+                            depth = 1 + (
+                                depth_of(premises[0], 0)
+                                if len(premises) == 1
+                                else max(map(depth_of, premises, repeat(0)))
+                            )
+                            if depth >= limit:
+                                raise DepthExceeded(consequence, depth)
+                            note(consequence, depth)
+                            if cyclic:
+                                changed[consequence] = None
+                if not changed:
+                    break
+                # the next wave: the component's rules that read what the
+                # last one changed, in rule order, each on those changes
+                if firing is positions:  # once per component: where its rules stand
+                    at = {rules[position]: position for position in positions}
+                firing = sorted({at[rule] for seed in changed for rule in kb.rules_touching(seed) if rule in at})
+                seeds, fresh, changed = changed, len(rules), {}
             # what the component changed queued only later components
             del pending[heappop(queue)]
 

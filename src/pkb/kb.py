@@ -251,13 +251,15 @@ class KnowledgeBase:
             raise ValueError(f"not a sentence: {core}")
         return core, (negate(tv) if flipped else tv)
 
-    def _write(self, core: Term, record: FactRecord):
-        if record.tv.is_vacuous() and record.base.is_vacuous():
+    def _write(self, core: Term, base: TruthValue, tv: TruthValue):
+        """Store an entry's base and pooled value; an entry with neither
+        is dropped."""
+        if tv.is_vacuous() and base.is_vacuous():
             self._drop(core)
             return
         if core not in self._facts:
             self._fact_index.file(core, core)
-        self._facts[core] = record
+        self._facts[core] = FactRecord(base, tv)
 
     def _drop(self, core: Term):
         if self._facts.pop(core, None) is not None:
@@ -279,12 +281,10 @@ class KnowledgeBase:
         if tv.is_vacuous():
             return None
         self._forget(core)
-        record = self._facts.get(core)
-        if record is None:
-            record = FactRecord(VACUOUS, VACUOUS)
-        new = combine(record.tv, tv)
-        self._write(core, FactRecord(combine(record.base, tv), new))
-        return core if delta_mass(record.tv, new) > 0.0 else None
+        base, old = self._facts.get(core) or (VACUOUS, VACUOUS)
+        new = combine(old, tv)
+        self._write(core, combine(base, tv), new)
+        return core if delta_mass(old, new) > 0.0 else None
 
     def set_truth(self, sentence: Term, tv: TruthValue):
         """Replace the directly asserted evidence for the sentence.
@@ -299,14 +299,9 @@ class KnowledgeBase:
         record = self._facts.get(core)
         old = record.tv if record else VACUOUS
         new = self.pooled_value(core, tv)
-        self._write(core, FactRecord(tv, new))
+        self._write(core, tv, new)
         if delta_mass(old, new) > 0.0:
             forward.Batch(self, len(self.rules), (core,)).run()
-
-    def _set_combined(self, core: Term, base: TruthValue, new_tv: TruthValue):
-        """Adjust an entry's pooled value, given with its stored base
-        (chaining only; base unchanged)."""
-        self._write(core, FactRecord(base, new_tv))
 
     # -- reads --------------------------------------------------------------
 
@@ -689,14 +684,14 @@ class KnowledgeBase:
         every instance is applied once, on final premise values, whatever
         the order of the statements. A new rule with no stored
         instance is not compiled (see `Rule`). The rules of a cyclic
-        component fire in file order and chain into one another depth
-        first.
+        component fire in file order, in waves, each on the instances that
+        the last wave's changes seed, until a wave changes nothing.
 
         Each sentence the batch changes has a derivation depth: 0 for a
         fact of the batch, and for a consequence 1 more than its deepest
-        changed premise, plus its stack depth within a cyclic component.
-        A depth that reaches ``max_chain_depth`` raises DepthExceeded; on
-        a chain, that is the chain's length.
+        changed premise, kept as the deepest seen. A depth that reaches
+        ``max_chain_depth`` raises DepthExceeded; on a chain, that is the
+        chain's length, and in a cycle it bounds the waves.
 
         A batch is not all-or-nothing. An error while it is read fires
         the statements read before it, as if the batch ended there; an

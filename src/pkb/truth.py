@@ -330,7 +330,8 @@ class EngineConfig(namedtuple("EngineConfig", "inference_cutoff accept_as_true m
     accept_as_true: once a goal's confirmation or disconfirmation
         reaches this level, goal-directed proving stops looking for
         further evidence about it.
-    max_chain_depth: the one bound on forward chain steps and nested goals.
+    max_chain_depth: the one bound on a forward derivation's depth (so
+        on a cycle's waves) and on nested goals.
 
     The constructor checks every field: each finite, the depth a whole
     number (kept as an int), and each in range; its messages name a

@@ -460,8 +460,8 @@ class TestCyclesAndDepth:
 
     @pytest.mark.parametrize("write", ["stash", "set_truth", "add_rule"])
     def test_chain_deeper_than_the_interpreter_stack_runs_to_its_bound(self, write):
-        # the chain is held on an explicit stack, so max_chain_depth is
-        # its only bound: (pN k) is reached at depth N
+        # the chain runs off the batch's queue, not by recursion, so
+        # max_chain_depth is its only bound: (pN k) is reached at depth N
         levels = 3 * sys.getrecursionlimit()
         last = S(f"(p{levels} k)")
         for bound in (levels + 1, levels):
@@ -500,6 +500,21 @@ class TestCyclesAndDepth:
         # a = 0.5 (+) 0.9 b and b = 0.9 a, so a = 0.5 / 0.595
         assert tv_close(kb.retrieve(S("(a k)")), TruthValue(0.5 / 0.595, 0.0), tol=1e-12)
         assert tv_close(kb.retrieve(S("(b k)")), TruthValue(0.45 / 0.595, 0.0), tol=1e-12)
+
+    def test_two_loops_through_one_sentence_settle_in_waves(self):
+        # a -> b -> a and a -> c -> a: each wave of the component is one
+        # step deeper than the last, however many loops the sentence is on
+        text = (
+            "(rule (a $x) (b $x) (0.9 . 0)) (rule (b $x) (a $x) (0.9 . 0)) "
+            "(rule (a $x) (c $x) (0.9 . 0)) (rule (c $x) (a $x) (0.9 . 0)) (fact (a k) (0.5 . 0))"
+        )
+        with pytest.raises(DepthExceeded):
+            KnowledgeBase().load_text(text)
+        kb = KnowledgeBase()
+        kb.load_text("(setvar max-chain-depth 100) " + text)
+        # a = 0.5 (+) 0.9 b (+) 0.9 c and b = c = 0.9 a
+        assert tv_close(kb.retrieve(S("(a k)")), TruthValue(0.978487390333882, 0.0), tol=1e-12)
+        assert tv_close(kb.retrieve(S("(b k)")), TruthValue(0.8806386513004938, 0.0), tol=1e-12)
 
     def test_cutoff_contracts_cycles(self):
         kb = KnowledgeBase(config=EngineConfig(inference_cutoff=0.05, max_chain_depth=64))

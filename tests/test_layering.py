@@ -6,16 +6,17 @@ function body would hide a cycle from this check and from the reader,
 so there is none. Importing the package loads neither `dataclasses`
 nor `inspect`, which cost most of its import time when it used them.
 
-The chaining engines run on explicit stacks, so that ``max_chain_depth``
-is their one depth bound, not the interpreter's recursion limit: no
-function of `forward` or `backward` reaches itself through calls, nor
-does any method of `kb`, whose writers all chain through one forward
-batch loop on an explicit queue. Nor does any function or `_Parser`
+The chaining engines run on explicit stacks or queues, so that
+``max_chain_depth`` is their one depth bound, not the interpreter's
+recursion limit: no function of `forward` or `backward` reaches itself
+through calls, nor does any method of `kb`, whose writers all chain
+through one forward batch loop on an explicit queue. Nor does any function or `_Parser`
 method of `sexpr`, whose one nesting bound is its ``_MAX_DEPTH``.
 
 Terms are filed by `index_key` only in `terms.TermIndex`, so no other
 module keeps an index of its own beside the store's, the rules' and the
-control table's.
+control table's. Likewise rule instances are applied only in
+`forward.Batch.run`, so forward chaining has one loop.
 """
 
 import ast
@@ -194,6 +195,21 @@ def test_only_terms_files_by_index_key():
         and _calls_index_key(node.args[0])
     ]
     assert filed == []
+
+
+def _calls_to(node, name) -> list:
+    """The calls under ``node`` to ``name``, by name or as an attribute."""
+    return [
+        call
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+    ]
+
+
+def test_only_the_batch_loop_applies_rule_instances():
+    batch = next(node for node in MODULES["forward"].body if isinstance(node, ast.ClassDef) and node.name == "Batch")
+    assert len(_calls_to(_functions(batch.body)["run"], "_apply_instance")) == 1
+    assert sum(len(_calls_to(tree, "_apply_instance")) for tree in MODULES.values()) == 1
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

@@ -8,11 +8,11 @@ an inference cutoff of 0.05 (so SKIP lines appear) and an
 ``accept-as-true`` of 0.9 (so ACCEPT lines appear). Each write runs as a
 forward batch: the rule-graph components it reaches fire one at a time,
 in topological order, each instance on final premise values, and only
-the g/h cycle chains depth first within itself. The transcript pins
-every FIRE/SKIP/RETRACT line and the store, in store order and float
-hex, after each write, and the TASK and ACCEPT lines and answers of one
-ground and one open `prove`. A change to the visit order, however small,
-changes this transcript.
+the g/h cycle fires again, in waves, until a wave changes nothing. The
+transcript pins every FIRE/SKIP/RETRACT line and the store, in store
+order and float hex, after each write, and the TASK and ACCEPT lines
+and answers of one ground and one open `prove`. A change to the visit
+order, however small, changes this transcript.
 
 At cutoff 0 and without the cycle's ``(h $x) -> (g $x)``, what a write
 leaves depends on no visit order: the store after each write equals a
@@ -199,13 +199,13 @@ FIRE rule=r10 bind={$x=k} contrib=(0.2902138504155125 . 0.058042770083102505)
 FIRE rule=r10 bind={$x=m} contrib=(0.4038 . 0.08076)
 RETRACT rule=r8 bind={$x=k} contrib=(0.135305856 . 0)
 FIRE rule=r8 bind={$x=k} contrib=(0.2958855788048146 . 0)
-RETRACT rule=r7 bind={$x=k} contrib=(0.19589561387907273 . 0)
-FIRE rule=r7 bind={$x=k} contrib=(0.28951130811001424 . 0)
-SKIP rule=r8 bind={$x=k} contrib=(0.3409601576830227 . 0)
 RETRACT rule=r8 bind={$x=m} contrib=(0.34335257140316155 . 0)
 FIRE rule=r8 bind={$x=m} contrib=(0.4785963222079532 . 0)
+RETRACT rule=r7 bind={$x=k} contrib=(0.19589561387907273 . 0)
+FIRE rule=r7 bind={$x=k} contrib=(0.28951130811001424 . 0)
 RETRACT rule=r7 bind={$x=m} contrib=(0.490503673433088 . 0)
 FIRE rule=r7 bind={$x=m} contrib=(0.5472445730787352 . 0)
+SKIP rule=r8 bind={$x=k} contrib=(0.3409601576830227 . 0)
 SKIP rule=r8 bind={$x=m} contrib=(0.5023100495122043 . 0)
    (e k) base=0x1.999999999999ap-2 0x0.0p+0 tv=0x1.999999999999ap-2 0x0.0p+0
    (a k) base=0x1.435e50d79435ep-1 0x1.af286bca1af29p-5 tv=0x1.435e50d79435ep-1 0x1.af286bca1af29p-5
