@@ -181,8 +181,8 @@ def _fact_task(goal, kb: KnowledgeBase, answers: dict, accepted: set) -> dict:
     TASK line, which shows the answer of the instance a task pooled into
     last (a ground goal has no other), and return ``answers``."""
     last = goal
-    for last, record, _values in kb._match(goal, ()):
-        _accumulate(kb, answers, accepted, last, record.base)
+    for last, fact, _values in kb._match(goal, ()):
+        _accumulate(kb, answers, accepted, last, fact.base)
     if kb.trace is not None:
         kb._emit(f"TASK goal={goal} src=fact acc={answers.get(last, VACUOUS)}")
     return answers

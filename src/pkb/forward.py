@@ -63,6 +63,12 @@ conjunct is matched against them, and `kb.make_rule` rejects a rule
 whose consequence has a variable the premise does not bind; so a
 complete premise binding grounds the premise, the consequence and the
 justification's premise atoms, and no instance needs a groundness check.
+A ground consequence may still be no sentence: a rule whose consequence
+has no index key, such as ``(isa $p $x) -> ($p $x)``, can bind it to
+``(1 a)``, which `stash`, `set_truth` and `load` reject. Such an
+instance is not applied, so every stored sentence can be written back
+out and loaded; only those rules, marked once by `kb.make_rule`
+(`kb.Rule.keyless`), pay for the check.
 
 Rules are compiled on first use (see `kb.Rule`). An instance is
 the tuple of its premise variables' values, in name order, and that is
@@ -123,8 +129,8 @@ def premise_value(kb: "KnowledgeBase", rule: "Rule", premises) -> TruthValue:
     facts = kb._facts
     value = TRUE
     for atom, (_core, positive) in zip(premises, rule.conjuncts):
-        record = facts.get(atom)
-        tv = VACUOUS if record is None else record.tv
+        fact = facts.get(atom)
+        tv = VACUOUS if fact is None else fact.tv
         if not positive:
             tv = negate(tv)
         value = conjoin(value, tv)
@@ -201,8 +207,12 @@ def _apply_instance(kb, rule, values: tuple, premises: tuple, consequence) -> bo
     """Apply one rule instance, given with its ground premise atoms and
     consequence; returns whether the consequence's value changed.
 
-    The consequence's record is read once, after the skip tests, and its
-    base is written back with the new pooled value."""
+    An instance of a `kb.Rule.keyless` rule whose consequence is no
+    sentence is not applied. The consequence's entry is read once, after
+    the skip tests, and its base is written back with the new pooled
+    value."""
+    if rule.keyless and index_key(consequence) is None:
+        return False
     ptv = premise_value(kb, rule, premises)
     contribution = propagate(ptv, rule.rule_tv)
     cutoff = kb._config.inference_cutoff
@@ -222,8 +232,8 @@ def _apply_instance(kb, rule, values: tuple, premises: tuple, consequence) -> bo
         if trace is not None:
             _trace(kb, "SKIP", rule, values, contribution)
         return False
-    record = kb._facts.get(consequence)
-    base, old_tv = (VACUOUS, VACUOUS) if record is None else record
+    fact = kb._facts.get(consequence)
+    base, old_tv = (VACUOUS, VACUOUS) if fact is None else (fact.base, fact.tv)
     if existing is None:
         residual = old_tv
     else:
@@ -298,14 +308,16 @@ class Batch:
         every stored instance, an older one only on the instances that the
         changed sentences it reads seed, those that reached the component
         before it fired, so that no instance already applied is applied
-        again. A consequence that changes is at depth 1 + its deepest
-        changed premise, kept as the deepest seen. In an acyclic component
-        that is all: the rules that read the consequence fire later. A
-        cyclic one fires again in waves: each of its rules that reads what
-        the last wave changed fires on the instances those changes seed,
-        until a wave changes nothing, so later components see only its
-        final values. A wave's changes lie deeper than its seeds, so
-        ``max_chain_depth`` bounds the waves.
+        again; in a cyclic component, an older rule that reads none of them
+        finds no instance and is passed over. A consequence that changes
+        is at depth 1 + its deepest changed premise, kept as the deepest
+        seen. In an acyclic component that is all: the rules that read
+        the consequence fire later. A cyclic one fires again in waves:
+        each of its rules that reads what the last wave changed fires on
+        the instances those changes seed, until a wave changes nothing,
+        so later components see only its final values. A wave's changes
+        lie deeper than its seeds, so ``max_chain_depth`` bounds the
+        waves.
 
         A batch whose one new rule is all it holds (`kb.add_rule`) fires
         that rule alone, as the one component of a graph of its own, when
@@ -329,7 +341,14 @@ class Batch:
             component = queue[0]
             positions, cyclic = components[component]
             # the first wave's seeds: the changes that reached the component
-            seeds, fresh, firing, changed = pending[component][:], first, positions, {} if cyclic else None
+            seeds, fresh, firing, changed = pending[component][:], first, positions, None
+            if cyclic:
+                # where its rules stand, and the first wave: its new rules
+                # and those that read the seeds, in rule order
+                at, changed = {rules[position]: position for position in positions}, {}
+                firing = sorted({position for position in positions if position >= first}.union(
+                    at[rule] for seed in seeds for rule in kb.rules_touching(seed) if rule in at
+                ))
             while True:
                 for position in firing:
                     rule = rules[position]
@@ -351,8 +370,6 @@ class Batch:
                     break
                 # the next wave: the component's rules that read what the
                 # last one changed, in rule order, each on those changes
-                if firing is positions:  # once per component: where its rules stand
-                    at = {rules[position]: position for position in positions}
                 firing = sorted({at[rule] for seed in changed for rule in kb.rules_touching(seed) if rule in at})
                 seeds, fresh, changed = changed, len(rules), {}
             # what the component changed queued only later components

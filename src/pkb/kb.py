@@ -2,12 +2,18 @@
 
 Facts are stored once, under their negation-normalized core: asserting
 ``(not s)`` with value (a . b) stores ``s`` with (b . a), so a sentence
-and its negation always describe one truth value. Each entry keeps two
-pairs: ``base``, the evidence asserted directly about the sentence, and
-``tv``, the base pooled with every live rule contribution. Rule firings
-are recorded in a justification ledger keyed by (rule, ground bindings),
-which is what allows a stale contribution to be removed exactly when
-its premise changes.
+and its negation always describe one truth value. Each stored sentence
+has one live entry, a `Fact` that keeps the sentence and two pairs:
+``base``, the evidence asserted directly about the sentence, and ``tv``,
+the base pooled with every live rule contribution. A write updates the
+entry in place. The store maps each sentence to its entry, and the
+store index files the entries themselves, which hash by identity, so an
+open lookup reads each fact's sentence and pair off its entry with no
+second probe of the store; it runs as one compiled scan over the
+entries its pattern meets (see `lookup`). `facts` gives immutable
+`FactRecord` snapshots. Rule firings are recorded in a justification
+ledger keyed by (rule, ground bindings), which is what allows a stale
+contribution to be removed exactly when its premise changes.
 
 Two assertion operations are provided because both behaviors are
 needed: `stash` treats its argument as a new independent evidence
@@ -39,6 +45,7 @@ from .terms import (
     canonical_form,
     compile_builder,
     compile_matcher,
+    compile_scan,
     format_bindings,
     index_key,
     is_ground,
@@ -49,9 +56,11 @@ from .terms import (
 from .truth import (
     TAG_DUAL,
     TAG_NAMES,
+    TAG_PROJECTIONS,
     VACUOUS,
     EngineConfig,
     TruthValue,
+    check_cutoff,
     check_tag,
     combine,
     delta_mass,
@@ -63,14 +72,28 @@ _AND = Symbol("and")
 
 # compiled matchers of open patterns, by (pattern, variables)
 open_matcher = lru_cache(maxsize=256)(compile_matcher)
+# compiled lookup scans of open patterns, by (pattern, tag projection)
+open_scan = lru_cache(maxsize=256)(compile_scan)
 
 # surface name of each engine variable -> its EngineConfig field
 ENGINE_VARIABLES = {field.replace("_", "-"): field for field in EngineConfig._fields}
 
 
+class Fact:
+    """The live entry of one stored sentence: the sentence, its direct
+    evidence ``base`` and its pooled value ``tv``. The store writes it in
+    place; it hashes by identity, as the store index files it."""
+
+    __slots__ = ("sentence", "base", "tv")
+
+    def __init__(self, sentence: Term, base: TruthValue, tv: TruthValue):
+        self.sentence, self.base, self.tv = sentence, base, tv
+
+
 FactRecord = namedtuple("FactRecord", "base tv")
-FactRecord.__doc__ = "One stored sentence: direct evidence and the pooled value."
-_pooled_tv = attrgetter("tv")
+FactRecord.__doc__ = """A snapshot of one stored sentence's entry: direct evidence and the
+pooled value, as `KnowledgeBase.facts` gives them. Unlike the live
+`Fact`, it keeps its values when the sentence is written again."""
 
 
 class Rule:
@@ -90,16 +113,21 @@ class Rule:
     is a stand-in whose first call compiles the rule, replacing all of
     them, and then answers; so the engines read plain slots, and a rule
     that never fires is never compiled.
+
+    ``keyless`` is true when the consequence has no `index_key`, such as
+    ``$x`` or ``($p $x)``: only then may an instance's consequence be no
+    sentence, and forward chaining checks it (see `forward`).
     """
 
     __slots__ = (
-        "id", "premise", "consequence", "rule_tv", "conjuncts", "variables",
+        "id", "premise", "consequence", "rule_tv", "conjuncts", "variables", "keyless",
         "matchers", "patterns", "instantiate", "head",
     )
 
     def __init__(self, rule_id, premise, consequence, rule_tv, conjuncts, variables):
         self.id, self.premise, self.consequence, self.rule_tv = rule_id, premise, consequence, rule_tv
         self.conjuncts, self.variables = conjuncts, variables
+        self.keyless = index_key(consequence) is None
         first_call, positions = self._first_call, range(len(conjuncts))
         self.matchers = tuple(partial(first_call, "matchers", i) for i in positions)
         self.patterns = tuple(partial(first_call, "patterns", i) for i in positions)
@@ -192,8 +220,8 @@ class KnowledgeBase:
 
     def __init__(self, config: EngineConfig | None = None, trace=None):
         self.trace = trace  # callable taking one line of text, or None
-        self._facts: dict[Term, FactRecord] = {}
-        self._fact_index = TermIndex(self._facts)
+        self._facts: dict[Term, Fact] = {}
+        self._fact_index = TermIndex(self._facts.values())
         self.rules: list[Rule] = []
         self._rule_premises, self._rule_consequences = TermIndex(self.rules), TermIndex(self.rules)
         # index key -> (rules_touching() of a sentence with that key, their
@@ -252,18 +280,19 @@ class KnowledgeBase:
         return core, (negate(tv) if flipped else tv)
 
     def _write(self, core: Term, base: TruthValue, tv: TruthValue):
-        """Store an entry's base and pooled value; an entry with neither
-        is dropped."""
+        """Store an entry's base and pooled value, in place; an entry with
+        neither is dropped, and one stored again is a new entry, filed
+        last."""
+        fact = self._facts.get(core)
         if tv.is_vacuous() and base.is_vacuous():
-            self._drop(core)
-            return
-        if core not in self._facts:
-            self._fact_index.file(core, core)
-        self._facts[core] = FactRecord(base, tv)
-
-    def _drop(self, core: Term):
-        if self._facts.pop(core, None) is not None:
-            self._fact_index.unfile(core, core)
+            if fact is not None:
+                del self._facts[core]
+                self._fact_index.unfile(core, fact)
+        elif fact is None:
+            self._facts[core] = fact = Fact(core, base, tv)
+            self._fact_index.file(core, fact)
+        else:
+            fact.base, fact.tv = base, tv
 
     def stash(self, sentence: Term, tv: TruthValue):
         """Combine a new piece of evidence into the sentence's entry, then
@@ -281,7 +310,8 @@ class KnowledgeBase:
         if tv.is_vacuous():
             return None
         self._forget(core)
-        base, old = self._facts.get(core) or (VACUOUS, VACUOUS)
+        fact = self._facts.get(core)
+        base, old = (VACUOUS, VACUOUS) if fact is None else (fact.base, fact.tv)
         new = combine(old, tv)
         self._write(core, combine(base, tv), new)
         return core if delta_mass(old, new) > 0.0 else None
@@ -296,8 +326,8 @@ class KnowledgeBase:
         """
         core, tv = self._normalize(sentence, tv)
         self._forget(core)
-        record = self._facts.get(core)
-        old = record.tv if record else VACUOUS
+        fact = self._facts.get(core)
+        old = VACUOUS if fact is None else fact.tv
         new = self.pooled_value(core, tv)
         self._write(core, tv, new)
         if delta_mass(old, new) > 0.0:
@@ -308,24 +338,25 @@ class KnowledgeBase:
     def retrieve(self, sentence: Term) -> TruthValue:
         """Exact three-valued read: (0 . 0) for sentences never stored."""
         core, flipped = normalize_negation(sentence)
-        record = self._facts.get(core)
-        tv = record.tv if record else VACUOUS
+        fact = self._facts.get(core)
+        tv = VACUOUS if fact is None else fact.tv
         return negate(tv) if flipped else tv
 
     def _match(self, pattern: Term, variables: tuple) -> list:
-        """(sentence, record, values) for each stored fact ``pattern``
-        matches: the one match against the store. A ground pattern is one
-        probe, with values None; an open one is compiled (once while it
-        stays in a bounded cache) and run over the facts it meets, giving
-        the values of ``variables`` (None where absent)."""
+        """(sentence, live entry, values) for each stored fact
+        ``pattern`` matches: the one match against the store. A ground
+        pattern is one probe, with values None; an open one is compiled
+        (once while it stays in a bounded cache) and run over the entries
+        it meets, giving the values of ``variables`` (None where
+        absent)."""
         if is_ground(pattern):
-            record = self._facts.get(pattern)
-            return [] if record is None else [(pattern, record, None)]
+            fact = self._facts.get(pattern)
+            return [] if fact is None else [(pattern, fact, None)]
         candidates = self._fact_index.meeting(pattern)
         if not candidates:
             return []
         matcher = open_matcher(pattern, variables)
-        return [(s, self._facts[s], values) for s in candidates if (values := matcher(s)) is not None]
+        return [(f.sentence, f, values) for f in candidates if (values := matcher(f.sentence)) is not None]
 
     def lookup(self, pattern: Term, tag: str = "t", cutoff: float = 1.0):
         """Stored-fact query: every binding whose tagged value reaches
@@ -335,30 +366,22 @@ class KnowledgeBase:
         ``(not (foo fred))`` is looking up ``(foo fred)`` under the
         ``not`` tag. Sentences never stored yield no answers. Answers
         come in store order, each bindings dict giving the pattern's
-        variables by name; a bad tag or cutoff raises even when nothing
-        matches.
+        variables by name; a bad tag or cutoff raises before the store
+        is read, even when nothing matches.
 
-        Cost: one probe for a ground pattern, else one pass over the
-        facts it meets that applies the tag and cutoff to each fact's
-        pooled pair first; only the facts kept are matched and given a
-        bindings dict.
+        Cost: one probe for a ground pattern. An open one runs one scan,
+        compiled once per pattern and tag while it stays in a bounded
+        cache (see `terms.compile_scan`), over the live entries it meets:
+        it projects each entry's pooled pair and tests the cutoff first,
+        then matches the sentence inline, and builds a bindings dict only
+        for the facts kept.
         """
         core, tag = unwrap_query(pattern, tag)
-        facts = self._facts
         if is_ground(core):
-            record = facts.get(core)
-            return tagged_answers(() if record is None else (({}, record.tv),), tag, cutoff)
-        bucket = self._fact_index.meeting(core)
-        kept = tagged_answers(zip(bucket, map(_pooled_tv, map(facts.__getitem__, bucket))), tag, cutoff)
-        if not kept:
-            return []
-        variables = tuple(sorted(variables_in(core), key=attrgetter("name")))
-        matcher = open_matcher(core, variables)
-        return [
-            (dict(zip(variables, values)), value)
-            for sentence, value in kept
-            if (values := matcher(sentence)) is not None
-        ]
+            fact = self._facts.get(core)
+            return tagged_answers(() if fact is None else (({}, fact.tv),), tag, cutoff)
+        check_cutoff(cutoff)
+        return open_scan(core, TAG_PROJECTIONS[tag])(self._fact_index.meeting(core), cutoff)
 
     # -- rules, clauses, control ----------------------------------------------
 
@@ -473,8 +496,8 @@ class KnowledgeBase:
         """File goal ``key`` as a dependent of its read of the store and
         of each goal key in ``subgoals``, then table ``answers`` under it
         in the table `goal_table` last returned, unless they are None. A
-        ground goal reads its own record, an open one the facts it meets
-        (every fact for one with no index key, filed under None).
+        ground goal reads its own store entry, an open one the facts it
+        meets (every fact for one with no index key, filed under None).
         A goal is filed even when its answers are not tabled, so that an
         entry that used it is dropped through it."""
         _priority_fn, table, dependents = self._goals
@@ -485,7 +508,7 @@ class KnowledgeBase:
 
     def _forget(self, core: Term):
         """Drop the tabled goals that depended on the base evidence of
-        ``core``: those filed under its record, its index bucket or None,
+        ``core``: those filed under the sentence, its index key or None,
         then, edge by edge, those filed under a goal met. Each filing
         walked is removed, and none otherwise, so a stale one may drop an
         entry that no longer reads the sentence, which costs only a miss."""
@@ -641,8 +664,8 @@ class KnowledgeBase:
         an exact rebuild of the entry's pooled value.
         """
         if base is None:
-            record = self._facts.get(core)
-            base = record.base if record else VACUOUS
+            fact = self._facts.get(core)
+            base = VACUOUS if fact is None else fact.base
         for j in self._justifications_for(core):
             if j is not exclude:
                 base = combine(base, j.contribution)
@@ -654,7 +677,7 @@ class KnowledgeBase:
         each stored fact it matches (a live consequence is stored)."""
         core, _ = normalize_negation(sentence)
         found = []
-        for stored, _record, _values in self._match(core, ()):
+        for stored, _fact, _values in self._match(core, ()):
             found += self._justifications_for(stored)
         return sorted(found, key=lambda j: (j.rule_id, format_bindings(j.bindings)))
 
@@ -739,5 +762,6 @@ class KnowledgeBase:
             self.trace(line)
 
     def facts(self):
-        """Snapshot of (sentence, record) pairs in insertion order."""
-        return list(self._facts.items())
+        """Snapshot of (sentence, `FactRecord`) pairs in insertion order,
+        which later writes leave as they are."""
+        return [(f.sentence, FactRecord(f.base, f.tv)) for f in self._facts.values()]

@@ -19,7 +19,9 @@ a term containing variables bound elsewhere in the same dict, and
 `substitute` chases those chains, so applying a binding twice is the
 same as applying it once. Matching against ground facts uses compiled
 code instead: `compile_matcher` reads a tuple of variable values off a
-ground term, and `compile_builder` builds a term from such a tuple.
+ground term, `compile_builder` builds a term from such a tuple, and
+`compile_scan` runs the matcher's tests inline over a whole list of store
+entries, as one comprehension.
 """
 
 from __future__ import annotations
@@ -277,6 +279,10 @@ class TermIndex:
     the owner's collection of them in filing order. Each key's bucket
     holds every entry its terms meet, in filing order, so a read is one
     dict read. `unfile` takes back the filing of a ground term.
+
+    Buckets are dicts keyed by the entries. The store's live entries and
+    the rules hash by identity, so filing and unfiling them calls no
+    Python ``__hash__``.
     """
 
     __slots__ = ("everything", "buckets", "wild")
@@ -352,12 +358,13 @@ def compile_builder(shape, variables: tuple, partial: bool = False):
     return _define(f"def f(b): return {expr(shape)}", constants)
 
 
-def compile_matcher(pattern: Term, variables: tuple):
-    """Compile ``pattern`` into a one-way matcher of ground terms. For a
-    ground term that unifies with ``pattern`` it returns the values the
-    unifier gives ``variables``, in order (None for those the pattern
-    lacks); for any other it returns None."""
-    constants, tests, bound = [], [], {}
+def _match_tests(pattern: Term, constants: list) -> tuple[list, dict]:
+    """The source of a one-way match of a ground term ``g`` against
+    ``pattern``: the tests, in the order to run them, any of which holds
+    exactly when ``g`` does not unify with ``pattern``, and each
+    variable's value in ``g``. A ground part of the pattern becomes a
+    constant ``k<i>``, its position in ``constants``."""
+    tests, bound = [], {}
 
     def visit(t, expr):
         if t._ground:
@@ -376,9 +383,44 @@ def compile_matcher(pattern: Term, variables: tuple):
                 visit(e, f"{expr}.elements[{i}]")
 
     visit(pattern, "g")
+    return tests, bound
+
+
+def compile_matcher(pattern: Term, variables: tuple):
+    """Compile ``pattern`` into a one-way matcher of ground terms. For a
+    ground term that unifies with ``pattern`` it returns the values the
+    unifier gives ``variables``, in order (None for those the pattern
+    lacks); for any other it returns None."""
+    constants = []
+    tests, bound = _match_tests(pattern, constants)
     body = "".join(f"    if {test}: return None\n" for test in tests)
     result = "".join(f"{bound.get(v, 'None')}, " for v in variables)
     return _define(f"def f(g):\n{body}    return ({result})\n", constants)
+
+
+def compile_scan(pattern: Term, projection: str):
+    """Compile the open ``pattern`` into one scan of store entries,
+    objects whose ``sentence`` is a ground term and ``tv`` its truth
+    pair. The scan is a function of (entries, cutoff): for each entry,
+    in order, whose value reaches ``cutoff`` and whose sentence unifies
+    with ``pattern``, it gives (bindings, value), the bindings a dict of
+    the pattern's variables, in name order, to the values the unifier
+    gives them. The value is ``projection``, an expression over the pair
+    named ``tv``; it is tested first, so a rejected entry costs no
+    match, and the match is `compile_matcher`'s, inline."""
+    constants = []
+    tests, bound = _match_tests(pattern, constants)
+    bindings = []
+    for v in sorted(variables_in(pattern), key=attrgetter("name")):
+        constants.append(v)
+        bindings.append(f"k{len(constants) - 1}: {bound[v]}")
+    match = f" if not ({' or '.join(tests)})" if tests else ""
+    return _define(
+        "def f(entries, cutoff):\n"
+        f"    return [({{{', '.join(bindings)}}}, v) for e in entries for tv in [e.tv] for v in [{projection}]"
+        f" if v >= cutoff for g in [e.sentence]{match}]\n",
+        constants,
+    )
 
 
 _NOT = Symbol("not")

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import inf, isfinite
-from operator import attrgetter
 
 from .errors import NoValidResidual, NotCertainRemovable, RangeError, TotalConflict
 
@@ -47,18 +46,23 @@ _RESIDUAL_CHECK = 1e-6
 
 _set = object.__setattr__
 
-# tag -> its projection of a pair to one number: t is the confirmation,
-# not the disconfirmation, unknown the uncommitted residue, poss /
-# poss-not the extent to which the sentence is possibly true / possibly
-# false, and mass the total evidential commitment
+# tag -> its projection of a pair ``tv`` to one number, as an
+# expression: t is the confirmation, not the disconfirmation, unknown the
+# uncommitted residue, poss / poss-not the extent to which the sentence
+# is possibly true / possibly false, and mass the total evidential
+# commitment. The one source of each projection: `tag_projection`'s
+# functions are built from it, and an open lookup's compiled scan
+# inlines it (see `terms.compile_scan`), so both give the same floats.
 TAG_PROJECTIONS = {
-    "t": attrgetter("belief"),
-    "not": attrgetter("disbelief"),
-    "unknown": lambda tv: 1.0 - (tv.belief + tv.disbelief),
-    "poss": lambda tv: 1.0 - tv.disbelief,
-    "poss-not": lambda tv: 1.0 - tv.belief,
-    "mass": lambda tv: tv.belief + tv.disbelief,
+    "t": "tv.belief",
+    "not": "tv.disbelief",
+    "unknown": "1.0 - (tv.belief + tv.disbelief)",
+    "poss": "1.0 - tv.disbelief",
+    "poss-not": "1.0 - tv.belief",
+    "mass": "tv.belief + tv.disbelief",
 }
+
+_PROJECTORS = {tag: eval(f"lambda tv: {expression}") for tag, expression in TAG_PROJECTIONS.items()}
 
 TAG_NAMES = tuple(TAG_PROJECTIONS)
 
@@ -172,7 +176,7 @@ def tag_projection(tag: str):
     """The projection named by ``tag`` (see `TAG_PROJECTIONS`), a
     function of one truth pair; ValueError for an unknown tag."""
     try:
-        return TAG_PROJECTIONS[tag]
+        return _PROJECTORS[tag]
     except (KeyError, TypeError):  # TypeError: an unhashable tag
         raise ValueError(f"unknown tag {tag!r}; expected one of {TAG_NAMES}") from None
 
@@ -198,11 +202,13 @@ def tagged_answers(results, tag: str, cutoff: float) -> list:
     iterable of (item, tv), whose value, the tag's projection of tv,
     reaches ``cutoff``, in the order of ``results``. The item is passed
     through as is: a bindings dict, or whatever a caller turns into one
-    for the answers kept, so that no rejected row costs a dict. Every
-    query method filters through here, and the tag and cutoff are
-    checked before ``results`` is read, so each method rejects an
-    unknown tag and a cutoff outside [0, 1] even when it finds nothing.
-    The cost is one projection and one comparison per row.
+    for the answers kept, so that no rejected row costs a dict. A ground
+    lookup, backward chaining and resolution filter through here; an open
+    lookup applies the same projection and test inline, in its compiled
+    scan. The tag and cutoff are checked before ``results`` is read, so
+    each method rejects an unknown tag and a cutoff outside [0, 1] even
+    when it finds nothing. The cost is one projection and one comparison
+    per row.
     """
     project = tag_projection(tag)
     check_cutoff(cutoff)

@@ -400,6 +400,37 @@ class TestIndexedPropagation:
         assert tv_close(kb.retrieve(S("(r a)")), TruthValue(0.2, 0.0))
         assert kb.why(S("(r a)")) == []
 
+    @pytest.mark.parametrize("write", ["load", "add_rule", "stash"])
+    def test_an_instance_whose_consequence_is_no_sentence_is_not_applied(self, write):
+        # ($p $x) and $x can be bound to (1 a) and 1, which no write
+        # accepts; those instances are not applied, so the store written
+        # out as facts loads into a fresh KB and gives the same store
+        rules = "(rule (isa $p $x) ($p $x) (0.8 . 0)) (rule (wrap $x) $x (0.8 . 0))"
+        sentences = ("(isa 1 a)", "(isa foo a)", "(wrap 1)", "(wrap b)")
+        facts = "".join(f"(fact {sentence} (0.5 . 0))" for sentence in sentences)
+        kb = KnowledgeBase()
+        if write == "load":
+            kb.load_text(rules + facts)
+        elif write == "add_rule":
+            kb.load_text(facts)
+            kb.load_text(rules)
+        else:
+            kb.load_text(rules)
+            for sentence in sentences:
+                kb.stash(S(sentence), TruthValue(0.5, 0.0))
+        assert [rule.keyless for rule in kb.rules] == [True, True]
+        assert sorted(map(str, final_values(kb))) == ["(foo a)", "(isa 1 a)", "(isa foo a)", "(wrap 1)", "(wrap b)", "b"]
+        assert tv_close(kb.retrieve(S("(foo a)")), TruthValue(0.4, 0.0))
+        fresh = KnowledgeBase()
+        fresh.load_text("".join(f"(fact {sentence} {record.tv})" for sentence, record in kb.facts()))
+        assert final_values(fresh) == final_values(kb)
+        for sentence, record in kb.facts():  # each is a sentence a write accepts
+            kb.set_truth(sentence, record.base)
+
+    def test_only_a_consequence_with_no_index_key_is_checked(self):
+        shapes = {"(q $x)": False, "q": False, "($x $y)": True, "$x": True, "(1 $x)": True}
+        assert {text: make_rule("r1", S("(p $x $y)"), S(text), TRUE).keyless for text in shapes} == shapes
+
 
 class TestInstanceWork:
     """A stored sentence that seeds conjunct i of a rule is not probed
@@ -515,6 +546,20 @@ class TestCyclesAndDepth:
         # a = 0.5 (+) 0.9 b (+) 0.9 c and b = c = 0.9 a
         assert tv_close(kb.retrieve(S("(a k)")), TruthValue(0.978487390333882, 0.0), tol=1e-12)
         assert tv_close(kb.retrieve(S("(b k)")), TruthValue(0.8806386513004938, 0.0), tol=1e-12)
+
+    def test_each_wave_of_a_ring_fires_only_the_rules_reading_its_seeds(self, monkeypatch):
+        # the first wave included: one stash into a 100-rule ring makes
+        # one `_seeded` call a wave, not one for every rule of the ring
+        calls = []
+        seeded = pkb.forward._seeded
+        monkeypatch.setattr(pkb.forward, "_seeded", lambda kb, rule, seeds: calls.append(rule.id) or seeded(kb, rule, seeds))
+        kb = KnowledgeBase(config=EngineConfig(inference_cutoff=0.01))
+        kb.load_text("".join(f"(rule (p{i} $x) (p{(i + 1) % 100} $x) (0.9 . 0))" for i in range(100)))
+        assert calls == []
+        kb.stash(S("(p0 k)"), TruthValue(0.5, 0.0))
+        # 0.5 * 0.9**37 is below the cutoff, so the 38th rule changes nothing
+        assert calls == [f"r{i}" for i in range(1, 39)]
+        assert len(kb.facts()) == len(kb._ledger) + 1 == 38
 
     def test_cutoff_contracts_cycles(self):
         kb = KnowledgeBase(config=EngineConfig(inference_cutoff=0.05, max_chain_depth=64))

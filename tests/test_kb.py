@@ -16,7 +16,7 @@ import pkb.kb
 from pkb.backward import prove
 from pkb.errors import NotFound, ParseError, RangeError, TautologicalResolvent, TotalConflict
 from pkb.forward import Justification
-from pkb.kb import ENGINE_VARIABLES, KnowledgeBase, make_rule, unwrap_query
+from pkb.kb import ENGINE_VARIABLES, FactRecord, KnowledgeBase, make_rule, unwrap_query
 from pkb.sexpr import CONTROL_METHODS, parse_sentence as S
 from pkb.terms import (
     Compound,
@@ -350,9 +350,25 @@ class TestStoreIndex:
         grouped = {}
         for sentence, _record in kb.facts():
             grouped.setdefault(index_key(sentence), []).append(sentence)
-        assert {key: list(bucket) for key, bucket in kb._fact_index.buckets.items() if bucket} == grouped
+        assert {key: [f.sentence for f in bucket] for key, bucket in kb._fact_index.buckets.items() if bucket} == grouped
         for pattern in [S(f"({name} $x)") for name, _arity in grouped] + [compound(P, X), X]:
             assert kb.lookup(pattern, "mass", 0.0) == tagged_answers(_scan(kb, pattern), "mass", 0.0)
+
+    def test_snapshots_keep_their_values_after_later_writes(self, kb):
+        # the store writes its entries in place; `facts` copies them
+        kb.add_rule(S("(p $x)"), S("(q $x)"), TruthValue(0.5, 0.0))
+        for sentence in ("(p a)", "(p b)", "(p c)"):
+            kb.stash(S(sentence), TruthValue(0.4, 0.0))
+        snapshot = kb.facts()
+        values = [(sentence, record.base, record.tv) for sentence, record in snapshot]
+        assert [str(sentence) for sentence, _base, _tv in values] == ["(p a)", "(q a)", "(p b)", "(q b)", "(p c)", "(q c)"]
+        assert all(type(record) is FactRecord for _sentence, record in snapshot)
+        kb.stash(S("(p a)"), TruthValue(0.3, 0.1))
+        kb.set_truth(S("(p b)"), TruthValue(0.9, 0.0))
+        kb.set_truth(S("(p c)"), VACUOUS)  # drops (p c), and (q c) with it
+        assert [(sentence, record.base, record.tv) for sentence, record in snapshot] == values
+        assert [str(sentence) for sentence, _record in kb.facts()] == ["(p a)", "(q a)", "(p b)", "(q b)"]
+        assert values[3][2] == TruthValue(0.2, 0.0) and kb.retrieve(S("(q b)")) == TruthValue(0.45, 0.0)
 
 
 class TestUnwrapQuery:
