@@ -171,8 +171,8 @@ def make_rule(rule_id: str, premise: Term, consequence: Term, rule_tv: TruthValu
     cons_core, flipped = normalize_negation(consequence)
     if flipped:
         rule_tv = negate(rule_tv)
-    if isinstance(premise, Compound) and premise.elements[0] is _AND:
-        parts = premise.elements[1:]
+    if isinstance(premise, Compound) and premise[0] is _AND:
+        parts = premise[1:]
         if not parts:
             raise ValueError("empty (and) premise")
     else:
@@ -198,11 +198,11 @@ def unwrap_query(pattern: Term, tag: str = "t") -> tuple[Term, str]:
     check_tag(tag)
     while (
         isinstance(pattern, Compound)
-        and len(pattern.elements) == 2
-        and isinstance(pattern.elements[0], Symbol)
-        and pattern.elements[0].name in TAG_NAMES
+        and len(pattern) == 2
+        and isinstance(pattern[0], Symbol)
+        and pattern[0].name in TAG_NAMES
     ):
-        name = pattern.elements[0].name
+        name = pattern[0].name
         if name == "not":
             tag = TAG_DUAL[tag]
         elif tag == "t":
@@ -211,7 +211,7 @@ def unwrap_query(pattern: Term, tag: str = "t") -> tuple[Term, str]:
             tag = TAG_DUAL[name]
         else:
             break
-        pattern = pattern.elements[1]
+        pattern = pattern[1]
     return pattern, tag
 
 
@@ -275,7 +275,7 @@ class KnowledgeBase:
         core, flipped = normalize_negation(sentence)
         if not is_ground(core):
             raise ValueError(f"cannot store non-ground sentence {core}")
-        if not (isinstance(core, Symbol) or (isinstance(core, Compound) and isinstance(core.elements[0], Symbol))):
+        if index_key(core) is None:  # no symbol, nor a compound headed by one
             raise ValueError(f"not a sentence: {core}")
         return core, (negate(tv) if flipped else tv)
 

@@ -8,10 +8,12 @@ process-wide table holds the one object of each class and name, so
 their equality and hash are identity, and a dict probe, a tuple
 comparison or a `unify` step on one ends at a pointer compare, as with
 Lisp's ``EQ``. The table grows with the vocabulary and never shrinks.
-Numbers and compounds are fresh objects compared by value; each
-computes its hash once, when it is built, and a compound also records
-whether it is ground; so a dict probe costs no walk over the term, and
-`substitute` and `is_ground` return at once on a ground compound.
+Numbers are fresh objects compared by value. A compound is the tuple of
+its elements, as a Lisp term is a list, so its hash and equality
+are ``tuple``'s, in C; the hash is computed on each probe, a walk over
+the term that no Python frame pays for. A compound's class records
+whether it is ground (see `Compound`), so `substitute` and `is_ground`
+return at once on a ground one.
 
 Goal-directed work uses `unify` and `substitute` over bindings: plain
 dicts from Variable to Term. They are triangular: a variable may map to
@@ -34,35 +36,11 @@ _set = object.__setattr__
 
 
 class Term:
-    """Base class for all term shapes.
+    """Base class for all term shapes. No field of a term can be set or
+    deleted."""
 
-    A term keeps its one public field (``name``, ``value`` or
-    ``elements``) in the ``_payload`` slot: each subclass names that
-    slot's descriptor after its field, so reading the field is a plain
-    slot read. Terms of one class are equal when their fields are.
-    """
-
-    __slots__ = ("_payload", "_hash")
-    _field = ""
+    __slots__ = ()
     _ground = True
-
-    def __init__(self, payload):
-        _set(self, "_payload", payload)
-        _set(self, "_hash", hash(payload))
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._hash == other._hash and self._payload == other._payload
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self._field}={self._payload!r})"
-
-    def __reduce__(self):
-        return type(self), (self._payload,)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot change field {name!r} of an immutable term")
@@ -79,22 +57,23 @@ class _Named(Term):
     class and name, made on first use, so two are equal only when they
     are the same object, and equality and hash are ``object``'s own.
     A table hit does no other work; `setdefault` keeps the insertion
-    race-free under the interpreter lock. No `_hash` is stored."""
+    race-free under the interpreter lock."""
 
-    __slots__ = ()
-    _field = "name"
-    name = Term._payload
-    __init__ = object.__init__
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+    __slots__ = ("name",)
 
     def __new__(cls, name):
         try:
             return _interned[cls][name]
         except KeyError:
             term = object.__new__(cls)
-            _set(term, "_payload", name)
+            _set(term, "name", name)
             return _interned.setdefault(cls, {}).setdefault(name, term)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(name={self.name!r})"
+
+    def __reduce__(self):
+        return type(self), (self.name,)
 
 
 class Symbol(_Named):
@@ -117,9 +96,7 @@ class Variable(_Named):
 
 
 class Number(Term):
-    __slots__ = ()
-    _field = "value"
-    value = Term._payload
+    __slots__ = ("value",)
 
     def __init__(self, value):
         try:
@@ -128,7 +105,19 @@ class Number(Term):
             raise ValueError(f"a number must be a finite real: {exc}") from None
         if not isfinite(number):
             raise ValueError(f"a number must be a finite real, got {number!r}")
-        super().__init__(number)
+        _set(self, "value", number)
+
+    def __eq__(self, other):
+        return self.value == other.value if type(other) is Number else NotImplemented
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"Number(value={self.value!r})"
+
+    def __reduce__(self):
+        return Number, (self.value,)
 
     def __str__(self):
         # repr writes integral floats from 1e16 up with an exponent
@@ -137,32 +126,53 @@ class Number(Term):
         return repr(self.value)
 
 
-_is_ground = attrgetter("_ground")
+is_ground = attrgetter("_ground")
 
 
-class Compound(Term):
-    __slots__ = ("_ground",)
-    _field = "elements"
-    elements = Term._payload
+class Compound(Term, tuple):
+    """A compound term: the nonempty tuple of its elements, hashed and
+    compared as a tuple. ``Compound(elements)`` builds a `Ground` when
+    every element is ground, else a `Compound`, so groundness is the
+    class attribute ``_ground``. A compound equals a plain tuple of the
+    same elements, so no dict may key both."""
 
-    def __init__(self, elements: tuple):
+    __slots__ = ()
+    _ground = False
+
+    def __new__(cls, elements: tuple):
         if not elements:
             raise ValueError("compound terms cannot be empty")
-        _set(self, "_payload", elements)
-        _set(self, "_hash", hash(elements))
-        _set(self, "_ground", False not in map(_is_ground, elements))
+        return tuple.__new__(Ground if False not in map(is_ground, elements) else Compound, elements)
+
+    elements = property(tuple)  # a plain tuple, for readers outside the package
+
+    def __repr__(self):
+        return f"Compound(elements={tuple(self)!r})"
 
     def __str__(self):
-        return "(" + " ".join(str(e) for e in self.elements) + ")"
+        # on an explicit stack, as the reader reads a term, so that any depth prints:
+        # per open compound, its elements left and the text of those read; the first entry takes the result
+        stack = [(None, []), (iter(self), [])]
+        while len(stack) > 1:
+            elements, words = stack[-1]
+            for e in elements:
+                if isinstance(e, Compound):
+                    stack.append((iter(e), []))
+                    break
+                words.append(str(e))
+            else:
+                stack.pop()
+                stack[-1][1].append("(" + " ".join(words) + ")")
+        return stack[0][1][0]
 
 
-def _ground_compound(elements: tuple) -> Compound:
-    """``Compound(elements)`` for nonempty, ground ``elements``, unchecked."""
-    term = object.__new__(Compound)
-    _set(term, "_payload", elements)
-    _set(term, "_hash", hash(elements))
-    _set(term, "_ground", True)
-    return term
+class Ground(Compound):
+    """A compound whose elements are all ground. ``Ground(elements)``
+    builds one unchecked: ``elements`` must be nonempty and ground."""
+
+    __slots__ = ()
+    _ground = True
+    __new__ = tuple.__new__
 
 
 Bindings = dict
@@ -192,7 +202,7 @@ def _occurs(v: Variable, t: Term, bindings: Bindings) -> bool:
     if t is v:
         return True
     if isinstance(t, Compound):
-        return any(_occurs(v, e, bindings) for e in t.elements)
+        return any(_occurs(v, e, bindings) for e in t)
     return False
 
 
@@ -221,9 +231,9 @@ def unify(t1: Term, t2: Term, bindings: Bindings | None = None) -> Bindings | No
         out[t2] = t1
         return out
     if isinstance(t1, Compound) and isinstance(t2, Compound):
-        if len(t1.elements) != len(t2.elements):
+        if len(t1) != len(t2):
             return None
-        for e1, e2 in zip(t1.elements, t2.elements):
+        for e1, e2 in zip(t1, t2):
             bindings = unify(e1, e2, bindings)
             if bindings is None:
                 return None
@@ -235,7 +245,7 @@ def substitute(t: Term, bindings: Bindings) -> Term:
     """Replace every bound variable, following chains; unbound ones stay."""
     t = walk(t, bindings)
     if isinstance(t, Compound) and not t._ground:
-        return Compound(tuple(substitute(e, bindings) for e in t.elements))
+        return Compound(tuple(substitute(e, bindings) for e in t))
     return t
 
 
@@ -245,23 +255,14 @@ def variables_in(t: Term) -> set:
         return set()
     if isinstance(t, Variable):
         return {t}
-    if isinstance(t, Compound):
-        out = set()
-        for e in t.elements:
-            out |= variables_in(e)
-        return out
-    return set()
-
-
-def is_ground(t: Term) -> bool:
-    return t._ground
+    return set().union(*map(variables_in, t))
 
 
 def index_key(t: Term):
     """The (functor name, arity) of a term with a symbol head, (name, 0)
     for a symbol, else None: the key `TermIndex` reads a term by."""
-    if isinstance(t, Compound) and isinstance(t.elements[0], Symbol):
-        return (t.elements[0].name, len(t.elements))
+    if isinstance(t, Compound) and isinstance(t[0], Symbol):
+        return (t[0].name, len(t))
     if isinstance(t, Symbol):
         return (t.name, 0)
     return None
@@ -297,8 +298,8 @@ class TermIndex:
             if key not in self.buckets:
                 self.buckets[key] = self._wild_meeting(key)
             self.buckets[key][entry] = None
-        elif isinstance(head := term.elements[0] if isinstance(term, Compound) else term, Variable):
-            arity = None if head is term else len(term.elements)
+        elif isinstance(head := term[0] if isinstance(term, Compound) else term, Variable):
+            arity = None if head is term else len(term)
             self.wild.append((arity, entry))
             for (_name, n), bucket in self.buckets.items():
                 if arity in (None, n):
@@ -328,10 +329,10 @@ def _define(source: str, constants: list):
     """The function ``f`` that ``source`` defines over globals ``C``,
     ``G`` and ``k0``, ``k1``, ... for ``constants``. Rules of one shape
     differ only in their constants, so they share compiled code."""
-    namespace = {"C": Compound, "G": _ground_compound}
+    namespace = {"C": Compound, "G": Ground}
     namespace.update((f"k{i}", t) for i, t in enumerate(constants))
     exec(_code(source), namespace)
-    return namespace["f"]
+    return namespace.pop("f")  # so that no cycle runs through f.__globals__
 
 
 def compile_builder(shape, variables: tuple, partial: bool = False):
@@ -339,23 +340,26 @@ def compile_builder(shape, variables: tuple, partial: bool = False):
     from a tuple of ground values, one per variable of ``variables``, to
     what `substitute` makes of ``shape`` under them. With ``partial`` a
     value may be open, or None, which leaves its variable in place."""
-    constants = []
+    constants, parts, stack = [], [], [shape]
 
     def constant(t):
         constants.append(t)
         return f"k{len(constants) - 1}"
 
-    def expr(t):
-        if isinstance(t, tuple):
-            return "(" + "".join(expr(e) + ", " for e in t) + ")"
-        if t._ground:
-            return constant(t)
-        if isinstance(t, Variable):
+    while stack:  # on an explicit stack, where a str is source text to write as it is
+        t = stack.pop()
+        if type(t) is str:
+            parts.append(t)
+        elif type(t) is tuple:  # a compound is a tuple too, but no shape
+            stack += ")", *[x for e in reversed(t) for x in (", ", e)], "("
+        elif t._ground:
+            parts.append(constant(t))
+        elif isinstance(t, Variable):
             i = variables.index(t)
-            return f"(b[{i}] if b[{i}] is not None else {constant(t)})" if partial else f"b[{i}]"
-        return ("C(" if partial else "G(") + expr(t.elements) + ")"
-
-    return _define(f"def f(b): return {expr(shape)}", constants)
+            parts.append(f"(b[{i}] if b[{i}] is not None else {constant(t)})" if partial else f"b[{i}]")
+        else:
+            stack += ")", tuple(t), "C(" if partial else "G("
+    return _define(f"def f(b): return {''.join(parts)}", constants)
 
 
 def _match_tests(pattern: Term, constants: list) -> tuple[list, dict]:
@@ -364,9 +368,9 @@ def _match_tests(pattern: Term, constants: list) -> tuple[list, dict]:
     exactly when ``g`` does not unify with ``pattern``, and each
     variable's value in ``g``. A ground part of the pattern becomes a
     constant ``k<i>``, its position in ``constants``."""
-    tests, bound = [], {}
-
-    def visit(t, expr):
+    tests, bound, stack = [], {}, [(pattern, "g")]
+    while stack:  # depth first, left to right
+        t, expr = stack.pop()
         if t._ground:
             # an interned symbol is equal only to itself; a number or
             # compound may equal a distinct object (1 == 1.0)
@@ -378,11 +382,9 @@ def _match_tests(pattern: Term, constants: list) -> tuple[list, dict]:
                 tests.append(f"{expr} != {bound[t]}")
             bound.setdefault(t, expr)
         else:
-            tests.append(f"type({expr}) is not C or len({expr}.elements) != {len(t.elements)}")
-            for i, e in enumerate(t.elements):
-                visit(e, f"{expr}.elements[{i}]")
-
-    visit(pattern, "g")
+            # every compound in a ground term is a Ground
+            tests.append(f"type({expr}) is not G or len({expr}) != {len(t)}")
+            stack += reversed([(e, f"{expr}[{i}]") for i, e in enumerate(t)])
     return tests, bound
 
 
@@ -433,12 +435,8 @@ def normalize_negation(s: Term) -> tuple[Term, bool]:
     was removed (the sentence was, on balance, negated).
     """
     flipped = False
-    while (
-        isinstance(s, Compound)
-        and len(s.elements) == 2
-        and s.elements[0] is _NOT
-    ):
-        s = s.elements[1]
+    while isinstance(s, Compound) and len(s) == 2 and s[0] is _NOT:
+        s = s[1]
         flipped = not flipped
     return s, flipped
 
@@ -451,18 +449,17 @@ def canonical_form(t: Term) -> Term:
     and ancestor-loop checks compare. A placeholder's name starts with a
     space, which no ``$`` word can hold, so no parsed term shares one.
     """
-    mapping = {}
+    return _rename(t, {})
 
-    def rename(t):
-        if t._ground:
-            return t
-        if isinstance(t, Variable):
-            if t not in mapping:
-                mapping[t] = Variable(f" {len(mapping)}")
-            return mapping[t]
-        return Compound(tuple(map(rename, t.elements)))
 
-    return rename(t)
+def _rename(t: Term, mapping: dict) -> Term:
+    if t._ground:
+        return t
+    if isinstance(t, Variable):
+        if t not in mapping:
+            mapping[t] = Variable(f" {len(mapping)}")
+        return mapping[t]
+    return Compound(tuple([_rename(e, mapping) for e in t]))
 
 
 def format_bindings(bindings: Bindings) -> str:

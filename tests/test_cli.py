@@ -144,6 +144,36 @@ class TestQuery:
             assert captured.err == f"error: chain depth {levels} exceeded at (p{levels} k)\n"
 
 
+def _nested(depth: int) -> str:
+    return "(p " * depth + "a" + ")" * depth
+
+
+class TestDeepTerms:
+    """Terms as deep as the reader takes print and compare without
+    running out of interpreter stack."""
+
+    def test_answer_holding_a_deep_term_prints(self, tmp_path, capsys):
+        path = tmp_path / "deep.pkb"
+        path.write_text(f"(fact {_nested(250)} (0.5 . 0))\n")
+        code = main(["--kb", str(path), "query", "(p $y)", "--cutoff", "0"])
+        assert (code, capsys.readouterr().out) == (0, "{$y=" + _nested(249) + "} 0.5\n")
+
+    def test_trace_of_a_deep_goal_prints(self, tmp_path, capsys):
+        path = tmp_path / "deep.pkb"
+        path.write_text(f"(fact {_nested(300)} (0.5 . 0))\n")
+        code = main(["--trace", "--kb", str(path), "query", _nested(300), "--method", "bc", "--cutoff", "0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (0, "{} 0.5\n")
+        assert f"TASK goal={_nested(300)} src=fact acc=(0.5 . 0)\n" in captured.err
+
+    def test_deep_fact_stated_twice_loads(self, tmp_path, capsys):
+        # storing the second statement compares the two deep sentences
+        path = tmp_path / "deep.pkb"
+        path.write_text(f"(fact {_nested(399)} (0.5 . 0))\n" * 2)
+        code = main(["--kb", str(path), "query", _nested(399), "--cutoff", "0"])
+        assert (code, capsys.readouterr().out) == (0, "{} 0.75\n")
+
+
 class TestAssertSetWhy:
     def test_assert_is_session_local_noop_without_query(self, capsys):
         code = main(["assert", "(foo fred)", "(0.4 . 0.1)"])

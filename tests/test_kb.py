@@ -1,5 +1,6 @@
 """Tests for fact storage, negation normalization, lookup and the ledger."""
 
+import gc
 import math
 import os
 import random
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pkb.kb
-from pkb.backward import prove
+from pkb.backward import prove, truep
 from pkb.errors import NotFound, ParseError, RangeError, TautologicalResolvent, TotalConflict
 from pkb.forward import Justification
 from pkb.kb import ENGINE_VARIABLES, FactRecord, KnowledgeBase, make_rule, unwrap_query
@@ -21,6 +22,7 @@ from pkb.sexpr import CONTROL_METHODS, parse_sentence as S
 from pkb.terms import (
     Compound,
     Number,
+    Term,
     Variable,
     canonical_form,
     compound,
@@ -742,3 +744,59 @@ class TestNonFiniteWords:
         assert kb.retrieve(S("(foo nan)")) == TruthValue(1.0, 0.0)
         assert kb.lookup(S("(foo nan)")) == [({}, 1.0)]
         assert sorted(str(t[X]) for t, _ in kb.lookup(S("(foo $x)"), "t", 0.5)) == ["inf", "nan"]
+
+
+class TestKeysAreNoPlainTuples:
+    """A compound equals the plain tuple of its elements, so a dict that
+    keyed both would take one for the other: no dict of the KB keys a
+    plain tuple made only of terms."""
+
+    def test_no_key_is_a_plain_tuple_of_terms(self):
+        rng, filled = random.Random(3600), set()
+        for _ in range(20):
+            facts, rules = random_var_kb(rng)
+            kb = build_kb(facts, rules)
+            consequences = (substitute(c, {var("x"): sym("a")}) for _premise, c, _tv in rules)
+            atoms = sorted({*facts, *consequences}, key=str)
+            for atom in atoms:
+                prove(kb, atom)
+                prove(kb, Compound((atom[0], var("x"))))
+            kb.stash(atoms[0], random_tv(rng))
+            kb.set_truth(atoms[-1], random_tv(rng))
+            prove(kb, atoms[-1])
+            kb.add_clause([(atoms[0], True), (atoms[-1], False)], random_tv(rng))
+            kb.add_clause([(atoms[-1], True)], random_tv(rng))
+            truep(kb, atoms[0], "t", 0.0, method="resolution")
+            _priority_fn, table, dependents = kb._goals
+            dicts = {
+                "facts": kb._facts, "ledger": kb._ledger, "by_premise": kb._by_premise,
+                "by_consequence": kb._by_consequence, "goals": table, "dependents": dependents,
+                "touching": kb._touching, "component_of": kb._component_of, "groups": kb._groups,
+            }
+            filled.update(name for name, d in dicts.items() if d)
+            inner = [*kb._by_premise.values(), *kb._by_consequence.values(), *dependents.values()]
+            for d in (*dicts.values(), *inner):
+                for key in d:
+                    assert not (type(key) is tuple and all(isinstance(e, Term) for e in key)), key
+        assert filled == set(dicts)
+
+
+class TestNoCycles:
+    def test_a_dropped_kb_leaves_no_cyclic_garbage(self):
+        # so that dropping one costs no collector pass in a later operation
+        text = (
+            "(control (link $c $s) resolution)\n(clause (or (link c s0)) (0.5 . 0))\n"
+            "(clause (or (not (link c s0)) (link c s1)) (0.5 . 0))\n"
+            "(rule (and (p $x) (q $x)) (r $x) (0.9 . 0))\n(fact (p a) (1 . 0))\n(fact (q a) (1 . 0))\n"
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            kb = KnowledgeBase()
+            kb.load_text(text)
+            for goal, method in [("(link c s1)", None), ("(r $x)", "backward-chain"), ("(p $x)", "lookup")]:
+                assert truep(kb, S(goal), "t", 0.0, method=method)
+            del kb
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

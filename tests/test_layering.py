@@ -17,6 +17,10 @@ Terms are filed by `index_key` only in `terms.TermIndex`, so no other
 module keeps an index of its own beside the store's, the rules' and the
 control table's. Likewise rule instances are applied only in
 `forward.Batch.run`, so forward chaining has one loop.
+
+A compound term is a tuple, so ``isinstance(x, tuple)`` holds for one
+and cannot tell a tuple of terms from a term: no module asks it, and
+code that must tell them apart tests ``type(x) is tuple``.
 """
 
 import ast
@@ -210,6 +214,27 @@ def test_only_the_batch_loop_applies_rule_instances():
     batch = next(node for node in MODULES["forward"].body if isinstance(node, ast.ClassDef) and node.name == "Batch")
     assert len(_calls_to(_functions(batch.body)["run"], "_apply_instance")) == 1
     assert sum(len(_calls_to(tree, "_apply_instance")) for tree in MODULES.values()) == 1
+
+
+def _tuple_tests(tree) -> list:
+    """The lines of ``isinstance`` calls under ``tree`` whose class
+    argument names ``tuple``, alone or in a tuple of classes."""
+    return [
+        call.lineno
+        for call in _calls_to(tree, "isinstance")
+        if len(call.args) == 2
+        and any(isinstance(n, ast.Name) and n.id == "tuple" for n in ast.walk(call.args[1]))
+    ]
+
+
+def test_no_isinstance_tuple_test():
+    found = [f"{name}.py:{line}" for name, tree in MODULES.items() for line in _tuple_tests(tree)]
+    assert found == []
+
+
+def test_tuple_test_finder_sees_both_forms():
+    tree = ast.parse("isinstance(t, tuple)\nisinstance(t, (list, tuple))\nisinstance(t, Compound)\ntype(t) is tuple\n")
+    assert _tuple_tests(tree) == [1, 2]
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pkb.errors import ParseError, RangeError
 from pkb.sexpr import (
+    _MAX_DEPTH,
     _TOKEN,
     ClauseStatement,
     ControlStatement,
@@ -234,6 +235,16 @@ class TestRoundTrip:
         assert str(sentence) == f"(foo {text})"
         back = parse_sentence(str(sentence))
         assert back == sentence and isinstance(back.elements[1], Number)
+
+    def test_deepest_term_prints_back(self):
+        # the printer runs on an explicit stack, so the deepest term the
+        # reader takes prints as it was read
+        depth = _MAX_DEPTH - 1
+        for text in (
+            "(p " * depth + "a" + ")" * depth,
+            "".join("(q $x 2.5 " if i % 2 else "(p " for i in range(depth)) + "a" + ")" * depth,
+        ):
+            assert str(parse_sentence(text)) == text
 
     def test_variable_prints_with_dollar(self):
         assert str(var("x")) == "$x"

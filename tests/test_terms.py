@@ -11,11 +11,13 @@ from pkb.kb import make_rule
 from pkb.sexpr import parse_sentence
 from pkb.terms import (
     Compound,
+    Ground,
     Number,
     Symbol,
     Term,
     Variable,
     canonical_form,
+    compile_builder,
     compile_matcher,
     compound,
     format_bindings,
@@ -270,6 +272,39 @@ class TestTermObjects:
             "Compound(elements=(Symbol(name='p'), Variable(name='x'), Number(value=1.5)))"
         )
         assert all(issubclass(cls, Term) for cls in (Symbol, Variable, Number, Compound))
+
+    @given(t=terms())
+    def test_ground_class_exactly_when_ground(self, t):
+        # every way a compound is made picks Ground exactly when it is ground
+        variables = tuple(sorted(variables_in(t), key=lambda v: v.name))
+        values = tuple(compound(sym("f"), sym("a")) if i % 2 else sym("b") for i in range(len(variables)))
+        partial = tuple(v if i % 2 else None for i, v in enumerate(values))
+        made = [
+            t,
+            parse_sentence(str(t)),
+            substitute(t, dict(zip(variables, values))),
+            substitute(t, {var("x"): compound(sym("f"), var("y"))}),
+            compile_builder(t, variables)(values),
+            compile_builder(t, variables, partial=True)(partial),
+            compile_builder((t, (t,)), variables)(values)[1][0],
+            canonical_form(t),
+            pickle.loads(pickle.dumps(t)),
+            copy.deepcopy(t),
+        ]
+        assert made[1] == t and made[-2] == t and made[-1] == t
+        while made:
+            s = made.pop()
+            assert is_ground(s) == (not variables_in(s))
+            if isinstance(s, Compound):
+                assert type(s) is (Ground if is_ground(s) else Compound)
+                made.extend(s)
+
+    def test_compounds_hash_and_compare_as_tuples(self):
+        for cls in (Compound, Ground):
+            assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__
+        assert type(compound(sym("p"), sym("a"))) is Ground and type(FOO_X) is Compound
+        assert Ground((sym("p"), sym("a"))) == compound(sym("p"), sym("a"))
+        assert FOO_FRED.elements == (sym("foo"), sym("fred")) and type(FOO_FRED.elements) is tuple
 
 
 def _ground_values(draw, n):
